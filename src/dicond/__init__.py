@@ -41,7 +41,6 @@ from .solver import (
     SolverConfig,
     dsi_run,
     dsi_solve,
-    extract_partition,
     subproblem_argmin,
     verify_local_opt,
 )

@@ -2,11 +2,13 @@
 
 The embedding is the second eigenvector of the normalized Laplacian of
 the symmetrized weights, computed by deflated power iteration; the
-sweep cut scans every prefix of a vertex ordering with incremental cut
-updates. Together they serve as the comparison baseline and as solver
-initialization. Note the comparison methods reported elsewhere for this
-problem use a different (nonlinear heat-kernel) embedding; this one is
-a declared stand-in.
+sweep cut scores every prefix of a vertex ordering from one cumulative
+cut profile. Together they serve as the comparison baseline and as
+solver initialization. The sweep cut is also the package's only
+threshold scan: the solver rounds its iterates to a set with it. Note
+the comparison methods reported elsewhere for this problem use a
+different (nonlinear heat-kernel) embedding; this one is a declared
+stand-in.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantVectorError, DicondError
+from .errors import ConstantVectorError, DegenerateSubsetError, DicondError
 from .functionals import is_nonconstant
 from .graph import DirectedGraph, prefix_cut_profile, weak_components
 
@@ -113,29 +115,33 @@ def spectral_sweep(g: DirectedGraph) -> tuple[np.ndarray, float]:
     return mask, conductance_set(g, mask)[0]
 
 
-def sweep_cut(g: DirectedGraph, v) -> tuple[np.ndarray, float]:
+def sweep_cut(g: DirectedGraph, v, distinct_only: bool = False) -> tuple[np.ndarray, float]:
     """Best-conductance prefix of vertices sorted by v descending.
 
-    Evaluates every prefix with incremental cut/volume updates
-    (O(m + n log n)); prefixes with a zero-volume side are skipped.
-    Ties keep the smallest prefix. Returns (mask, phi).
+    Scores every prefix from one prefix_cut_profile pass (O(m + n log n));
+    prefixes with a zero-volume side are skipped, and ties keep the
+    smallest prefix. Equal values of v are split by vertex id, unless
+    distinct_only is set: then only prefixes that end between two
+    distinct values count, so a +/-1 vector reproduces its own sign
+    partition. Returns (mask, phi).
     """
     v = np.asarray(v, dtype=float)
     if not is_nonconstant(v):
         raise ConstantVectorError("sweep vector must be nonconstant")
     order = np.lexsort((np.arange(g.n), -v))
     cp, cm, vol = prefix_cut_profile(g, order)
-    vol_total = g.degree_profile.vol_total
-    best_k, best_phi = -1, np.inf
-    for k in range(g.n - 1):
-        mv = min(vol[k], vol_total - vol[k])
-        if mv <= 0:
-            continue
-        phi = min(cp[k], cm[k]) / mv
-        if phi < best_phi:
-            best_k, best_phi = k, phi
-    if best_k < 0:
-        raise DicondError("no prefix with positive volume on both sides")
+    mv = np.minimum(vol, g.degree_profile.vol_total - vol)[:-1]
+    ok = mv > 0
+    if distinct_only:
+        vs = v[order]
+        ok &= vs[:-1] > vs[1:]
+    # cancellation in the cut sums can leave an exact zero cut a few
+    # ulps below 0
+    cut = np.maximum(np.minimum(cp, cm)[:-1], 0.0)
+    phi = np.divide(cut, mv, out=np.full(g.n - 1, np.inf), where=ok)
+    k = int(np.argmin(phi))
+    if not ok[k]:
+        raise DegenerateSubsetError("no prefix with positive volume on both sides")
     mask = np.zeros(g.n, dtype=bool)
-    mask[order[: best_k + 1]] = True
-    return mask, float(best_phi)
+    mask[order[: k + 1]] = True
+    return mask, float(phi[k])

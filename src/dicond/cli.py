@@ -14,22 +14,19 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .baselines import spectral_sweep
-from .datasets import fetch
+from .datasets import _sha256, fetch
 from .errors import DicondError, GraphTooLargeError
 from .generators import DsbmParams, dsbm
 from .graph import load_edge_list, write_edge_list
 from .oracle import brute_conductance
-from .solver import SolverConfig, dsi_solve
+from .solver import SolverConfig, _sorted_labels, dsi_solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,44 +34,29 @@ EXIT_DATA = 3
 EXIT_SIZE = 4
 
 
-def _file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def _manifest(args, inputs, outputs, extra=None) -> dict:
+def _write_manifest(args, inputs, outputs, config: dict) -> None:
+    """Write <first output>.manifest.json for the given files."""
     man = {
         "tool": "dicond",
         "version": __version__,
         "schema_version": 1,
         "command": [args.command] + args._raw_rest,
-        "inputs": [
-            {"path": str(p), "sha256": _file_sha256(p)} for p in inputs if Path(p).exists()
-        ],
+        "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs if Path(p).exists()],
         "outputs": [str(p) for p in outputs],
-        "config": extra or {},
+        "config": config,
     }
-    return man
+    Path(str(outputs[0]) + ".manifest.json").write_text(
+        json.dumps(man, indent=2, sort_keys=True) + "\n"
+    )
 
 
-def _emit(doc: dict, out_path, args, inputs, extra=None) -> None:
+def _emit(doc: dict, out_path, args, inputs, config: dict) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
         Path(out_path).write_text(text)
-        man = _manifest(args, inputs, [out_path], extra)
-        Path(str(out_path) + ".manifest.json").write_text(
-            json.dumps(man, indent=2, sort_keys=True) + "\n"
-        )
+        _write_manifest(args, inputs, [out_path], config)
     else:
         sys.stdout.write(text)
-
-
-def _labels(g, mask):
-    labs = [g.labels[i] for i in np.flatnonzero(mask)]
-    return sorted(labs, key=lambda s: (0, int(s)) if s.isdigit() else (1, s))
 
 
 def _solver_config(args) -> SolverConfig:
@@ -115,9 +97,9 @@ def cmd_oracle(args) -> int:
         "phi_d_min": res.phi_d_min,
         "phi_plus_min": res.phi_plus_min,
         "phi_minus_min": res.phi_minus_min,
-        "argmin_d": _labels(g, res.argmin_d),
-        "argmin_plus": _labels(g, res.argmin_plus),
-        "argmin_minus": _labels(g, res.argmin_minus),
+        "argmin_d": _sorted_labels(g, res.argmin_d),
+        "argmin_plus": _sorted_labels(g, res.argmin_plus),
+        "argmin_minus": _sorted_labels(g, res.argmin_minus),
         "subsets_enumerated": res.subsets_enumerated,
         "n": g.n,
         "m": g.m,
@@ -129,7 +111,7 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     g = load_edge_list(args.graph)
     mask, phi = spectral_sweep(g)
-    doc = {"phi": phi, "set": _labels(g, mask), "n": g.n, "m": g.m}
+    doc = {"phi": phi, "set": _sorted_labels(g, mask), "n": g.n, "m": g.m}
     _emit(doc, args.out, args, [args.graph], {})
     return EXIT_OK
 
@@ -143,10 +125,7 @@ def cmd_gen_dsbm(args) -> int:
         for lab, block in zip(g.labels, planted):
             fh.write(f"{lab} {block}\n")
     cfg = {"n": args.n, "p": args.p, "q": args.q, "eta": args.eta, "seed": args.seed}
-    man = _manifest(args, [], [args.out, side], {"params": cfg})
-    Path(str(args.out) + ".manifest.json").write_text(
-        json.dumps(man, indent=2, sort_keys=True) + "\n"
-    )
+    _write_manifest(args, [], [args.out, side], {"params": cfg})
     return EXIT_OK
 
 
@@ -159,10 +138,7 @@ def cmd_fetch(args) -> int:
 def cmd_convert(args) -> int:
     g = load_edge_list(args.input)
     write_edge_list(g, args.output)
-    man = _manifest(args, [args.input], [args.output], {})
-    Path(str(args.output) + ".manifest.json").write_text(
-        json.dumps(man, indent=2, sort_keys=True) + "\n"
-    )
+    _write_manifest(args, [args.input], [args.output], {})
     if g.self_loops_dropped:
         print(f"dropped {g.self_loops_dropped} self-loop(s)", file=sys.stderr)
     return EXIT_OK
@@ -298,10 +274,7 @@ def cmd_bench(args) -> int:
             writer = csv.DictWriter(fh, fieldnames=fieldnames)
             writer.writeheader()
             writer.writerows(rows)
-        man = _manifest(args, [], [out], {"grid": grid_text, "suite": args.suite})
-        Path(str(out) + ".manifest.json").write_text(
-            json.dumps(man, indent=2, sort_keys=True) + "\n"
-        )
+        _write_manifest(args, [], [out], {"grid": grid_text, "suite": args.suite})
     else:
         writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
         writer.writeheader()

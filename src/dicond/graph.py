@@ -80,30 +80,6 @@ class DirectedGraph:
         np.add.at(w_sym, inv, self.weights)
         return uniq // self.n, uniq % self.n, w_sym
 
-    @cached_property
-    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, arc index) lists grouping arcs by tail."""
-        order = np.argsort(self.tails, kind="stable")
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(indptr, self.tails + 1, 1)
-        return np.cumsum(indptr), order
-
-    @cached_property
-    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, arc index) lists grouping arcs by head."""
-        order = np.argsort(self.heads, kind="stable")
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(indptr, self.heads + 1, 1)
-        return np.cumsum(indptr), order
-
-    def out_arcs(self, v: int) -> np.ndarray:
-        indptr, order = self.out_csr
-        return order[indptr[v]:indptr[v + 1]]
-
-    def in_arcs(self, v: int) -> np.ndarray:
-        indptr, order = self.in_csr
-        return order[indptr[v]:indptr[v + 1]]
-
 
 def build_graph(n, tails, heads, weights=None, labels=None) -> DirectedGraph:
     """Canonicalize raw arc arrays into a DirectedGraph.
@@ -261,34 +237,25 @@ def prefix_cut_profile(g: DirectedGraph, order) -> tuple[np.ndarray, np.ndarray,
     """Cut and volume values for every prefix of a vertex ordering.
 
     Entry k describes S = order[:k+1]: (outgoing cut, incoming cut,
-    vol(S)). Updates are incremental over each vertex's incident arcs,
-    O(m + n) total.
+    vol(S)). Each arc adds its weight to the cut from the position of
+    its earlier endpoint in the ordering and removes it at the position
+    of its later one, so both cuts are cumulative sums: O(m + n) total.
     """
     order = np.asarray(order, dtype=np.int64)
-    member = np.zeros(g.n, dtype=bool)
-    d = g.degree_profile.d
-    w, tails, heads = g.weights, g.tails, g.heads
-    cut_plus = cut_minus = vol = 0.0
-    cps = np.empty(g.n)
-    cms = np.empty(g.n)
-    vols = np.empty(g.n)
-    for k, u in enumerate(order):
-        out_idx = g.out_arcs(u)
-        if out_idx.size:
-            inside = member[heads[out_idx]]
-            wo = w[out_idx]
-            cut_plus += float(wo[~inside].sum())
-            cut_minus -= float(wo[inside].sum())
-        in_idx = g.in_arcs(u)
-        if in_idx.size:
-            inside = member[tails[in_idx]]
-            wi = w[in_idx]
-            cut_minus += float(wi[~inside].sum())
-            cut_plus -= float(wi[inside].sum())
-        vol += float(d[u])
-        member[u] = True
-        cps[k], cms[k], vols[k] = cut_plus, cut_minus, vol
-    return cps, cms, vols
+    n = g.n
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    pt, ph, w = pos[g.tails], pos[g.heads], g.weights
+    fwd = pt < ph  # tail enters S first: the arc is in cut+ until its head joins
+    cut_plus = np.cumsum(
+        np.bincount(pt[fwd], weights=w[fwd], minlength=n)
+        - np.bincount(ph[fwd], weights=w[fwd], minlength=n)
+    )
+    cut_minus = np.cumsum(
+        np.bincount(ph[~fwd], weights=w[~fwd], minlength=n)
+        - np.bincount(pt[~fwd], weights=w[~fwd], minlength=n)
+    )
+    return cut_plus, cut_minus, np.cumsum(g.degree_profile.d[order])
 
 
 def weak_components(g: DirectedGraph) -> list[np.ndarray]:

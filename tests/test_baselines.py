@@ -96,7 +96,7 @@ def test_sweep_constant_raises(c3):
 
 
 def test_sweep_profile_equals_direct_recompute():
-    # the incremental prefix scan is exact on unit weights
+    # the cumulative prefix scan is exact on unit weights
     rng = np.random.default_rng(53)
     g = random_digraph(rng, 150)
     v = rng.standard_normal(150)

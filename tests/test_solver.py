@@ -13,9 +13,9 @@ from dicond import (
     degrees,
     dsi_run,
     dsi_solve,
-    extract_partition,
     r_obj,
     subproblem_argmin,
+    sweep_cut,
     verify_local_opt,
 )
 from dicond.baselines import spectral_sweep
@@ -116,8 +116,8 @@ def test_dsi_run_constant_start_raises(p3):
         dsi_run(p3, degrees(p3), np.ones(3), SolverConfig())
 
 
-def test_extract_partition_examples(p3):
-    mask, phi = extract_partition(p3, np.array([-1 / 3, -1 / 3, 1 / 3]))
+def test_sweep_cut_distinct_only_examples(p3):
+    mask, phi = sweep_cut(p3, np.array([-1 / 3, -1 / 3, 1 / 3]), distinct_only=True)
     assert mask.tolist() == [False, False, True]
     assert phi == 0.0
 
@@ -132,13 +132,20 @@ def test_extract_partition_examples(p3):
             phi_direct = conductance_set(g, x > 0)[0]
         except Exception:
             continue
-        mask, phi = extract_partition(g, x)
+        mask, phi = sweep_cut(g, x, distinct_only=True)
         assert mask.tolist() == (x > 0).tolist()
         assert phi == pytest.approx(phi_direct, abs=1e-12)
 
-    mask, phi = extract_partition(p3, np.array([0.9, 0.5, 0.1]))
+    mask, phi = sweep_cut(p3, np.array([0.9, 0.5, 0.1]), distinct_only=True)
     assert phi == 0.0
     assert mask.tolist() == [True, False, False]  # both prefixes tie at 0; smaller wins
+
+    # tied values: the default splits them by id, distinct_only keeps them together
+    x = np.array([1.0, 1.0, -1.0])
+    mask, phi = sweep_cut(p3, x)
+    assert mask.tolist() == [True, False, False] and phi == 0.0
+    mask, phi = sweep_cut(p3, x, distinct_only=True)
+    assert mask.tolist() == [True, True, False] and phi == 0.0
 
 
 def test_verify_local_opt_examples(c3, p3, p2):
@@ -158,6 +165,7 @@ def test_dsi_solve_monotone_trace_and_identity():
         assert rep.best_r == pytest.approx(conductance_set(g, rep.best_set)[0], abs=1e-9)
         if rep.certificate == CERT_BOUNDARY:
             assert rep.is_flip_local_opt
+        assert rep.is_flip_local_opt == verify_local_opt(g, rep.best_set)
 
 
 def test_dsi_solve_bounded_by_oracle_and_sweep():
@@ -186,6 +194,17 @@ def test_dsi_solve_isolated_vertices_lift():
     assert rep.best_r == pytest.approx(0.5)
     assert not rep.best_set[3] and not rep.best_set[4]
     assert rep.best_r == pytest.approx(conductance_set(g, rep.best_set)[0])
+
+
+def test_dsi_solve_exact_zero_cut_is_not_negative():
+    # cancellation in the prefix cut sums once returned best_r = -6e-17 here
+    rng = np.random.default_rng(21)
+    n = int(rng.integers(4, 16))
+    m = 3 * n
+    g = build_graph(n, rng.integers(0, n, m), rng.integers(0, n, m), 10.0 ** rng.uniform(-3, 3, m))
+    rep = dsi_solve(g, SolverConfig(seed=0))
+    assert rep.best_r >= 0
+    assert rep.best_r == pytest.approx(conductance_set(g, rep.best_set)[0], abs=1e-9)
 
 
 def test_dsi_solve_degenerate_graph():
@@ -247,8 +266,6 @@ def test_random_istar_rule_is_seeded():
     assert a.best_r >= brute_conductance(g).phi_d_min - 1e-9
 
 
-def test_band_policy_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(band_policy="collapse")
+def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(istar_rule="weird")
