@@ -30,6 +30,7 @@ from .graph import (
     conductance_set,
     cut_values,
     degrees,
+    largest_strong_component,
     largest_weak_component,
     load_edge_list,
     weak_components,

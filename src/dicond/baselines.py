@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConstantVectorError, DegenerateSubsetError, DicondError
 from .functionals import is_nonconstant
-from .graph import DirectedGraph, prefix_cut_profile, weak_components
+from .graph import (DirectedGraph, conductance_set, induced_subgraph, prefix_cut_profile,
+                    weak_components, zero_cut)
 
 
 @dataclass(frozen=True)
@@ -91,26 +92,21 @@ def spectral_sweep(g: DirectedGraph) -> tuple[np.ndarray, float]:
     """Sweep cut of the spectral embedding, tolerant of weakly
     disconnected input.
 
-    With two or more positive-volume components the component split is
-    itself a zero-conductance sweep answer; with isolated vertices the
-    embedding and sweep run on the volume-carrying core and the
-    leftovers join the complement side (no conductance value changes).
+    The baseline is blind to direction, so it checks only weak
+    components: with two or more that carry volume, one of them is
+    itself a zero-conductance answer. Otherwise the embedding and sweep
+    run on the positive-degree vertices, and any isolated vertices join
+    the complement side (no conductance value changes).
     """
-    comps = weak_components(g)
-    if len(comps) == 1:
+    pre = zero_cut(g, strong=False)
+    if pre is not None:
+        return pre, 0.0
+    core = np.flatnonzero(g.degree_profile.d > 0)
+    if core.size == g.n:
         return sweep_cut(g, spectral_embedding(g).vector)
-    d = g.degree_profile.d
-    posvol = [c for c in comps if d[c].sum() > 0]
-    mask = np.zeros(g.n, dtype=bool)
-    if len(posvol) >= 2:
-        mask[posvol[0]] = True
-        from .graph import conductance_set
-
-        return mask, conductance_set(g, mask)[0]
-    from .graph import conductance_set, induced_subgraph
-
-    sub, vmap = induced_subgraph(g, posvol[0])
+    sub, vmap = induced_subgraph(g, core)
     sub_mask, _ = sweep_cut(sub, spectral_embedding(sub).vector)
+    mask = np.zeros(g.n, dtype=bool)
     mask[vmap[sub_mask]] = True
     return mask, conductance_set(g, mask)[0]
 

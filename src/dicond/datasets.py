@@ -1,8 +1,8 @@
 """Registry-driven dataset fetching with checksum verification and a
 local cache.
 
-The registry is a JSON file mapping dataset name to {"url", "format",
-optional "sha256", optional "comment"}. Fetched files land in the cache
+The registry is a JSON file mapping dataset name to {"url", optional
+"sha256", optional "comment"}. Fetched files land in the cache
 directory (env DICOND_CACHE_DIR, default ~/.cache/dicond) keyed by
 name; everything else in the package works fully offline from local
 files.

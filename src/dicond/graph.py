@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateSubsetError, EdgeListParseError, EmptyGraphError
 
@@ -258,26 +260,33 @@ def prefix_cut_profile(g: DirectedGraph, order) -> tuple[np.ndarray, np.ndarray,
     return cut_plus, cut_minus, np.cumsum(g.degree_profile.d[order])
 
 
+def _component_labels(g: DirectedGraph, connection: str) -> tuple[int, np.ndarray]:
+    """Number of components and the component label of every vertex;
+    connection is "weak" or "strong"."""
+    adj = csr_matrix((np.ones(g.m), (g.tails, g.heads)), shape=(g.n, g.n))
+    return connected_components(adj, directed=True, connection=connection)
+
+
 def weak_components(g: DirectedGraph) -> list[np.ndarray]:
-    """Weakly connected components as sorted vertex-id arrays."""
-    parent = np.arange(g.n)
+    """Weakly connected components as sorted vertex-id arrays, largest
+    first; ties go to the component holding the smallest vertex id."""
+    _, labels = _component_labels(g, "weak")
+    comps = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    return sorted(comps, key=lambda c: (-c.size, int(c[0])))
 
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
 
-    for t, h in zip(g.tails, g.heads):
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[max(rt, rh)] = min(rt, rh)
-    roots = np.array([find(v) for v in range(g.n)])
-    comps = [np.flatnonzero(roots == r) for r in np.unique(roots)]
-    comps.sort(key=lambda c: (-c.size, int(c[0])))
-    return comps
+def zero_cut(g: DirectedGraph, strong: bool = True) -> np.ndarray | None:
+    """If the positive-degree vertices span two or more strong (weak, with
+    strong=False) components, the mask of the positive-volume source
+    component (no arc enters it) holding the smallest vertex id, a set
+    with phi = 0; otherwise None. Every weak component is a source."""
+    count, labels = _component_labels(g, "strong" if strong else "weak")
+    live = g.degree_profile.d > 0
+    if np.unique(labels[live]).size < 2:
+        return None
+    entered = np.bincount(labels[g.heads][labels[g.tails] != labels[g.heads]], minlength=count) > 0
+    first = np.flatnonzero(live & ~entered[labels])[0]
+    return labels == labels[first]
 
 
 def induced_subgraph(g: DirectedGraph, vertices: np.ndarray) -> tuple[DirectedGraph, np.ndarray]:
@@ -304,3 +313,12 @@ def largest_weak_component(g: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]
     the smallest original vertex id.
     """
     return induced_subgraph(g, weak_components(g)[0])
+
+
+def largest_strong_component(g: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]:
+    """Induced subgraph on the largest strongly connected component;
+    ties go to the one holding the smallest vertex id."""
+    _, labels = _component_labels(g, "strong")
+    sizes = np.bincount(labels)
+    first = np.flatnonzero(sizes[labels] == sizes.max())[0]
+    return induced_subgraph(g, np.flatnonzero(labels == labels[first]))

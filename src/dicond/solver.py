@@ -18,7 +18,7 @@ import numpy as np
 from .baselines import spectral_embedding, sweep_cut
 from .errors import ConstantVectorError, EmptyGraphError
 from .functionals import is_nonconstant, linf, r_obj
-from .graph import DegreeProfile, DirectedGraph, conductance_set, weak_components
+from .graph import DegreeProfile, DirectedGraph, conductance_set, induced_subgraph, zero_cut
 from .subgrad import StopCertificate, bounds, boundary_indicator, classify, select_subgradient
 
 CERT_BOUNDARY = "stop-by-V_b-empty"
@@ -129,15 +129,17 @@ def extract_partition(g: DirectedGraph, x: np.ndarray) -> tuple[np.ndarray, floa
 
 def verify_local_opt(g: DirectedGraph, s: np.ndarray, tol: float = 1e-12) -> bool:
     """True iff no single sign flip of the +/-1 indicator of s improves
-    the ratio objective (flips that would make it constant are skipped)."""
+    the ratio objective. As in flip_conductances, flips that would leave
+    a side with zero volume, where r is undefined, are skipped; these
+    include the flips that would make x constant."""
     s = np.asarray(s, dtype=bool)
     degrees = g.degree_profile
     x = np.where(s, 1.0, -1.0)
     r0 = r_obj(g, degrees, x)
-    size = int(s.sum())
-    for i in range(g.n):
-        if (s[i] and size == 1) or (not s[i] and size == g.n - 1):
-            continue  # flip would make x constant
+    live = degrees.d > 0
+    # positive-degree vertices inside s after flipping each vertex
+    live_in = np.count_nonzero(s & live) + np.where(s, -1, 1) * live
+    for i in np.flatnonzero((live_in > 0) & (live_in < np.count_nonzero(live))):
         x[i] = -x[i]
         ri = r_obj(g, degrees, x)
         x[i] = -x[i]
@@ -182,20 +184,6 @@ def flip_conductances(g: DirectedGraph, s: np.ndarray) -> np.ndarray:
     return np.where(ok, phi, np.inf)
 
 
-def _component_zero_cut(g: DirectedGraph, degrees: DegreeProfile):
-    """Zero-conductance component cut, or None if the graph is weakly
-    connected or all volume sits in one component."""
-    comps = weak_components(g)
-    if len(comps) < 2:
-        return None
-    posvol = [c for c in comps if degrees.d[c].sum() > 0]
-    if len(posvol) < 2:
-        return None
-    mask = np.zeros(g.n, dtype=bool)
-    mask[posvol[0]] = True
-    return mask
-
-
 def _precheck_report(g, mask, t0, note) -> SolveReport:
     phi = conductance_set(g, mask)[0]
     return SolveReport(
@@ -221,19 +209,14 @@ def dsi_run(
 ) -> SolveReport:
     """One solver run from the initial vector x1.
 
-    Weakly disconnected inputs with two positive-volume components
-    short-circuit to a zero-conductance component cut. Otherwise the
-    three-step iteration runs until a stop certificate or max_iters.
-    The best iterate is rounded by the distinct-value sweep cut, and
-    is_flip_local_opt is the O(m + n) single-flip test of
-    flip_conductances, the predicate that verify_local_opt checks with
-    one r_obj evaluation per vertex.
+    The bare three-step iteration, with no precheck, runs until a stop
+    certificate or max_iters; dsi_solve calls it only on strongly
+    connected input. The best iterate is rounded by the distinct-value
+    sweep cut, and is_flip_local_opt is the O(m + n) single-flip test
+    of flip_conductances, the predicate that verify_local_opt checks
+    with one r_obj evaluation per vertex.
     """
     t0 = time.perf_counter()
-    pre = _component_zero_cut(g, degrees)
-    if pre is not None:
-        return _precheck_report(g, pre, t0, "weakly disconnected input: component cut is optimal")
-
     x = np.asarray(x1, dtype=float)
     if not is_nonconstant(x):
         raise ConstantVectorError("initial vector must be nonconstant")
@@ -376,6 +359,11 @@ def _initial_vectors(g, degrees, cfg) -> list[tuple[str, np.ndarray]]:
 def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
     """Full solve: restart schedule over dsi_run, best report wins.
 
+    If the positive-degree vertices are not strongly connected, a source
+    strong component has conductance 0 and is returned under the
+    precheck certificate. Otherwise they form one strong component: the
+    restarts run on it, and isolated vertices join the complement side.
+
     Restarts cover the centered spectral embedding, the +/-1 indicator
     of the sweep-cut baseline's best set (which pins best_r at or below
     the baseline value), and seeded random sign vectors. The spectral
@@ -388,17 +376,12 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
     t0 = time.perf_counter()
     degrees = g.degree_profile
 
-    pre = _component_zero_cut(g, degrees)
+    pre = zero_cut(g)
     if pre is not None:
-        return _precheck_report(g, pre, t0, "weakly disconnected input: component cut is optimal")
+        return _precheck_report(g, pre, t0, "not strongly connected: a source component cut is optimal")
 
-    comps = weak_components(g)
-    if len(comps) > 1:
-        # exactly one component carries volume; isolated vertices join
-        # the complement side without affecting any conductance value
-        core = max(comps, key=lambda c: float(degrees.d[c].sum()))
-        from .graph import induced_subgraph
-
+    core = np.flatnonzero(degrees.d > 0)
+    if core.size < g.n:
         sub, vmap = induced_subgraph(g, core)
         rep = dsi_solve(sub, cfg)
         mask = np.zeros(g.n, dtype=bool)

@@ -32,6 +32,7 @@ from dicond import (
     i_diff,
     i_plus,
     j_terms,
+    largest_strong_component,
     load_edge_list,
     lovasz_extension,
     n_med,
@@ -296,6 +297,10 @@ def test_criterion_7_large_scale_soft():
     t0 = time.perf_counter()
     lines = []
     hits = 0
+    # the full graphs are not strongly connected, so their conductance
+    # is 0; the largest strong component gives a nonzero comparison
+    core_lines = []
+    core_hits = 0
     for eta, ref in REPORTED_DSBM_VALUES.items():
         g, planted = dsbm(DsbmParams(n=1000, p=0.005, q=0.005, eta=eta, seed=811))
         rep = dsi_solve(g, SolverConfig(seed=0))
@@ -305,11 +310,23 @@ def test_criterion_7_large_scale_soft():
         hits += within
         lines.append(f"eta={eta:.2f}: ours={rep.best_r:.4f} reference={ref:.4f} "
                      f"{'within' if within else 'OUTSIDE'} +/-0.02")
+
+        core, _ = largest_strong_component(g)
+        rep = dsi_solve(core, SolverConfig(seed=0))
+        _, phi_sweep = spectral_sweep(core)
+        assert 0.0 <= rep.best_r <= phi_sweep + 1e-9
+        within = abs(rep.best_r - ref) <= 0.02
+        core_hits += within
+        core_lines.append(f"eta={eta:.2f} (N={core.n}): ours={rep.best_r:.4f} "
+                          f"sweep={phi_sweep:.4f} reference={ref:.4f} "
+                          f"{'within' if within else 'OUTSIDE'} +/-0.02")
     elapsed = time.perf_counter() - t0
     print(f"ACCEPTANCE 7: SOFT ({hits}/{len(lines)} within +/-0.02 of the reference "
           f"column; not build-breaking) - " + "; ".join(lines) +
           f" | divergences come from the solver finding strictly better (often "
           f"zero-cut) partitions on these random instances; {elapsed:.0f}s")
+    print(f"ACCEPTANCE 7: SOFT on the largest strong component ({core_hits}/{len(core_lines)} "
+          f"within +/-0.02 of the reference column; not build-breaking) - " + "; ".join(core_lines))
 
 
 def _find_local_dataset(name):

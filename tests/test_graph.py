@@ -13,11 +13,12 @@ from dicond import (
     conductance_set,
     cut_values,
     degrees,
+    largest_strong_component,
     largest_weak_component,
     load_edge_list,
     weak_components,
 )
-from dicond.graph import prefix_cut_profile
+from dicond.graph import prefix_cut_profile, zero_cut
 
 from conftest import random_digraph
 
@@ -197,6 +198,32 @@ def test_weak_components_structure():
     g = build_graph(5, [0, 2, 3], [1, 3, 4])
     comps = [c.tolist() for c in weak_components(g)]
     assert comps == [[2, 3, 4], [0, 1]]
+
+
+def test_zero_cut_examples(p3, c3):
+    # dipath 0 -> 1 -> 2: vertex 0 is the only source strong component
+    assert zero_cut(p3).tolist() == [True, False, False]
+    # reversed dipath: the source is the vertex with the largest id
+    rev = build_graph(3, [2, 1], [1, 0])
+    assert zero_cut(rev).tolist() == [False, False, True]
+    assert zero_cut(c3) is None
+    # one volume-carrying strong component plus isolated vertices
+    assert zero_cut(build_graph(5, [0, 1, 2], [1, 2, 0])) is None
+    two = build_graph(6, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3])
+    assert zero_cut(two, strong=False).tolist() == [True] * 3 + [False] * 3
+    # weakly connected but not strongly connected
+    assert zero_cut(p3, strong=False) is None
+    for g in (p3, rev, two):
+        assert conductance_set(g, zero_cut(g))[0] == 0.0
+
+
+def test_largest_strong_component_examples(p3):
+    # strong components {0, 1}, {2}, {3, 4}; the tie goes to {0, 1}
+    g = build_graph(5, [0, 1, 1, 2, 3, 4], [1, 0, 2, 3, 4, 3])
+    sub, vmap = largest_strong_component(g)
+    assert vmap.tolist() == [0, 1] and sub.m == 2
+    sub, vmap = largest_strong_component(p3)
+    assert vmap.tolist() == [0] and sub.m == 0
 
 
 def test_prefix_cut_profile_matches_direct():

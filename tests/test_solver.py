@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dicond import (
     ConstantVectorError,
+    DsbmParams,
     SolverConfig,
     brute_conductance,
     build_graph,
     canonical,
     conductance_set,
     degrees,
+    dsbm,
     dsi_run,
     dsi_solve,
     r_obj,
@@ -34,6 +36,15 @@ def l1_sphere_topk_minimum(s):
     for k in range(1, n + 1):
         best = min(best, (1.0 - a[:k].sum()) / k)
     return best
+
+
+def _wide_weight_digraph(seed):
+    """Random digraph with weights spanning 1e-3..1e3 (weights drawn first)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 16))
+    m = 3 * n
+    w = 10.0 ** rng.uniform(-3, 3, m)
+    return build_graph(n, rng.integers(0, n, m), rng.integers(0, n, m), w)
 
 
 def test_subproblem_examples():
@@ -102,9 +113,9 @@ def test_dsi_run_c3_immediate_stop(c3):
     assert rep.best_r == 0.5
 
 
-def test_dsi_run_disconnected_precheck():
+def test_dsi_solve_disconnected_precheck():
     g = build_graph(6, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3])
-    rep = dsi_run(g, degrees(g), np.ones(6), SolverConfig())  # x1 unused
+    rep = dsi_solve(g, SolverConfig())
     assert rep.certificate == CERT_PRECHECK
     assert rep.best_r == 0.0
     assert rep.iterations == 0
@@ -152,6 +163,15 @@ def test_verify_local_opt_examples(c3, p3, p2):
     assert verify_local_opt(c3, np.array([True, False, False]))
     assert not verify_local_opt(p3, np.array([True, False, True]))
     assert verify_local_opt(p2, np.array([True, False]))
+
+
+def test_verify_local_opt_skips_flips_that_empty_a_side_of_volume():
+    # flipping vertex 7 leaves every positive-degree vertex on one side;
+    # r is undefined there, and the check once raised ConstantVectorError
+    g = _wide_weight_digraph(287)
+    s = np.ones(g.n, dtype=bool)
+    s[[2, 7]] = False
+    assert verify_local_opt(g, s)
 
 
 def test_dsi_solve_monotone_trace_and_identity():
@@ -207,6 +227,42 @@ def test_dsi_solve_exact_zero_cut_is_not_negative():
     assert rep.best_r == pytest.approx(conductance_set(g, rep.best_set)[0], abs=1e-9)
 
 
+def test_dsi_solve_not_strongly_connected_is_exact_zero():
+    # one weak component but not one strong component: the iteration
+    # once stopped at 0.0476, flagged flip-locally optimal
+    g, _ = dsbm(DsbmParams(n=2000, p=0.005, q=0.005, eta=0.1, seed=811))
+    rep = dsi_solve(g, SolverConfig(seed=0))
+    assert rep.best_r == 0.0
+    assert rep.certificate == CERT_PRECHECK
+    assert conductance_set(g, rep.best_set)[0] == 0.0
+    # three strong components; the iteration once read this cut as 1.6e-14
+    rep = dsi_solve(_wide_weight_digraph(151), SolverConfig(seed=0))
+    assert rep.best_r == 0.0
+
+
+@st.composite
+def not_strongly_connected_digraphs(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         min_size=1, max_size=3 * n))
+    g = build_graph(n, [a for a, _ in arcs], [b for _, b in arcs])
+    assume(g.m > 0)
+    # transitive closure, independent of the solver's component pass
+    reach = np.eye(n, dtype=bool)
+    reach[g.tails, g.heads] = True
+    for k in range(n):
+        reach |= np.outer(reach[:, k], reach[k, :])
+    live = np.flatnonzero(g.degree_profile.d > 0)
+    assume(not reach[np.ix_(live, live)].all())
+    return g
+
+
+@given(g=not_strongly_connected_digraphs())
+@settings(max_examples=150, deadline=None)
+def test_not_strongly_connected_solves_to_exact_zero(g):
+    assert dsi_solve(g, SolverConfig(seed=0)).best_r == 0.0 == brute_conductance(g).phi_d_min
+
+
 def test_dsi_solve_degenerate_graph():
     from dicond.errors import EmptyGraphError
 
@@ -240,11 +296,11 @@ def test_flip_conductances_matches_direct():
             assert phis[i] == pytest.approx(direct, abs=1e-12)
 
 
-def test_user_init_vector(p3):
+def test_user_init_vector(c3):
     cfg = SolverConfig(init="user", restarts=1, user_vector=np.array([1.0, -1.0, 1.0]))
-    rep = dsi_solve(p3, cfg)
-    assert rep.best_r == 0.0
+    rep = dsi_solve(c3, cfg)
     assert rep.init_kind == "user"
+    assert rep.best_r == 0.5
 
 
 def test_termination_certificates_small_family():
