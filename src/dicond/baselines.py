@@ -63,22 +63,28 @@ def spectral_embedding(g: DirectedGraph, max_iters: int = 1500, tol: float = 1e-
     x -= np.dot(v0, x) * v0
     x /= np.linalg.norm(x)
 
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
+    def step(x):
         y = shifted(x)
         y -= np.dot(v0, y) * v0
+        return y
+
+    residual = np.inf
+    iterations = 0
+    y = step(x)
+    for iterations in range(1, max_iters + 1):
         ny = float(np.linalg.norm(y))
         if ny <= 1e-12:
             x = rng.standard_normal(n)
             x -= np.dot(v0, x) * v0
             x /= np.linalg.norm(x)
+            y = step(x)
             continue
         x = y / ny
-        my = shifted(x)
-        my -= np.dot(v0, my) * v0
-        lam = float(np.dot(x, my))
-        residual = float(np.linalg.norm(my - lam * x))
+        # the deflated product at the new x is both this residual's
+        # operand and the next iteration's power step
+        y = step(x)
+        lam = float(np.dot(x, y))
+        residual = float(np.linalg.norm(y - lam * x))
         if residual <= tol:
             break
 

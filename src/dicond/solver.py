@@ -19,7 +19,7 @@ from .baselines import spectral_embedding, sweep_cut
 from .errors import ConstantVectorError, EmptyGraphError
 from .functionals import is_nonconstant, linf, r_obj
 from .graph import DegreeProfile, DirectedGraph, conductance_set, induced_subgraph, zero_cut
-from .subgrad import StopCertificate, bounds, boundary_indicator, classify, select_subgradient
+from .subgrad import StopCertificate, bounds, boundary_indicator, iterate_state, select_subgradient
 
 CERT_BOUNDARY = "stop-by-V_b-empty"
 CERT_NO_DESCENT = "stop-by-no-descent"
@@ -105,6 +105,14 @@ def subproblem_argmin(s: np.ndarray) -> tuple[np.ndarray, float]:
     n = s.size
     sgn = np.where(s >= 0, 1.0, -1.0)
     abs_s = np.abs(s)
+    # no sort is needed when the top n-1 partial sum A_{n-1} =
+    # ||s||_1 - n min|s| is at most 1: then both branches below return
+    # the uniform sign vector. The margin covers the rounding gap
+    # between the sorted and unsorted sums.
+    total = abs_s.sum()
+    if total - n * abs_s.min() <= 1.0 - 1e-9 * total:
+        x = sgn / n
+        return x, 1.0 / n - float(np.dot(x, s))
     order = np.argsort(-abs_s, kind="stable")
     a = abs_s[order]
     a_next = np.append(a[1:], 0.0)
@@ -220,20 +228,20 @@ def dsi_run(
     x = np.asarray(x1, dtype=float)
     if not is_nonconstant(x):
         raise ConstantVectorError("initial vector must be nonconstant")
-    x = x / linf(x)
-    r = r_obj(g, degrees, x)
-    eps_dec = cfg.descent_tol if cfg.descent_tol is not None else 1e-10 * max(1.0, r)
+    tol = cfg.zero_tol
+    state = iterate_state(g, degrees, x / linf(x), tol)
+    eps_dec = cfg.descent_tol if cfg.descent_tol is not None else 1e-10 * max(1.0, state.r)
     istar_rng = rng if cfg.istar_rule == "random" else None
 
-    trace = [r]
-    r_star, x_star = r, x.copy()
+    trace = [state.r]
+    r_star, x_star = state.r, state.x.copy()
     certificate = CERT_MAX_ITERS
     iterations = 0
 
     for _ in range(cfg.max_iters):
-        classes = classify(degrees, x, cfg.zero_tol)
-        bnds = bounds(g, degrees, classes, x, cfg.zero_tol)
-        ind = boundary_indicator(g, degrees, bnds, classes, r, cfg.zero_tol)
+        x, r, classes = state.x, state.r, state.classes
+        bnds = bounds(g, degrees, classes, state, tol)
+        ind = boundary_indicator(g, degrees, bnds, classes, r, tol)
         if ind.v_b.size == 0:
             if not bool(classes.s_less.any()):
                 # the boundary test certifies only that no subgradient
@@ -245,9 +253,9 @@ def dsi_run(
                     x = np.where(x > 0, 1.0, -1.0)
                     x[best_i] = -x[best_i]
                     iterations += 1
-                    r = r_obj(g, degrees, x)
-                    r_star, x_star = r, x.copy()
-                    trace.append(r)
+                    state = iterate_state(g, degrees, x, tol)
+                    r_star, x_star = state.r, x.copy()
+                    trace.append(state.r)
                     continue
                 certificate = CERT_BOUNDARY
                 break
@@ -256,11 +264,10 @@ def dsi_run(
             mask, _ = sweep_cut(g, x, distinct_only=True)
             xb = np.where(mask, 1.0, -1.0)
             iterations += 1
-            x = xb
-            r = r_obj(g, degrees, xb)
-            if r < r_star - eps_dec:
-                r_star, x_star = r, xb
-                trace.append(r)
+            state = iterate_state(g, degrees, xb, tol)
+            if state.r < r_star - eps_dec:
+                r_star, x_star = state.r, xb
+                trace.append(state.r)
             continue
         sel = select_subgradient(g, degrees, bnds, ind, classes, r, rng=istar_rng)
         assert not isinstance(sel, StopCertificate)
@@ -270,18 +277,18 @@ def dsi_run(
             gap = abs(float(np.dot(x, sel.s)) - q_r(g, degrees, x, r))
             # near-ties within zero_tol of a class boundary shift the
             # identity by O(zero_tol); exact-tie iterates sit at ~1e-15
-            if gap > 1e-10 + 8.0 * cfg.zero_tol * max(1.0, linf(x)):
+            if gap > 1e-10 + 8.0 * tol * max(1.0, state.norm):
                 raise AssertionError(f"subgradient tightness violated: gap={gap:.3e}")
         x_next, _ = subproblem_argmin(sel.s)
         iterations += 1
         if not is_nonconstant(x_next):
             certificate = CERT_NO_DESCENT
             break
-        r_next = r_obj(g, degrees, x_next)
-        if r_next < r_star - eps_dec:
-            x, r = x_next, r_next
-            r_star, x_star = r_next, x_next
-            trace.append(r_next)
+        nxt = iterate_state(g, degrees, x_next, tol)
+        if nxt.r < r_star - eps_dec:
+            state = nxt
+            r_star, x_star = nxt.r, x_next
+            trace.append(nxt.r)
         else:
             certificate = CERT_NO_DESCENT
             break

@@ -11,16 +11,21 @@ All zero tests (x_i + x_j = 0, x_i = +/-||x||_inf, x_i = alpha, J = 0)
 use the relative tolerance tol * max(1, ||x||_inf); iterates of the
 l1-ball subproblem carry few distinct values, so exact ties are the
 common case and must be detected robustly.
+
+The solver evaluates each iterate once, into an IterateState (extremes,
+tolerance, median, ratio and, on first use, the classes), and the steps
+of an iteration read it instead of recomputing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConstantVectorError
-from .functionals import linf, n_med
+from .functionals import MedianResult, linf, n_med, ratio
 from .graph import DegreeProfile, DirectedGraph
 
 ZERO_TOL = 1e-9
@@ -67,21 +72,43 @@ class SubgradientBounds:
 
 
 @dataclass(frozen=True)
+class IterateState:
+    """One evaluation of an iterate x, shared by the steps of an iteration.
+
+    Holds x with its extremes and norm = ||x||_inf, the zero-test
+    tolerance t = tol * max(1, norm), the degree-weighted median from a
+    single n_med call, and r, the value r_obj returns at x. The vertex
+    classes are built on first use, so an iterate that is rejected
+    never pays for them (nor raises where classify would).
+    """
+
+    x: np.ndarray
+    x_min: float
+    x_max: float
+    norm: float
+    t: float
+    median: MedianResult
+    r: float
+
+    @cached_property
+    def classes(self) -> VertexClasses:
+        return _classes(self.x, self.x_max - self.x_min, self.norm, self.t, self.median.alpha_low)
+
+
+@dataclass(frozen=True)
 class BoundaryIndicator:
     """Signed boundary values of the scaled subdifferential of Q_r.
 
     v_b collects the maximizers of {b_i * chi_i > 0}; emptiness certifies
     that no coordinate admits a descent-forcing boundary subgradient.
-    sigma orders vertices by |b| ascending (ties by id); rank is its
-    inverse permutation.
+    Where the selection step needs an order of vertices by |b|, it
+    compares |b| directly.
     """
 
     b: np.ndarray
     chi: np.ndarray
     a_sel: np.ndarray
     v_b: np.ndarray
-    sigma: np.ndarray
-    rank: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,49 +129,75 @@ class StopCertificate:
     r: float
 
 
+def _classes(x: np.ndarray, spread: float, hi: float, t: float, alpha: float) -> VertexClasses:
+    if spread <= t:
+        raise ConstantVectorError("cannot classify a constant vector")
+    s_plus = x >= hi - t
+    s_minus = x <= -hi + t
+    s_alpha = np.abs(x - alpha) <= t
+    return VertexClasses(s_plus, s_minus, ~(s_plus | s_minus), s_alpha, alpha)
+
+
 def classify(degrees: DegreeProfile, x: np.ndarray, tol: float = ZERO_TOL) -> VertexClasses:
     """Split vertices into extreme-positive, extreme-negative, interior,
     and median-tie classes, with tolerance tol * max(1, ||x||_inf)."""
     x = np.asarray(x, dtype=float)
     hi = linf(x)
-    t = tol * max(1.0, hi)
-    if float(np.max(x) - np.min(x)) <= t:
-        raise ConstantVectorError("cannot classify a constant vector")
-    s_plus = x >= hi - t
-    s_minus = x <= -hi + t
-    alpha = n_med(degrees, x).alpha_low
-    s_alpha = np.abs(x - alpha) <= t
-    return VertexClasses(s_plus, s_minus, ~(s_plus | s_minus), s_alpha, alpha)
+    spread = float(np.max(x) - np.min(x))
+    return _classes(x, spread, hi, tol * max(1.0, hi), n_med(degrees, x).alpha_low)
+
+
+def iterate_state(
+    g: DirectedGraph, degrees: DegreeProfile, x: np.ndarray, tol: float = ZERO_TOL
+) -> IterateState:
+    """Evaluate x once: extremes, tolerance, median and r; raises
+    ConstantVectorError where r_obj would."""
+    x = np.asarray(x, dtype=float)
+    x_min, x_max = float(np.min(x)), float(np.max(x))
+    norm = max(x_max, -x_min)  # = ||x||_inf
+    median = n_med(degrees, x)
+    r = ratio(g, degrees, x, norm, median.n_value)
+    return IterateState(x, x_min, x_max, norm, tol * max(1.0, norm), median, r)
 
 
 def bounds(
     g: DirectedGraph,
     degrees: DegreeProfile,
     classes: VertexClasses,
-    x: np.ndarray,
+    x: np.ndarray | IterateState,
     tol: float = ZERO_TOL,
 ) -> SubgradientBounds:
-    """Per-vertex subdifferential intervals of the three pieces of Q_r."""
-    x = np.asarray(x, dtype=float)
+    """Per-vertex subdifferential intervals of the three pieces of Q_r.
+
+    x is a vector or the IterateState of one; a state supplies its
+    tolerance t, and tol is then unused.
+    """
+    if isinstance(x, IterateState):
+        x, t = x.x, x.t
+    else:
+        x = np.asarray(x, dtype=float)
+        t = tol * max(1.0, linf(x))
     n = g.n
-    t = tol * max(1.0, linf(x))
     pu, pv, w_sym = g.pairs
 
     pair_sum = x[pu] + x[pv]
     zero = np.abs(pair_sum) <= t
-    contrib = np.where(zero, 1.0, _sign(pair_sum)) * w_sym
+    # +w on the zero band too; p -= q below takes it back
+    contrib = np.where(pair_sum < -t, -w_sym, w_sym)
     p = np.bincount(pu, weights=contrib, minlength=n)
     p += np.bincount(pv, weights=contrib, minlength=n)
-    w_zero = np.where(zero, w_sym, 0.0)
+    w_zero = w_sym * zero
     q = np.bincount(pu, weights=w_zero, minlength=n)
     q += np.bincount(pv, weights=w_zero, minlength=n)
     p -= q
+    iz = zero.nonzero()[0]
 
     d_delta = degrees.d_delta
     j0 = float(np.dot(d_delta, x))
     j_is_zero = abs(j0) <= t
     if j_is_zero:
-        l_low, l_high = -np.abs(d_delta), np.abs(d_delta)
+        l_high = np.abs(d_delta)
+        l_low = -l_high
     else:
         l_low = l_high = d_delta * _sign(j0)
 
@@ -154,14 +207,13 @@ def bounds(
     above = (x > classes.alpha) & ~in_a
     A = float(d[below].sum() - d[above].sum())
     B = float(d[in_a].sum())
-    a_low = np.where(above, d, -d).astype(float)
-    a_high = a_low.copy()
-    if int(in_a.sum()) >= 2:
-        a_low[in_a] = np.maximum(A - B + d[in_a], -d[in_a])
-        a_high[in_a] = np.minimum(A + B - d[in_a], d[in_a])
+    a_low = np.where(above, d, -d)
+    if np.count_nonzero(in_a) >= 2:
+        a_high = np.where(in_a, np.minimum(A + B - d, d), a_low)
+        a_low = np.where(in_a, np.maximum(A - B + d, -d), a_low)
     else:
         a_low[in_a] = A
-        a_high[in_a] = A
+        a_high = a_low.copy()
 
     return SubgradientBounds(
         p=p,
@@ -174,7 +226,7 @@ def bounds(
         B=B,
         j_is_zero=j_is_zero,
         j0=j0,
-        zero_pairs=(pu[zero], pv[zero], w_sym[zero]),
+        zero_pairs=(pu[iz], pv[iz], w_sym[iz]),
     )
 
 
@@ -191,54 +243,37 @@ def boundary_indicator(
     n = g.n
     p, q = bnds.p, bnds.q
     l_pt = bnds.l_low  # point value of the imbalance term when J != 0
-    d = degrees.d
     in_a = classes.s_alpha
-    ties = int(in_a.sum())
+    base = p + (l_pt if not bnds.j_is_zero else 0.0)
 
-    # median-term endpoint per vertex
-    a_sel = np.empty(n)
-    not_tie = ~in_a
-    a_sel[not_tie] = bnds.a_low[not_tie]  # = d * Sign(x - alpha) off the tie set
-    if ties <= 1:
-        a_sel[in_a] = bnds.A
-    else:
-        pick_low = in_a & classes.s_plus
+    # median-term endpoint per vertex: a_low is d * Sign(x - alpha) off
+    # the tie set and A on a single tie vertex
+    a_sel = bnds.a_low.copy()
+    if np.count_nonzero(in_a) >= 2:
         pick_high = in_a & classes.s_minus
-        a_sel[pick_low] = bnds.a_low[pick_low]
         a_sel[pick_high] = bnds.a_high[pick_high]
         free = in_a & classes.s_less
         if np.any(free):
-            base = p[free] + (l_pt[free] if not bnds.j_is_zero else 0.0)
-            lo, hi = bnds.a_low[free], bnds.a_high[free]
-            take_low = np.abs(base + 2.0 * r * lo) >= np.abs(base + 2.0 * r * hi)
+            lo, hi, bf = bnds.a_low[free], bnds.a_high[free], base[free]
+            take_low = np.abs(bf + 2.0 * r * lo) >= np.abs(bf + 2.0 * r * hi)
             a_sel[free] = np.where(take_low, lo, hi)
 
-    chi = np.empty(n)
-    chi[classes.s_plus] = -1.0
-    chi[classes.s_minus] = 1.0
-    less = classes.s_less
-    if np.any(less):
-        base = p[less] + (l_pt[less] if not bnds.j_is_zero else 0.0)
-        chi[less] = _sign(base + 2.0 * r * a_sel[less])
+    drift = base + 2.0 * r * a_sel
+    chi = np.where(classes.s_less, _sign(drift), np.where(classes.s_minus, 1.0, -1.0))
 
     if bnds.j_is_zero:
         b = p + chi * np.abs(degrees.d_delta) + 2.0 * r * a_sel + chi * q
     else:
-        b = p + l_pt + 2.0 * r * a_sel + chi * q
+        b = drift + chi * q  # = p + l_pt + 2 r a_sel + chi q
 
     prod = b * chi
     eps = tol * max(1.0, float(np.max(np.abs(b))) if n else 1.0)
-    positive = prod > eps
-    if np.any(positive):
-        top = float(prod[positive].max())
-        v_b = np.flatnonzero(positive & (prod >= top - eps))
+    top = float(prod.max()) if n else 0.0
+    if top > eps:
+        v_b = np.flatnonzero((prod > eps) & (prod >= top - eps))
     else:
         v_b = np.empty(0, dtype=np.int64)
-
-    sigma = np.lexsort((np.arange(n), np.abs(b)))
-    rank = np.empty(n, dtype=np.int64)
-    rank[sigma] = np.arange(n)
-    return BoundaryIndicator(b=b, chi=chi, a_sel=a_sel, v_b=v_b, sigma=sigma, rank=rank)
+    return BoundaryIndicator(b=b, chi=chi, a_sel=a_sel, v_b=v_b)
 
 
 def select_subgradient(
@@ -256,7 +291,8 @@ def select_subgradient(
     smallest id in V_b (or a seeded-random member when rng is given).
     Zero-sum neighbor pairs receive one consistent sign at both
     endpoints: chi(i*) for pairs touching i*, otherwise the chi of the
-    endpoint appearing later in the |b|-ascending order.
+    endpoint with the larger |b| (the later one in the |b|-ascending
+    order with ties by id, so v on a tie, since pairs have u < v).
     """
     if indicator.v_b.size == 0:
         return StopCertificate(r=r)
@@ -265,21 +301,19 @@ def select_subgradient(
     else:
         i_star = int(rng.choice(indicator.v_b))
 
-    chi, rank = indicator.chi, indicator.rank
+    chi, abs_b = indicator.chi, np.abs(indicator.b)
     u = bnds.p.copy()
     zu, zv, zw = bnds.zero_pairs
     if zu.size:
         touches = (zu == i_star) | (zv == i_star)
-        later = np.where(rank[zu] >= rank[zv], zu, zv)
+        later = np.where(abs_b[zu] > abs_b[zv], zu, zv)
         zval = np.where(touches, chi[i_star], chi[later])
         np.add.at(u, zu, zw * zval)
         np.add.at(u, zv, zw * zval)
 
-    n = g.n
     d = degrees.d
     in_a = classes.s_alpha
-    v = np.empty(n)
-    v[~in_a] = indicator.a_sel[~in_a]
+    v = indicator.a_sel.copy()
     tie_ids = np.flatnonzero(in_a)
     if tie_ids.size <= 1:
         v[tie_ids] = bnds.A
@@ -287,12 +321,13 @@ def select_subgradient(
         if in_a[i_star]:
             j_star = i_star
         else:
-            j_star = int(tie_ids[np.argmax(rank[tie_ids])])
-        v[j_star] = indicator.a_sel[j_star]
+            # the last tie in the |b|-ascending order: largest |b|, then largest id
+            ab = abs_b[tie_ids]
+            j_star = int(tie_ids[np.flatnonzero(ab == ab.max())[-1]])
         others = tie_ids[tie_ids != j_star]
         denom = bnds.B - d[j_star]
-        ratio = (bnds.A - indicator.a_sel[j_star]) / denom if denom > 0 else 0.0
-        v[others] = ratio * d[others]
+        scale = (bnds.A - indicator.a_sel[j_star]) / denom if denom > 0 else 0.0
+        v[others] = scale * d[others]
 
     if bnds.j_is_zero:
         # one scalar t in [-1,1] scales the whole imbalance vector; the

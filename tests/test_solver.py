@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +18,7 @@ from dicond import (
     dsbm,
     dsi_run,
     dsi_solve,
+    largest_strong_component,
     r_obj,
     subproblem_argmin,
     sweep_cut,
@@ -90,6 +94,46 @@ def test_subproblem_degenerate_tie_band():
     x, l = subproblem_argmin(np.array([1.5, 0.5]))
     assert np.allclose(x, [0.5, 0.5])
     assert l == pytest.approx(-0.5)
+
+
+def _subproblem_by_sort(s):
+    """The subproblem rule with the full sort on every call: the
+    reference for the sort-free return of the uniform sign vector."""
+    n = s.size
+    sgn = np.where(s >= 0, 1.0, -1.0)
+    abs_s = np.abs(s)
+    order = np.argsort(-abs_s, kind="stable")
+    a = abs_s[order]
+    partial = np.cumsum(a) - np.arange(1, n + 1) * np.append(a[1:], 0.0)
+    if partial[-1] <= 1.0:
+        x = sgn / n
+        return x, 1.0 / n - float(np.dot(x, s))
+    m0 = int(np.argmax(partial > 1.0)) + 1
+    z = np.zeros(n)
+    z[order[:m0]] = 1.0
+    x = sgn * z / m0
+    return x, float(np.max(np.abs(x)) - np.dot(x, s))
+
+
+def test_subproblem_equals_full_sort_near_the_unit_norm():
+    rng = np.random.default_rng(38)
+    deltas = [-1e-3, -2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9, 1e-3, 0.5]
+    for trial in range(300):
+        n = int(rng.integers(2, 40))
+        sgn = rng.choice([-1.0, 1.0], size=n)
+        mag = rng.uniform(0.0, 1.0, n)
+        for delta in deltas:
+            if trial % 3 == 0:  # ||s||_1 = 1 + delta
+                s = sgn * mag * ((1.0 + delta) / mag.sum())
+            elif trial % 3 == 1:  # near-uniform |s| with ||s||_1 = 1 + delta
+                s = sgn * (1.0 + 1e-3 * mag) * ((1.0 + delta) / (n + 1e-3 * mag.sum()))
+            else:  # A_{n-1} = ||s||_1 - n min|s| = 1 + delta
+                m = mag[0]
+                s = sgn * np.full(n, m + (1.0 + delta) / (n - 1))
+                s[int(rng.integers(n))] = sgn[0] * m
+            x, val = subproblem_argmin(s)
+            x_ref, val_ref = _subproblem_by_sort(s)
+            assert x.tolist() == x_ref.tolist() and val == val_ref, (trial, delta)
 
 
 def test_dsi_run_p3_trace(p3):
@@ -325,3 +369,35 @@ def test_random_istar_rule_is_seeded():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(istar_rule="weird")
+
+
+# sha256 of the no-timings JSON report of dsi_solve(g, SolverConfig(seed=0));
+# a change that is meant to leave reports alone must keep these
+PINNED_REPORTS = {
+    "c3": "e7ee23c1dcee4d458e48b521849a2d44c3496c0ecb6f80b51043e3270cd71de9",
+    "dsbm-lscc": "d4659503fb5cb1788b8b6422231abebdd6faed29a30a0aed689f354eb03f6cc7",
+    "weighted": "8c6b912b6d66d12821426989f72b78a6f1dbd205ab2cfad590676e771a698b66",
+}
+
+
+def _pinned_input(name):
+    if name == "c3":
+        return canonical("c3")
+    if name == "dsbm-lscc":  # unweighted, N = 78
+        g, _ = dsbm(DsbmParams(n=40, p=0.15, q=0.1, eta=0.2, seed=5))
+        return largest_strong_component(g)[0]
+    # strongly connected (a Hamiltonian cycle plus 30 random arcs),
+    # weights in {0.5, 1, 1.5, 2}
+    rng = np.random.default_rng(9)
+    n = 12
+    perm = rng.permutation(n)
+    tails = np.concatenate([rng.integers(0, n, 30), perm])
+    heads = np.concatenate([rng.integers(0, n, 30), np.roll(perm, -1)])
+    return build_graph(n, tails, heads, rng.choice([0.5, 1.0, 1.5, 2.0], size=tails.size))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_pinned_solve_reports(name):
+    rep = dsi_solve(_pinned_input(name), SolverConfig(seed=0))
+    doc = json.dumps(rep.to_dict(with_timings=False), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == PINNED_REPORTS[name]

@@ -228,12 +228,62 @@ def test_component_feasibility_invariants():
         ties = cls.s_alpha
         assert sel.v[ties].sum() == pytest.approx(bnd.A, abs=1e-9)
         if ties.sum() >= 2:
-            j_star = sel.i_star if ties[sel.i_star] else int(
-                np.flatnonzero(ties)[np.argmax(ind.rank[np.flatnonzero(ties)])]
-            )
+            tie_ids = np.flatnonzero(ties)
+            ab = np.abs(ind.b[tie_ids])
+            # otherwise the pivot is the tie with the largest |b|, then the largest id
+            j_star = sel.i_star if ties[sel.i_star] else int(tie_ids[ab == ab.max()][-1])
             denom = bnd.B - deg.d[j_star]
             if denom > 0:
                 assert abs((bnd.A - ind.a_sel[j_star]) / denom) <= 1 + 1e-12
+
+
+def _select_by_rank(deg, bnd, ind, cls, r, i_star):
+    """u and v by the rank rule: vertices ordered by |b| ascending with
+    ties by id (a lexsort). select_subgradient compares |b| instead."""
+    n = ind.b.size
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), np.abs(ind.b)))] = np.arange(n)
+    u = bnd.p.copy()
+    zu, zv, zw = bnd.zero_pairs
+    if zu.size:
+        touches = (zu == i_star) | (zv == i_star)
+        later = np.where(rank[zu] >= rank[zv], zu, zv)
+        zval = np.where(touches, ind.chi[i_star], ind.chi[later])
+        np.add.at(u, zu, zw * zval)
+        np.add.at(u, zv, zw * zval)
+    in_a = cls.s_alpha
+    v = np.empty(n)
+    v[~in_a] = ind.a_sel[~in_a]
+    tie_ids = np.flatnonzero(in_a)
+    if tie_ids.size <= 1:
+        v[tie_ids] = bnd.A
+    else:
+        j_star = i_star if in_a[i_star] else int(tie_ids[np.argmax(rank[tie_ids])])
+        v[j_star] = ind.a_sel[j_star]
+        others = tie_ids[tie_ids != j_star]
+        denom = bnd.B - deg.d[j_star]
+        v[others] = ((bnd.A - ind.a_sel[j_star]) / denom if denom > 0 else 0.0) * deg.d[others]
+    return u, v
+
+
+def test_select_subgradient_equals_rank_rule():
+    rng = np.random.default_rng(28)
+    compared = 0
+    for g, deg, x in _random_states(rng, 400):
+        deg, r, cls, bnd, ind = pipeline(g, x)
+        for seed in (None, compared):
+            pick = None if seed is None else np.random.default_rng(seed)
+            sel = select_subgradient(g, deg, bnd, ind, cls, r, rng=pick)
+            if isinstance(sel, StopCertificate):
+                break
+            i_star = int(ind.v_b.min() if seed is None else np.random.default_rng(seed).choice(ind.v_b))
+            assert sel.i_star == i_star
+            u, v = _select_by_rank(deg, bnd, ind, cls, r, i_star)
+            assert sel.u.tolist() == u.tolist()
+            assert sel.v.tolist() == v.tolist()
+            assert sel.s.tolist() == ((u + sel.y + 2.0 * r * v) / deg.vol_total).tolist()
+            compared += 1
+    assert compared >= 200
 
 
 def test_descent_detection_binary_exhaustive():
