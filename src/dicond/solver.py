@@ -293,7 +293,10 @@ def dsi_run(
             certificate = CERT_NO_DESCENT
             break
 
-    best_set, best_phi = sweep_cut(g, x_star, distinct_only=True)
+    best_set, _ = sweep_cut(g, x_star, distinct_only=True)
+    # the sweep's cumulative cut sums can differ from a direct recount in
+    # the last bits; report the conductance of the set itself
+    best_phi = conductance_set(g, best_set)[0]
     return SolveReport(
         best_r=best_phi,
         best_x=x_star,
@@ -390,6 +393,8 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
     core = np.flatnonzero(degrees.d > 0)
     if core.size < g.n:
         sub, vmap = induced_subgraph(g, core)
+        if cfg.user_vector is not None:
+            cfg = replace(cfg, user_vector=np.asarray(cfg.user_vector, dtype=float)[vmap])
         rep = dsi_solve(sub, cfg)
         mask = np.zeros(g.n, dtype=bool)
         mask[vmap[rep.best_set]] = True

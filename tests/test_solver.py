@@ -226,7 +226,7 @@ def test_dsi_solve_monotone_trace_and_identity():
         tr = rep.r_trace
         assert all(tr[i + 1] < tr[i] for i in range(len(tr) - 1))
         assert rep.iterations <= 1000
-        assert rep.best_r == pytest.approx(conductance_set(g, rep.best_set)[0], abs=1e-9)
+        assert rep.best_r == conductance_set(g, rep.best_set)[0]
         if rep.certificate == CERT_BOUNDARY:
             assert rep.is_flip_local_opt
         assert rep.is_flip_local_opt == verify_local_opt(g, rep.best_set)
@@ -269,6 +269,30 @@ def test_dsi_solve_exact_zero_cut_is_not_negative():
     rep = dsi_solve(g, SolverConfig(seed=0))
     assert rep.best_r >= 0
     assert rep.best_r == pytest.approx(conductance_set(g, rep.best_set)[0], abs=1e-9)
+
+
+def _strongly_connected_digraph(seed):
+    """n in 4..39, 3n random arcs plus a random Hamiltonian cycle; weights
+    10^U(-3,3) for even seeds and U(0.1, 1) for odd ones."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 40))
+    perm = rng.permutation(n)
+    tails = np.concatenate([rng.integers(0, n, 3 * n), perm])
+    heads = np.concatenate([rng.integers(0, n, 3 * n), np.roll(perm, -1)])
+    if seed % 2 == 0:
+        w = 10.0 ** rng.uniform(-3, 3, tails.size)
+    else:
+        w = rng.uniform(0.1, 1.0, tails.size)
+    return build_graph(n, tails, heads, w)
+
+
+def test_best_r_is_the_conductance_of_best_set():
+    # the sweep's cumulative sums once put best_r 4.4e-10 (relative) off
+    # the direct value here
+    for seed in (50, 51):
+        g = _strongly_connected_digraph(seed)
+        rep = dsi_solve(g, SolverConfig(seed=seed))
+        assert rep.best_r == conductance_set(g, rep.best_set)[0]
 
 
 def test_dsi_solve_not_strongly_connected_is_exact_zero():
@@ -344,6 +368,16 @@ def test_user_init_vector(c3):
     cfg = SolverConfig(init="user", restarts=1, user_vector=np.array([1.0, -1.0, 1.0]))
     rep = dsi_solve(c3, cfg)
     assert rep.init_kind == "user"
+    assert rep.best_r == 0.5
+
+
+def test_user_init_vector_with_isolated_vertices():
+    # the core solve once got the full-length vector and raised IndexError
+    g = build_graph(4, [0, 1, 2], [1, 2, 0])  # C3 plus isolated vertex 3
+    cfg = SolverConfig(init="user", restarts=1, user_vector=np.array([1.0, -1.0, 1.0, -1.0]))
+    rep = dsi_solve(g, cfg)
+    assert rep.init_kind == "user"
+    assert not rep.best_set[3]
     assert rep.best_r == 0.5
 
 
