@@ -122,6 +122,8 @@ def test_subproblem_equals_full_sort_near_the_unit_norm():
         n = int(rng.integers(2, 40))
         sgn = rng.choice([-1.0, 1.0], size=n)
         mag = rng.uniform(0.0, 1.0, n)
+        if trial % 6 == 0:
+            mag[int(rng.integers(n))] = 0.0  # min|s| = 0: A_{n-1} = ||s||_1
         for delta in deltas:
             if trial % 3 == 0:  # ||s||_1 = 1 + delta
                 s = sgn * mag * ((1.0 + delta) / mag.sum())
