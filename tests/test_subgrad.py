@@ -237,7 +237,7 @@ def test_component_feasibility_invariants():
                 assert abs((bnd.A - ind.a_sel[j_star]) / denom) <= 1 + 1e-12
 
 
-def _select_by_rank(deg, bnd, ind, cls, r, i_star):
+def _select_by_rank(deg, bnd, ind, cls, i_star):
     """u and v by the rank rule: vertices ordered by |b| ascending with
     ties by id (a lexsort). select_subgradient compares |b| instead."""
     n = ind.b.size
@@ -278,7 +278,7 @@ def test_select_subgradient_equals_rank_rule():
                 break
             i_star = int(ind.v_b.min() if seed is None else np.random.default_rng(seed).choice(ind.v_b))
             assert sel.i_star == i_star
-            u, v = _select_by_rank(deg, bnd, ind, cls, r, i_star)
+            u, v = _select_by_rank(deg, bnd, ind, cls, i_star)
             assert sel.u.tolist() == u.tolist()
             assert sel.v.tolist() == v.tolist()
             assert sel.s.tolist() == ((u + sel.y + 2.0 * r * v) / deg.vol_total).tolist()
