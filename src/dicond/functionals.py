@@ -57,23 +57,6 @@ class MedianResult:
     n_value: float
 
 
-def _level_order(x: np.ndarray) -> np.ndarray | None:
-    """np.argsort(x, kind="stable") built without a sort when x takes two
-    or three distinct values, as every l1-sphere subproblem output does:
-    the index sets of the levels in ascending order, each by vertex id.
-    None otherwise. Above a few thousand entries this is several times
-    faster than the sort."""
-    lo, hi = x.min(), x.max()
-    if not lo < hi:  # constant, or NaN present
-        return None
-    up, top = x > lo, x == hi
-    mid = up ^ top
-    mids = x[mid]
-    if mids.size and (mids != mids[0]).any():
-        return None
-    return np.concatenate(((~up).nonzero()[0], mid.nonzero()[0], top.nonzero()[0]))
-
-
 def n_med(degrees: DegreeProfile, x: np.ndarray) -> MedianResult:
     """Degree-weighted median interval and deviation minimum.
 
@@ -84,9 +67,7 @@ def n_med(degrees: DegreeProfile, x: np.ndarray) -> MedianResult:
     w_total = degrees.vol_total
     if w_total <= 0:
         raise ValueError("median needs positive total volume")
-    order = _level_order(x)
-    if order is None:
-        order = np.argsort(x, kind="stable")
+    order = np.argsort(x, kind="stable")
     xs = x[order]
     cw = np.cumsum(degrees.d[order])
     half = 0.5 * w_total

@@ -240,7 +240,7 @@ def dsi_run(
 
     for _ in range(cfg.max_iters):
         x, r, classes = state.x, state.r, state.classes
-        bnds = bounds(g, degrees, classes, state, tol)
+        bnds = bounds(g, degrees, classes, x, tol)
         ind = boundary_indicator(g, degrees, bnds, classes, r, tol)
         if ind.v_b.size == 0:
             if not bool(classes.s_less.any()):

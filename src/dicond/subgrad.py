@@ -164,20 +164,13 @@ def bounds(
     g: DirectedGraph,
     degrees: DegreeProfile,
     classes: VertexClasses,
-    x: np.ndarray | IterateState,
+    x: np.ndarray,
     tol: float = ZERO_TOL,
 ) -> SubgradientBounds:
-    """Per-vertex subdifferential intervals of the three pieces of Q_r.
-
-    x is a vector or the IterateState of one; a state supplies its
-    tolerance t, and tol is then unused.
-    """
-    if isinstance(x, IterateState):
-        x, t = x.x, x.t
-    else:
-        x = np.asarray(x, dtype=float)
-        t = tol * max(1.0, linf(x))
+    """Per-vertex subdifferential intervals of the three pieces of Q_r."""
+    x = np.asarray(x, dtype=float)
     n = g.n
+    t = tol * max(1.0, linf(x))
     pu, pv, w_sym = g.pairs
 
     pair_sum = x[pu] + x[pv]

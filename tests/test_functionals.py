@@ -53,47 +53,6 @@ def test_n_med_examples():
     assert (res.alpha_low, res.alpha_high, res.n_value) == (-1.0, 1.0, 4.0)
 
 
-def _n_med_by_argsort(prof, x):
-    """The median rule with a full stable argsort: the reference that
-    n_med's sort-free path for few-valued vectors must reproduce."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    cw = np.cumsum(prof.d[order])
-    half = 0.5 * prof.vol_total
-    eps = 1e-12 * prof.vol_total
-    k = int(np.searchsorted(cw, half - eps, side="left"))
-    alpha_low = float(xs[k])
-    group_end = int(np.searchsorted(xs, alpha_low, side="right")) - 1
-    if cw[group_end] <= half + eps and group_end + 1 < xs.size:
-        alpha_high = float(xs[group_end + 1])
-    else:
-        alpha_high = alpha_low
-    return alpha_low, alpha_high, float(np.dot(prof.d, np.abs(x - alpha_low)))
-
-
-@st.composite
-def few_valued_states(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
-    levels = draw(st.lists(st.sampled_from([-1.0, -1 / 3, -0.0, 0.0, 1e-9, 1 / 7, 0.5, 1.0, 3.0]),
-                           min_size=1, max_size=3))
-    x = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
-    # zero entries are zero-degree (isolated) vertices
-    d = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 1e3]),
-                               min_size=n, max_size=n)))
-    if d.sum() <= 0:
-        d[0] = 1.0
-    return _prof(d), x
-
-
-@given(state=few_valued_states())
-@settings(max_examples=300, deadline=None)
-def test_n_med_few_values_equals_argsort_rule(state):
-    prof, x = state
-    res = n_med(prof, x)
-    # repr tells -0.0 from 0.0
-    assert repr((res.alpha_low, res.alpha_high, res.n_value)) == repr(_n_med_by_argsort(prof, x))
-
-
 def test_n_med_value_constant_on_interval():
     rng = np.random.default_rng(11)
     for _ in range(50):
