@@ -26,7 +26,7 @@ from .errors import DicondError, GraphTooLargeError
 from .generators import DsbmParams, dsbm
 from .graph import load_edge_list, write_edge_list
 from .oracle import brute_conductance
-from .solver import SolverConfig, _sorted_labels, dsi_solve
+from .solver import INIT_MODES, SolverConfig, _sorted_labels, dsi_solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -291,11 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, default=8)
         p.add_argument("--max-iters", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--init",
-            default="mixed",
-            choices=["mixed", "spectral", "sweep", "imbalance", "random"],
-        )
+        p.add_argument("--init", default="mixed", choices=INIT_MODES)
 
     p = sub.add_parser("solve", help="minimize conductance on an edge-list graph")
     p.add_argument("graph")

@@ -56,14 +56,6 @@ class DirectedGraph:
     def m(self) -> int:
         return self.tails.size
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
-    @cached_property
-    def label_to_id(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
     @cached_property
     def degree_profile(self) -> DegreeProfile:
         d_out = np.bincount(self.tails, weights=self.weights, minlength=self.n)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import spectral_embedding, sweep_cut
 from .errors import ConstantVectorError, EmptyGraphError
-from .functionals import is_nonconstant, linf, r_obj
+from .functionals import is_nonconstant, linf, q_r, r_obj
 from .graph import DegreeProfile, DirectedGraph, conductance_set, induced_subgraph, zero_cut
 from .subgrad import StopCertificate, bounds, boundary_indicator, iterate_state, select_subgradient
 
@@ -25,30 +25,30 @@ CERT_BOUNDARY = "stop-by-V_b-empty"
 CERT_NO_DESCENT = "stop-by-no-descent"
 CERT_MAX_ITERS = "stop-by-T"
 CERT_PRECHECK = "stop-by-precheck"
+INIT_MODES = ("mixed", "spectral", "sweep", "imbalance", "random")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of a solve; everything about a run is determined by
-    (config, graph)."""
+    """Settings of a solve; everything about a run is determined by
+    (config, graph).
+
+    init is a restart schedule from INIT_MODES or a start vector of
+    length n, which is the first restart (kind "user") ahead of random
+    ones.
+    """
 
     max_iters: int = 1000
     restarts: int = 8
-    init: str = "mixed"  # mixed | spectral | sweep | imbalance | random | user
+    init: str | np.ndarray = "mixed"
     seed: int = 0
-    zero_tol: float = 1e-9
-    descent_tol: float | None = None  # defaults to 1e-10 * max(1, r1)
-    istar_rule: str = "min"  # min | random
-    user_vector: np.ndarray | None = None
     self_check: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
-        if self.descent_tol is not None and self.descent_tol <= 0:
-            raise ValueError("descent_tol must be positive")
-        if self.istar_rule not in ("min", "random"):
-            raise ValueError("istar_rule must be 'min' or 'random'")
+        if isinstance(self.init, str) and self.init not in INIT_MODES:
+            raise ValueError(f"unknown init strategy {self.init!r}; expected one of {INIT_MODES}")
 
 
 @dataclass(frozen=True)
@@ -209,11 +209,7 @@ def _precheck_report(g, mask, t0, note) -> SolveReport:
 
 
 def dsi_run(
-    g: DirectedGraph,
-    degrees: DegreeProfile,
-    x1: np.ndarray,
-    cfg: SolverConfig,
-    rng: np.random.Generator | None = None,
+    g: DirectedGraph, degrees: DegreeProfile, x1: np.ndarray, cfg: SolverConfig
 ) -> SolveReport:
     """One solver run from the initial vector x1.
 
@@ -228,10 +224,8 @@ def dsi_run(
     x = np.asarray(x1, dtype=float)
     if not is_nonconstant(x):
         raise ConstantVectorError("initial vector must be nonconstant")
-    tol = cfg.zero_tol
-    state = iterate_state(g, degrees, x / linf(x), tol)
-    eps_dec = cfg.descent_tol if cfg.descent_tol is not None else 1e-10 * max(1.0, state.r)
-    istar_rng = rng if cfg.istar_rule == "random" else None
+    state = iterate_state(g, degrees, x / linf(x))
+    eps_dec = 1e-10 * max(1.0, state.r)
 
     trace = [state.r]
     r_star, x_star = state.r, state.x.copy()
@@ -240,8 +234,8 @@ def dsi_run(
 
     for _ in range(cfg.max_iters):
         x, r, classes = state.x, state.r, state.classes
-        bnds = bounds(g, degrees, classes, x, tol)
-        ind = boundary_indicator(g, degrees, bnds, classes, r, tol)
+        bnds = bounds(g, degrees, classes, x)
+        ind = boundary_indicator(g, degrees, bnds, classes, r)
         if ind.v_b.size == 0:
             if not bool(classes.s_less.any()):
                 # the boundary test certifies only that no subgradient
@@ -253,7 +247,7 @@ def dsi_run(
                     x = np.where(x > 0, 1.0, -1.0)
                     x[best_i] = -x[best_i]
                     iterations += 1
-                    state = iterate_state(g, degrees, x, tol)
+                    state = iterate_state(g, degrees, x)
                     r_star, x_star = state.r, x.copy()
                     trace.append(state.r)
                     continue
@@ -264,27 +258,26 @@ def dsi_run(
             mask, _ = sweep_cut(g, x, distinct_only=True)
             xb = np.where(mask, 1.0, -1.0)
             iterations += 1
-            state = iterate_state(g, degrees, xb, tol)
+            state = iterate_state(g, degrees, xb)
             if state.r < r_star - eps_dec:
                 r_star, x_star = state.r, xb
                 trace.append(state.r)
             continue
-        sel = select_subgradient(g, degrees, bnds, ind, classes, r, rng=istar_rng)
+        sel = select_subgradient(g, degrees, bnds, ind, classes, r)
         assert not isinstance(sel, StopCertificate)
         if cfg.self_check:
-            from .functionals import q_r  # local import keeps hot path lean
-
             gap = abs(float(np.dot(x, sel.s)) - q_r(g, degrees, x, r))
-            # near-ties within zero_tol of a class boundary shift the
-            # identity by O(zero_tol); exact-tie iterates sit at ~1e-15
-            if gap > 1e-10 + 8.0 * tol * max(1.0, state.norm):
+            # near-ties within the zero-test tolerance t of a class
+            # boundary shift the identity by O(t); exact-tie iterates
+            # sit at ~1e-15
+            if gap > 1e-10 + 8.0 * state.t:
                 raise AssertionError(f"subgradient tightness violated: gap={gap:.3e}")
         x_next, _ = subproblem_argmin(sel.s)
         iterations += 1
         if not is_nonconstant(x_next):
             certificate = CERT_NO_DESCENT
             break
-        nxt = iterate_state(g, degrees, x_next, tol)
+        nxt = iterate_state(g, degrees, x_next)
         if nxt.r < r_star - eps_dec:
             state = nxt
             r_star, x_star = nxt.r, x_next
@@ -317,9 +310,10 @@ def _random_sign_vector(n: int, rng: np.random.Generator) -> np.ndarray:
             return x
 
 
-def _initial_vectors(g, degrees, cfg) -> list[tuple[str, np.ndarray]]:
-    """Restart schedule: spectral, sweep-seeded, degree-imbalance-seeded,
-    and random sign vectors.
+def _initial_vectors(g, degrees, cfg, start) -> list[tuple[str, np.ndarray]]:
+    """Restart schedule: the start vector when one is given, else
+    spectral, sweep-seeded and degree-imbalance-seeded vectors by
+    cfg.init; seeded random sign vectors fill the remaining restarts.
 
     The imbalance seed sweeps vertices by d_out - d_in; it is what makes
     purely directional cuts (invisible to any symmetrized spectrum)
@@ -327,15 +321,13 @@ def _initial_vectors(g, degrees, cfg) -> list[tuple[str, np.ndarray]]:
     """
     inits: list[tuple[str, np.ndarray]] = []
     want = cfg.restarts
-    fixed: list[str]
-    if cfg.init == "mixed":
+    fixed: list[str] = []
+    if start is not None:
+        inits.append(("user", start))
+    elif cfg.init == "mixed":
         fixed = ["spectral", "sweep", "imbalance"]
-    elif cfg.init in ("spectral", "sweep", "imbalance", "user"):
+    elif cfg.init != "random":
         fixed = [cfg.init]
-    elif cfg.init == "random":
-        fixed = []
-    else:
-        raise ValueError(f"unknown init strategy {cfg.init!r}")
 
     emb_vec = None
     if "spectral" in fixed or "sweep" in fixed:
@@ -353,10 +345,6 @@ def _initial_vectors(g, degrees, cfg) -> list[tuple[str, np.ndarray]]:
             if is_nonconstant(degrees.d_delta):
                 mask, _ = sweep_cut(g, degrees.d_delta)
                 inits.append(("imbalance", np.where(mask, 1.0, -1.0)))
-        elif kind == "user":
-            if cfg.user_vector is None:
-                raise ValueError("init='user' requires user_vector")
-            inits.append(("user", np.asarray(cfg.user_vector, dtype=float)))
 
     idx = 0
     while len(inits) < want:
@@ -384,41 +372,35 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
     if g.n < 2 or g.m < 1:
         raise EmptyGraphError("solver needs at least 2 vertices and 1 arc")
     t0 = time.perf_counter()
-    degrees = g.degree_profile
+    start = None
+    if not isinstance(cfg.init, str):
+        start = np.asarray(cfg.init, dtype=float)
+        if start.shape != (g.n,) or not np.isfinite(start).all():
+            raise ValueError(f"init vector needs n = {g.n} finite values; got shape {start.shape}")
 
     pre = zero_cut(g)
     if pre is not None:
         return _precheck_report(g, pre, t0, "not strongly connected: a source component cut is optimal")
 
-    core = np.flatnonzero(degrees.d > 0)
+    notes = ("initialized from symmetrized spectral embedding, sweep seed, and random restarts",)
+    core = np.flatnonzero(g.degree_profile.d > 0)
+    sub = g
     if core.size < g.n:
-        sub, vmap = induced_subgraph(g, core)
-        if cfg.user_vector is not None:
-            cfg = replace(cfg, user_vector=np.asarray(cfg.user_vector, dtype=float)[vmap])
-        rep = dsi_solve(sub, cfg)
-        mask = np.zeros(g.n, dtype=bool)
-        mask[vmap[rep.best_set]] = True
-        x_full = -np.ones(g.n)
-        x_full[vmap] = rep.best_x
-        return replace(
-            rep,
-            best_x=x_full,
-            best_set=mask,
-            best_set_labels=_sorted_labels(g, mask),
-            wall_time=time.perf_counter() - t0,
-            notes=rep.notes + ("isolated vertices assigned to the complement side",),
-        )
+        sub, _ = induced_subgraph(g, core)
+        start = None if start is None else start[core]
+        notes += ("isolated vertices assigned to the complement side",)
 
+    degrees = sub.degree_profile
     reports = []
-    for idx, (kind, x1) in enumerate(_initial_vectors(g, degrees, cfg)):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(idx, 1)))
-        rep = dsi_run(g, degrees, x1, cfg, rng=rng)
+    for idx, (kind, x1) in enumerate(_initial_vectors(sub, degrees, cfg, start)):
+        rep = dsi_run(sub, degrees, x1, cfg)
         reports.append(replace(rep, init_kind=kind, restart_index=idx))
-
     best = min(reports, key=lambda rep: (rep.best_r, rep.iterations, rep.restart_index))
-    return replace(
-        best,
-        wall_time=time.perf_counter() - t0,
-        notes=best.notes
-        + ("initialized from symmetrized spectral embedding, sweep seed, and random restarts",),
-    )
+
+    if sub is not g:
+        mask = np.zeros(g.n, dtype=bool)
+        mask[core[best.best_set]] = True
+        x_full = -np.ones(g.n)
+        x_full[core] = best.best_x
+        best = replace(best, best_x=x_full, best_set=mask, best_set_labels=_sorted_labels(g, mask))
+    return replace(best, wall_time=time.perf_counter() - t0, notes=notes)

@@ -8,7 +8,7 @@ assembles a consistent subgradient whose l1 norm exceeds 1, which forces
 strict descent of the ratio objective.
 
 All zero tests (x_i + x_j = 0, x_i = +/-||x||_inf, x_i = alpha, J = 0)
-use the relative tolerance tol * max(1, ||x||_inf); iterates of the
+use the relative tolerance ZERO_TOL * max(1, ||x||_inf); iterates of the
 l1-ball subproblem carry few distinct values, so exact ties are the
 common case and must be detected robustly.
 
@@ -76,7 +76,7 @@ class IterateState:
     """One evaluation of an iterate x, shared by the steps of an iteration.
 
     Holds x with its extremes and norm = ||x||_inf, the zero-test
-    tolerance t = tol * max(1, norm), the degree-weighted median from a
+    tolerance t = ZERO_TOL * max(1, norm), the degree-weighted median from a
     single n_med call, and r, the value r_obj returns at x. The vertex
     classes are built on first use, so an iterate that is rejected
     never pays for them (nor raises where classify would).
@@ -138,18 +138,16 @@ def _classes(x: np.ndarray, spread: float, hi: float, t: float, alpha: float) ->
     return VertexClasses(s_plus, s_minus, ~(s_plus | s_minus), s_alpha, alpha)
 
 
-def classify(degrees: DegreeProfile, x: np.ndarray, tol: float = ZERO_TOL) -> VertexClasses:
+def classify(degrees: DegreeProfile, x: np.ndarray) -> VertexClasses:
     """Split vertices into extreme-positive, extreme-negative, interior,
-    and median-tie classes, with tolerance tol * max(1, ||x||_inf)."""
+    and median-tie classes, with tolerance ZERO_TOL * max(1, ||x||_inf)."""
     x = np.asarray(x, dtype=float)
     hi = linf(x)
     spread = float(np.max(x) - np.min(x))
-    return _classes(x, spread, hi, tol * max(1.0, hi), n_med(degrees, x).alpha_low)
+    return _classes(x, spread, hi, ZERO_TOL * max(1.0, hi), n_med(degrees, x).alpha_low)
 
 
-def iterate_state(
-    g: DirectedGraph, degrees: DegreeProfile, x: np.ndarray, tol: float = ZERO_TOL
-) -> IterateState:
+def iterate_state(g: DirectedGraph, degrees: DegreeProfile, x: np.ndarray) -> IterateState:
     """Evaluate x once: extremes, tolerance, median and r; raises
     ConstantVectorError where r_obj would."""
     x = np.asarray(x, dtype=float)
@@ -157,20 +155,16 @@ def iterate_state(
     norm = max(x_max, -x_min)  # = ||x||_inf
     median = n_med(degrees, x)
     r = ratio(g, degrees, x, norm, median.n_value)
-    return IterateState(x, x_min, x_max, norm, tol * max(1.0, norm), median, r)
+    return IterateState(x, x_min, x_max, norm, ZERO_TOL * max(1.0, norm), median, r)
 
 
 def bounds(
-    g: DirectedGraph,
-    degrees: DegreeProfile,
-    classes: VertexClasses,
-    x: np.ndarray,
-    tol: float = ZERO_TOL,
+    g: DirectedGraph, degrees: DegreeProfile, classes: VertexClasses, x: np.ndarray
 ) -> SubgradientBounds:
     """Per-vertex subdifferential intervals of the three pieces of Q_r."""
     x = np.asarray(x, dtype=float)
     n = g.n
-    t = tol * max(1.0, linf(x))
+    t = ZERO_TOL * max(1.0, linf(x))
     pu, pv, w_sym = g.pairs
 
     pair_sum = x[pu] + x[pv]
@@ -229,7 +223,6 @@ def boundary_indicator(
     bnds: SubgradientBounds,
     classes: VertexClasses,
     r: float,
-    tol: float = ZERO_TOL,
 ) -> BoundaryIndicator:
     """Boundary values b, signs chi, the chosen median-term endpoint, and
     the stop set V_b = argmax{b_i chi_i : b_i chi_i > 0}."""
@@ -260,7 +253,7 @@ def boundary_indicator(
         b = drift + chi * q  # = p + l_pt + 2 r a_sel + chi q
 
     prod = b * chi
-    eps = tol * max(1.0, float(np.max(np.abs(b))) if n else 1.0)
+    eps = ZERO_TOL * max(1.0, float(np.max(np.abs(b))) if n else 1.0)
     top = float(prod.max()) if n else 0.0
     if top > eps:
         v_b = np.flatnonzero((prod > eps) & (prod >= top - eps))
@@ -276,12 +269,11 @@ def select_subgradient(
     indicator: BoundaryIndicator,
     classes: VertexClasses,
     r: float,
-    rng: np.random.Generator | None = None,
 ) -> SelectedSubgradient | StopCertificate:
     """Assemble the boundary-driven subgradient s = (u + y + 2 r v) / vol.
 
     Returns a StopCertificate when V_b is empty. The pivot i* is the
-    smallest id in V_b (or a seeded-random member when rng is given).
+    smallest id in V_b; the descent argument allows any member.
     Zero-sum neighbor pairs receive one consistent sign at both
     endpoints: chi(i*) for pairs touching i*, otherwise the chi of the
     endpoint with the larger |b| (the later one in the |b|-ascending
@@ -289,10 +281,7 @@ def select_subgradient(
     """
     if indicator.v_b.size == 0:
         return StopCertificate(r=r)
-    if rng is None:
-        i_star = int(indicator.v_b.min())
-    else:
-        i_star = int(rng.choice(indicator.v_b))
+    i_star = int(indicator.v_b.min())
 
     chi, abs_b = indicator.chi, np.abs(indicator.b)
     u = bnds.p.copy()

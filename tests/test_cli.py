@@ -144,7 +144,8 @@ def test_bench_real_suite(tmp_path, monkeypatch):
         "bench", "--suite", "real", "--grid", "names=tiny;seeds=1",
         "--registry", str(reg), "--out-csv", str(out), "--no-timings", "--with-oracle",
     ]) == 0
-    rows = list(csv.DictReader(open(out)))
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["instance"] == "tiny"
 

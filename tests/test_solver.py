@@ -367,7 +367,7 @@ def test_flip_conductances_matches_direct():
 
 
 def test_user_init_vector(c3):
-    cfg = SolverConfig(init="user", restarts=1, user_vector=np.array([1.0, -1.0, 1.0]))
+    cfg = SolverConfig(init=np.array([1.0, -1.0, 1.0]), restarts=1)
     rep = dsi_solve(c3, cfg)
     assert rep.init_kind == "user"
     assert rep.best_r == 0.5
@@ -376,7 +376,7 @@ def test_user_init_vector(c3):
 def test_user_init_vector_with_isolated_vertices():
     # the core solve once got the full-length vector and raised IndexError
     g = build_graph(4, [0, 1, 2], [1, 2, 0])  # C3 plus isolated vertex 3
-    cfg = SolverConfig(init="user", restarts=1, user_vector=np.array([1.0, -1.0, 1.0, -1.0]))
+    cfg = SolverConfig(init=np.array([1.0, -1.0, 1.0, -1.0]), restarts=1)
     rep = dsi_solve(g, cfg)
     assert rep.init_kind == "user"
     assert not rep.best_set[3]
@@ -392,19 +392,25 @@ def test_termination_certificates_small_family():
         assert rep.certificate != CERT_MAX_ITERS
 
 
-def test_random_istar_rule_is_seeded():
-    rng = np.random.default_rng(37)
-    g = random_digraph(rng, 10)
-    a = dsi_solve(g, SolverConfig(seed=3, istar_rule="random"))
-    b = dsi_solve(g, SolverConfig(seed=3, istar_rule="random"))
-    assert a.to_dict(with_timings=False) == b.to_dict(with_timings=False)
-    # still a valid bounded solve
-    assert a.best_r >= brute_conductance(g).phi_d_min - 1e-9
+def test_init_vector_is_validated():
+    # C3 plus isolated vertex 3, so n = 4 and the core has 3 vertices
+    g = build_graph(4, [0, 1, 2], [1, 2, 0])
+    bad = [
+        np.array([1.0, -1.0, 1.0]),
+        np.array([1.0, -1.0, 1.0, -1.0, 1.0]),
+        np.array([[1.0], [-1.0], [1.0], [-1.0]]),
+        np.array([1.0, np.nan, 1.0, -1.0]),
+        np.array([1.0, -1.0, 1.0, -1.0, -1.0]),  # once sliced to the core and accepted
+    ]
+    for x in bad:
+        with pytest.raises(ValueError, match="n = 4"):
+            dsi_solve(g, SolverConfig(init=x, restarts=1))
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(istar_rule="weird")
+    for bad in ({"init": "weird"}, {"init": "user"}, {"max_iters": 0}, {"restarts": 0}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
 
 
 # sha256 of the no-timings JSON report of dsi_solve(g, SolverConfig(seed=0));

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dicond import (
 )
 from dicond.functionals import i_plus
 from dicond.solver import flip_conductances, subproblem_argmin
+from dicond.subgrad import VertexClasses, iterate_state
 
 from conftest import all_pair_state_digraphs, pair_state_digraphs, random_digraph, sign_vectors
 
@@ -191,6 +194,27 @@ def _random_states(rng, count):
         yield g, deg, x
 
 
+def test_iterate_state_equals_r_obj_and_classify():
+    rng = np.random.default_rng(29)
+    checked = 0
+    for g, deg, x in _random_states(rng, 300):
+        state = iterate_state(g, deg, x)
+        assert state.r == r_obj(g, deg, x)
+        cls = classify(deg, x)
+        for f in fields(VertexClasses):
+            got, want = getattr(state.classes, f.name), getattr(cls, f.name)
+            assert np.asarray(got).tolist() == np.asarray(want).tolist(), f.name
+        checked += 1
+    assert checked >= 250
+    g = random_digraph(rng, 5)
+    deg = degrees(g)
+    for const in (np.zeros(g.n), np.full(g.n, -2.5)):
+        with pytest.raises(ConstantVectorError):
+            r_obj(g, deg, const)
+        with pytest.raises(ConstantVectorError):
+            iterate_state(g, deg, const)
+
+
 def test_subgradient_inequality_random_probes():
     rng = np.random.default_rng(23)
     tested = 0
@@ -271,18 +295,15 @@ def test_select_subgradient_equals_rank_rule():
     compared = 0
     for g, deg, x in _random_states(rng, 400):
         deg, r, cls, bnd, ind = pipeline(g, x)
-        for seed in (None, compared):
-            pick = None if seed is None else np.random.default_rng(seed)
-            sel = select_subgradient(g, deg, bnd, ind, cls, r, rng=pick)
-            if isinstance(sel, StopCertificate):
-                break
-            i_star = int(ind.v_b.min() if seed is None else np.random.default_rng(seed).choice(ind.v_b))
-            assert sel.i_star == i_star
-            u, v = _select_by_rank(deg, bnd, ind, cls, i_star)
-            assert sel.u.tolist() == u.tolist()
-            assert sel.v.tolist() == v.tolist()
-            assert sel.s.tolist() == ((u + sel.y + 2.0 * r * v) / deg.vol_total).tolist()
-            compared += 1
+        sel = select_subgradient(g, deg, bnd, ind, cls, r)
+        if isinstance(sel, StopCertificate):
+            continue
+        assert sel.i_star == int(ind.v_b.min())
+        u, v = _select_by_rank(deg, bnd, ind, cls, sel.i_star)
+        assert sel.u.tolist() == u.tolist()
+        assert sel.v.tolist() == v.tolist()
+        assert sel.s.tolist() == ((u + sel.y + 2.0 * r * v) / deg.vol_total).tolist()
+        compared += 1
     assert compared >= 200
 
 
