@@ -389,6 +389,9 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
         sub, _ = induced_subgraph(g, core)
         start = None if start is None else start[core]
         notes += ("isolated vertices assigned to the complement side",)
+    if start is not None and not is_nonconstant(start):
+        raise ConstantVectorError("init vector is constant on the positive-degree vertices "
+                                  "(isolated vertices are ignored)")
 
     degrees = sub.degree_profile
     reports = []

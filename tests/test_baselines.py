@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dicond import ConstantVectorError, build_graph, conductance_set, degrees, spectral_embedding, sweep_cut
+from dicond import (ConstantVectorError, DsbmParams, build_graph, conductance_set, degrees, dsbm,
+                    largest_strong_component, spectral_embedding, sweep_cut)
 from dicond.baselines import spectral_sweep
 from dicond.errors import DicondError
 from dicond.graph import prefix_cut_profile
@@ -54,6 +55,43 @@ def test_spectral_orthogonal_to_degree_vector():
         v0 /= np.linalg.norm(v0)
         assert abs(float(emb.vector @ v0)) <= 1e-8
         assert np.linalg.norm(emb.vector) == pytest.approx(1.0)
+
+
+def _dense_reference_graphs(b2):
+    yield "b2", b2
+    k = np.array([(u, v) for u in range(8) for v in range(8) if u != v])
+    yield "bidirected K8", build_graph(8, k[:, 0], k[:, 1])
+    leaves = np.arange(1, 501)
+    hub = np.zeros(500, dtype=int)
+    yield "star", build_graph(501, np.concatenate([hub, leaves]), np.concatenate([leaves, hub]))
+    rng = np.random.default_rng(54)
+    n = 60
+    perm = rng.permutation(n)
+    tails = np.concatenate([rng.integers(0, n, 3 * n), perm])
+    heads = np.concatenate([rng.integers(0, n, 3 * n), np.roll(perm, -1)])
+    yield "wide weights", build_graph(n, tails, heads, 10 ** rng.uniform(-3, 3, 4 * n))
+    g, _ = dsbm(DsbmParams(n=200, p=0.02, q=0.02, eta=0.1, seed=3))
+    yield "dsbm component", largest_strong_component(g)[0]
+
+
+def test_spectral_embedding_matches_dense_eigh(b2):
+    for name, g in _dense_reference_graphs(b2):
+        d = degrees(g).d
+        pu, pv, w = g.pairs
+        a_norm = np.zeros((g.n, g.n))
+        a_norm[pu, pv] = a_norm[pv, pu] = w / np.sqrt(d[pu] * d[pv])
+        vals, vecs = np.linalg.eigh(a_norm)  # ascending; vals[-1] == 1
+        gap = vals[-2] - vals[-3] if g.n > 2 else np.inf
+
+        emb = spectral_embedding(g)
+        x = emb.vector
+        assert emb.residual <= 1e-9, name
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12), name
+        assert abs(float(x @ np.sqrt(d))) <= 1e-8, name
+        if gap > 1e-6:
+            assert abs(float(x @ vecs[:, -2])) >= 1 - 1e-8, name
+        assert emb.iterations > 0, name
+        assert np.array_equal(spectral_embedding(g).vector, x), name
 
 
 def test_spectral_rejects_disconnected():

@@ -405,6 +405,9 @@ def test_init_vector_is_validated():
     for x in bad:
         with pytest.raises(ValueError, match="n = 4"):
             dsi_solve(g, SolverConfig(init=x, restarts=1))
+    # varies on the whole graph, but only the core entries [1, 1, 1] are used
+    with pytest.raises(ConstantVectorError, match="constant on the positive-degree vertices"):
+        dsi_solve(g, SolverConfig(init=np.array([1.0, 1.0, 1.0, -1.0]), restarts=1))
 
 
 def test_config_validation():
@@ -422,7 +425,7 @@ def test_config_validation():
 # the digest does not, suspect the platform before the code.
 PINNED_REPORTS = {
     "c3": "e7ee23c1dcee4d458e48b521849a2d44c3496c0ecb6f80b51043e3270cd71de9",
-    "dsbm-lscc": "d4659503fb5cb1788b8b6422231abebdd6faed29a30a0aed689f354eb03f6cc7",
+    "dsbm-lscc": "43a5fa8aa16363a1ee2ef45895eb70360e5c0b45643ab57cdbbcdabe3a26f05d",
     "weighted": "8c6b912b6d66d12821426989f72b78a6f1dbd205ab2cfad590676e771a698b66",
 }
 # (best_r, certificate, iterations, vertices of best_set)

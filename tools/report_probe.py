@@ -1,0 +1,79 @@
+"""Print one JSON line per probe case: the solve report's key values
+and the sha256 of its no-timings JSON.
+
+Run it on two checkouts and diff the outputs to see which reports a
+change moves:
+
+    PYTHONPATH=src python tools/report_probe.py > probe.jsonl
+
+The cases are fixed; the script takes no options.
+
+- 400 random strongly connected digraphs. For seed in 0..399, with
+  rng = default_rng(seed): n = rng.integers(4, 40), m = 3n,
+  perm = rng.permutation(n); the arcs are rng.integers(0, n, m) tails
+  and rng.integers(0, n, m) heads plus the cycle perm -> roll(perm, -1);
+  the m + n weights are 10 ** rng.uniform(-3, 3, m + n) for even seeds
+  and rng.uniform(0.1, 1, m + n) for odd ones. Each graph is solved
+  with SolverConfig(seed=seed).
+- 30 DSBM strong components: the largest strong component of
+  dsbm(DsbmParams(n=200, p=0.02, q=0.02, eta, seed)) for eta in
+  0.05, 0.10, ..., 0.30 and seed in 0..4, solved with
+  SolverConfig(seed=seed).
+
+Each line holds the case name, n, best_r, the spectral sweep baseline's
+phi, the certificate, the winning restart's init kind, the iteration
+count and the digest.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+
+from dicond import DsbmParams, SolverConfig, build_graph, dsbm, dsi_solve, largest_strong_component
+from dicond.baselines import spectral_sweep
+
+
+def random_case(seed: int):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 40))
+    m = 3 * n
+    perm = rng.permutation(n)
+    tails = np.concatenate([rng.integers(0, n, m), perm])
+    heads = np.concatenate([rng.integers(0, n, m), np.roll(perm, -1)])
+    if seed % 2 == 0:
+        weights = 10 ** rng.uniform(-3, 3, m + n)
+    else:
+        weights = rng.uniform(0.1, 1, m + n)
+    return build_graph(n, tails, heads, weights)
+
+
+def cases():
+    for seed in range(400):
+        yield f"random-{seed}", random_case(seed), seed
+    for eta in (0.05, 0.10, 0.15, 0.20, 0.25, 0.30):
+        for seed in range(5):
+            g, _ = dsbm(DsbmParams(n=200, p=0.02, q=0.02, eta=eta, seed=seed))
+            yield f"dsbm-{eta:.2f}-{seed}", largest_strong_component(g)[0], seed
+
+
+def main() -> None:
+    for name, g, seed in cases():
+        rep = dsi_solve(g, SolverConfig(seed=seed))
+        doc = json.dumps(rep.to_dict(with_timings=False), sort_keys=True)
+        print(json.dumps({
+            "name": name,
+            "n": g.n,
+            "best_r": rep.best_r,
+            "sweep_phi": spectral_sweep(g)[1],
+            "certificate": rep.certificate,
+            "init_kind": rep.init_kind,
+            "iterations": rep.iterations,
+            "digest": hashlib.sha256(doc.encode()).hexdigest(),
+        }), flush=True)
+
+
+if __name__ == "__main__":
+    main()
