@@ -80,8 +80,12 @@ def n_med(degrees: DegreeProfile, x: np.ndarray) -> MedianResult:
         alpha_high = float(xs[group_end + 1])
     else:
         alpha_high = alpha_low
-    n_value = float(np.dot(degrees.d, np.abs(x - alpha_low)))
-    return MedianResult(alpha_low, alpha_high, n_value)
+    return MedianResult(alpha_low, alpha_high, median_deviation(degrees, x, alpha_low))
+
+
+def median_deviation(degrees: DegreeProfile, x: np.ndarray, alpha: float) -> float:
+    """sum_i d_i |x_i - alpha|, the n_value of n_med at its alpha_low."""
+    return float(np.dot(degrees.d, np.abs(x - alpha)))
 
 
 def r_obj(g: DirectedGraph, degrees: DegreeProfile, x: np.ndarray) -> float:

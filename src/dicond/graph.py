@@ -74,6 +74,32 @@ class DirectedGraph:
         np.add.at(w_sym, inv, self.weights)
         return uniq // self.n, uniq % self.n, w_sym
 
+    @cached_property
+    def pair_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR over ``pairs``: (indptr, neighbour, pair id), where the
+        pairs of vertex i are entries indptr[i]:indptr[i+1]."""
+        pu, pv, _ = self.pairs
+        ends = np.concatenate([pu, pv])
+        order = np.argsort(ends, kind="stable")
+        ids = np.arange(pu.size)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=self.n))])
+        return indptr, np.concatenate([pv, pu])[order], np.concatenate([ids, ids])[order]
+
+    @cached_property
+    def exact_sums(self) -> bool:
+        """True when every partial sum of arc weights, pair weights,
+        degrees and volumes is exact in float64, in any order: all
+        weights are integer multiples of one 2^-k and the total volume
+        (each pair weight counted twice) is below 2^(53-k)."""
+        w = self.weights
+        if w.size == 0:
+            return False
+        mant, exp = np.frexp(w)
+        ints = (mant * 2.0**53).astype(np.int64)  # w = ints * 2^(exp - 53)
+        _, low = np.frexp((ints & -ints).astype(float))  # lowest set bit is 2^(low - 1)
+        k = max(0, int(np.max(54 - exp - low)))  # w is a multiple of 2^-k
+        return k <= 52 and 2.0 * float(w.sum()) < 2.0 ** (53 - k)
+
 
 def build_graph(n, tails, heads, weights=None, labels=None) -> DirectedGraph:
     """Canonicalize raw arc arrays into a DirectedGraph.

@@ -19,7 +19,14 @@ from .baselines import spectral_embedding, sweep_cut
 from .errors import ConstantVectorError, EmptyGraphError
 from .functionals import is_nonconstant, linf, q_r, r_obj
 from .graph import DegreeProfile, DirectedGraph, conductance_set, induced_subgraph, zero_cut
-from .subgrad import StopCertificate, bounds, boundary_indicator, iterate_state, select_subgradient
+from .subgrad import (
+    CutState,
+    StopCertificate,
+    bounds,
+    boundary_indicator,
+    iterate_state,
+    select_subgradient,
+)
 
 CERT_BOUNDARY = "stop-by-V_b-empty"
 CERT_NO_DESCENT = "stop-by-no-descent"
@@ -28,14 +35,15 @@ CERT_PRECHECK = "stop-by-precheck"
 INIT_MODES = ("mixed", "spectral", "sweep", "imbalance", "random")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverConfig:
     """Settings of a solve; everything about a run is determined by
     (config, graph).
 
     init is a restart schedule from INIT_MODES or a start vector of
     length n, which is the first restart (kind "user") ahead of random
-    ones.
+    ones. A start vector is kept as a read-only float copy (dsi_solve
+    checks its length), and configs compare and hash by value.
     """
 
     max_iters: int = 1000
@@ -47,8 +55,27 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
-        if isinstance(self.init, str) and self.init not in INIT_MODES:
-            raise ValueError(f"unknown init strategy {self.init!r}; expected one of {INIT_MODES}")
+        if isinstance(self.init, str):
+            if self.init not in INIT_MODES:
+                raise ValueError(f"unknown init strategy {self.init!r}; expected one of {INIT_MODES}")
+        else:
+            init = np.array(self.init, dtype=float)
+            init.flags.writeable = False
+            object.__setattr__(self, "init", init)
+
+    def _key(self) -> tuple:
+        init = self.init
+        if not isinstance(init, str):
+            init = (init.shape, (init + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
+        return (self.max_iters, self.restarts, init, self.seed, self.self_check)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -219,12 +246,19 @@ def dsi_run(
     sweep cut, and is_flip_local_opt is the O(m + n) single-flip test
     of flip_conductances, the predicate that verify_local_opt checks
     with one r_obj evaluation per vertex.
+
+    When g.exact_sums holds, the run keeps one CutState: each iterate
+    that takes exactly two values +/-c moves it by the flipped vertices,
+    O(deg) each, and bounds reads its pair sums instead of an O(m) pass
+    over all pairs. Exactness makes the result the same as the general
+    code; other iterates and other graphs use the general code.
     """
     t0 = time.perf_counter()
     x = np.asarray(x1, dtype=float)
     if not is_nonconstant(x):
         raise ConstantVectorError("initial vector must be nonconstant")
-    state = iterate_state(g, degrees, x / linf(x))
+    cut = CutState(g) if g.exact_sums else None
+    state = iterate_state(g, degrees, x / linf(x), cut)
     eps_dec = 1e-10 * max(1.0, state.r)
 
     trace = [state.r]
@@ -234,7 +268,10 @@ def dsi_run(
 
     for _ in range(cfg.max_iters):
         x, r, classes = state.x, state.r, state.classes
-        bnds = bounds(g, degrees, classes, x)
+        if cfg.self_check and state.cut is not None:
+            if not (np.array_equal(state.cut.side, x > 0) and state.cut.matches_recount()):
+                raise AssertionError("maintained cut sums differ from a full recount")
+        bnds = bounds(g, degrees, classes, x, state.cut)
         ind = boundary_indicator(g, degrees, bnds, classes, r)
         if ind.v_b.size == 0:
             if not bool(classes.s_less.any()):
@@ -247,7 +284,7 @@ def dsi_run(
                     x = np.where(x > 0, 1.0, -1.0)
                     x[best_i] = -x[best_i]
                     iterations += 1
-                    state = iterate_state(g, degrees, x)
+                    state = iterate_state(g, degrees, x, cut)
                     r_star, x_star = state.r, x.copy()
                     trace.append(state.r)
                     continue
@@ -258,7 +295,7 @@ def dsi_run(
             mask, _ = sweep_cut(g, x, distinct_only=True)
             xb = np.where(mask, 1.0, -1.0)
             iterations += 1
-            state = iterate_state(g, degrees, xb)
+            state = iterate_state(g, degrees, xb, cut)
             if state.r < r_star - eps_dec:
                 r_star, x_star = state.r, xb
                 trace.append(state.r)
@@ -277,7 +314,7 @@ def dsi_run(
         if not is_nonconstant(x_next):
             certificate = CERT_NO_DESCENT
             break
-        nxt = iterate_state(g, degrees, x_next)
+        nxt = iterate_state(g, degrees, x_next, cut)
         if nxt.r < r_star - eps_dec:
             state = nxt
             r_star, x_star = nxt.r, x_next

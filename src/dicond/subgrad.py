@@ -15,6 +15,19 @@ common case and must be detected robustly.
 The solver evaluates each iterate once, into an IterateState (extremes,
 tolerance, median, ratio and, on first use, the classes), and the steps
 of an iteration read it instead of recomputing it.
+
+Binary fast path. Nearly every iterate takes exactly the two values
++/-c, and consecutive ones differ in a few signs. On such an iterate
+the pair terms of bounds depend only on the cut: p_i = sigma_i * own_i
+and q_i = cut_i, where own_i and cut_i are the symmetric weights from i
+to its own side and across the cut, the zero pairs are the cut pairs,
+and the median and A, B follow from the two side volumes. A CutState
+keeps these sums and moves them in O(deg) per flipped vertex. It is
+used only on graphs whose sums are all exact (DirectedGraph.exact_sums:
+weights that are multiples of one 2^-k with a bounded total), where the
+updated sums equal a full recount bit for bit, so the fast path gives
+the same bounds and medians as the general code; on other graphs and
+on iterates that are not binary the general code runs.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstantVectorError
-from .functionals import MedianResult, linf, n_med, ratio
+from .functionals import MedianResult, linf, median_deviation, n_med, ratio
 from .graph import DegreeProfile, DirectedGraph
 
 ZERO_TOL = 1e-9
@@ -71,15 +84,117 @@ class SubgradientBounds:
     zero_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+class CutState:
+    """Cut sums of a binary iterate, moved in O(deg) per flipped vertex.
+
+    side is the mask of the positive side; own[i] and cut[i] are the
+    symmetric weights from i to its own side and across the cut,
+    is_cut flags the cut pairs of g.pairs, and vol_neg is the volume of
+    the negative side. Only meaningful when g.exact_sums holds: then the
+    updates are exact and equal a full recount.
+    """
+
+    def __init__(self, g: DirectedGraph):
+        self.g = g
+        self.side: np.ndarray | None = None
+
+    def move_to(self, side: np.ndarray) -> None:
+        """Move to the positive-side mask side. Each flipped vertex
+        updates its own pairs; when the flipped vertices' degrees sum
+        to more than the pair count, one full recount is cheaper."""
+        g = self.g
+        pu, _, w_sym = g.pairs
+        if self.side is None:
+            self._recount(side)
+            return
+        moved = side != self.side
+        flipped = np.flatnonzero(moved)
+        if flipped.size == 0:
+            return
+        indptr, nbr, pair_ids = g.pair_adjacency
+        starts = indptr[flipped]
+        lens = indptr[flipped + 1] - starts
+        total = int(lens.sum())
+        if total > pu.size:
+            self._recount(side)
+            return
+        d = g.degree_profile.d
+        if flipped.size == 1:  # the common step; its neighbours are distinct
+            v = int(flipped[0])
+            at = slice(indptr[v], indptr[v + 1])
+            e, nb = pair_ids[at], nbr[at]
+            dw = np.where(self.is_cut[e], -w_sym[e], w_sym[e])  # change of the cut weight
+            self.is_cut[e] = ~self.is_cut[e]
+            self.cut[nb] += dw
+            self.own[nb] -= dw
+            self.own[v], self.cut[v] = self.cut[v], self.own[v]
+            self.vol_neg += float(-d[v] if side[v] else d[v])
+            self.side[v] = side[v]
+            return
+        # the CSR entries of the flipped vertices, and who owns each
+        at = np.arange(total) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        owner = np.repeat(flipped, lens)
+        # a pair between two flipped vertices keeps its state
+        keep = ~moved[nbr[at]]
+        e = pair_ids[at[keep]]
+        ends = np.concatenate([owner[keep], nbr[at[keep]]])
+        dw = np.where(self.is_cut[e], -w_sym[e], w_sym[e])  # change of the cut weight
+        dw = np.concatenate([dw, dw])
+        self.is_cut[e] = ~self.is_cut[e]
+        np.add.at(self.cut, ends, dw)
+        np.subtract.at(self.own, ends, dw)
+        to_pos = side[flipped]
+        self.vol_neg += float(d[flipped[~to_pos]].sum()) - float(d[flipped[to_pos]].sum())
+        self.side = side.copy()
+
+    def _recount(self, side: np.ndarray) -> None:
+        g = self.g
+        pu, pv, w_sym = g.pairs
+        self.side = side.copy()
+        self.is_cut = side[pu] != side[pv]
+        w_cut = w_sym * self.is_cut
+        w_own = w_sym - w_cut
+        self.cut = np.bincount(pu, weights=w_cut, minlength=g.n)
+        self.cut += np.bincount(pv, weights=w_cut, minlength=g.n)
+        self.own = np.bincount(pu, weights=w_own, minlength=g.n)
+        self.own += np.bincount(pv, weights=w_own, minlength=g.n)
+        self.vol_neg = float(g.degree_profile.d[~side].sum())
+
+    def matches_recount(self) -> bool:
+        """True iff the maintained sums equal a full recount bit for bit."""
+        fresh = CutState(self.g)
+        fresh._recount(self.side)
+        return (self.is_cut.tobytes() == fresh.is_cut.tobytes()
+                and self.own.tobytes() == fresh.own.tobytes()
+                and self.cut.tobytes() == fresh.cut.tobytes()
+                and self.vol_neg == fresh.vol_neg)
+
+    def median(self, degrees: DegreeProfile, x: np.ndarray) -> MedianResult:
+        """n_med at a binary x on this side mask, from vol_neg alone:
+        the lower median is -c iff the negative side holds at least
+        half the volume, with the tolerance n_med uses."""
+        w_total = degrees.vol_total
+        half, eps = 0.5 * w_total, 1e-12 * w_total
+        c = float(x.max())
+        if self.vol_neg >= half - eps:
+            low, high = -c, (c if self.vol_neg <= half + eps else -c)
+        else:
+            low = high = c
+        return MedianResult(low, high, median_deviation(degrees, x, low))
+
+
 @dataclass(frozen=True)
 class IterateState:
     """One evaluation of an iterate x, shared by the steps of an iteration.
 
     Holds x with its extremes and norm = ||x||_inf, the zero-test
     tolerance t = ZERO_TOL * max(1, norm), the degree-weighted median from a
-    single n_med call, and r, the value r_obj returns at x. The vertex
+    single n_med call (or, equal to it, from the cut state's volumes),
+    and r, the value r_obj returns at x. The vertex
     classes are built on first use, so an iterate that is rejected
-    never pays for them (nor raises where classify would).
+    never pays for them (nor raises where classify would). cut is the
+    CutState moved to x when x is binary and a CutState was given,
+    else None.
     """
 
     x: np.ndarray
@@ -89,6 +204,7 @@ class IterateState:
     t: float
     median: MedianResult
     r: float
+    cut: CutState | None = None
 
     @cached_property
     def classes(self) -> VertexClasses:
@@ -147,37 +263,65 @@ def classify(degrees: DegreeProfile, x: np.ndarray) -> VertexClasses:
     return _classes(x, spread, hi, ZERO_TOL * max(1.0, hi), n_med(degrees, x).alpha_low)
 
 
-def iterate_state(g: DirectedGraph, degrees: DegreeProfile, x: np.ndarray) -> IterateState:
+def iterate_state(
+    g: DirectedGraph, degrees: DegreeProfile, x: np.ndarray, cut: CutState | None = None
+) -> IterateState:
     """Evaluate x once: extremes, tolerance, median and r; raises
-    ConstantVectorError where r_obj would."""
+    ConstantVectorError where r_obj would.
+
+    With a CutState of g (g.exact_sums must hold) and an x that takes
+    exactly the values +/-c, the state moves to x and the median comes
+    from its side volumes instead of a sort; the result is the same.
+    """
     x = np.asarray(x, dtype=float)
     x_min, x_max = float(np.min(x)), float(np.max(x))
     norm = max(x_max, -x_min)  # = ||x||_inf
-    median = n_med(degrees, x)
+    t = ZERO_TOL * max(1.0, norm)
+    if cut is not None and x_min == -x_max and x_max > t and np.abs(x).min() == x_max:
+        cut.move_to(x > 0)
+        median = cut.median(degrees, x)
+    else:
+        cut = None
+        median = n_med(degrees, x)
     r = ratio(g, degrees, x, norm, median.n_value)
-    return IterateState(x, x_min, x_max, norm, ZERO_TOL * max(1.0, norm), median, r)
+    return IterateState(x, x_min, x_max, norm, t, median, r, cut)
 
 
 def bounds(
-    g: DirectedGraph, degrees: DegreeProfile, classes: VertexClasses, x: np.ndarray
+    g: DirectedGraph,
+    degrees: DegreeProfile,
+    classes: VertexClasses,
+    x: np.ndarray,
+    cut: CutState | None = None,
 ) -> SubgradientBounds:
-    """Per-vertex subdifferential intervals of the three pieces of Q_r."""
+    """Per-vertex subdifferential intervals of the three pieces of Q_r.
+
+    cut, when given, is the CutState that iterate_state moved to this
+    binary x (IterateState.cut); the pair terms and A, B are then read
+    from its sums, with the same values as the general code.
+    """
     x = np.asarray(x, dtype=float)
     n = g.n
     t = ZERO_TOL * max(1.0, linf(x))
     pu, pv, w_sym = g.pairs
 
-    pair_sum = x[pu] + x[pv]
-    zero = np.abs(pair_sum) <= t
-    # +w on the zero band too; p -= q below takes it back
-    contrib = np.where(pair_sum < -t, -w_sym, w_sym)
-    p = np.bincount(pu, weights=contrib, minlength=n)
-    p += np.bincount(pv, weights=contrib, minlength=n)
-    w_zero = w_sym * zero
-    q = np.bincount(pu, weights=w_zero, minlength=n)
-    q += np.bincount(pv, weights=w_zero, minlength=n)
-    p -= q
-    iz = zero.nonzero()[0]
+    if cut is None:
+        pair_sum = x[pu] + x[pv]
+        zero = np.abs(pair_sum) <= t
+        # +w on the zero band too; p -= q below takes it back
+        contrib = np.where(pair_sum < -t, -w_sym, w_sym)
+        p = np.bincount(pu, weights=contrib, minlength=n)
+        p += np.bincount(pv, weights=contrib, minlength=n)
+        w_zero = w_sym * zero
+        q = np.bincount(pu, weights=w_zero, minlength=n)
+        q += np.bincount(pv, weights=w_zero, minlength=n)
+        p -= q
+        iz = zero.nonzero()[0]
+    else:
+        # 0.0 - own, not -own: the general code gives +0.0 where own is 0
+        p = np.where(cut.side, cut.own, 0.0 - cut.own)
+        q = cut.cut.copy()
+        iz = cut.is_cut.nonzero()[0]
 
     d_delta = degrees.d_delta
     j0 = float(np.dot(d_delta, x))
@@ -192,8 +336,13 @@ def bounds(
     in_a = classes.s_alpha
     below = (x < classes.alpha) & ~in_a
     above = (x > classes.alpha) & ~in_a
-    A = float(d[below].sum() - d[above].sum())
-    B = float(d[in_a].sum())
+    if cut is None:
+        A = float(d[below].sum() - d[above].sum())
+        B = float(d[in_a].sum())
+    else:
+        # the tie set is one side: the other side is all below or all above
+        vol_pos = degrees.vol_total - cut.vol_neg
+        A, B = (cut.vol_neg - 0.0, vol_pos) if classes.alpha > 0 else (0.0 - vol_pos, cut.vol_neg)
     a_low = np.where(above, d, -d)
     if np.count_nonzero(in_a) >= 2:
         a_high = np.where(in_a, np.minimum(A + B - d, d), a_low)

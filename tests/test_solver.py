@@ -416,6 +416,20 @@ def test_config_validation():
             SolverConfig(**bad)
 
 
+def test_configs_with_a_start_vector_compare_and_hash_by_value():
+    x = np.array([1.0, -1.0, 0.0])
+    cfg = SolverConfig(init=x)
+    assert cfg == SolverConfig(init=x.copy()) == SolverConfig(init=[1, -1, 0])
+    assert cfg == SolverConfig(init=np.array([1.0, -1.0, -0.0]))
+    assert len({cfg, SolverConfig(init=x.copy()), SolverConfig(init=np.array([1.0, -1.0, -0.0]))}) == 1
+    assert cfg != SolverConfig(init=np.array([1.0, 0.0, -1.0]))
+    assert cfg != SolverConfig(init=x.reshape(3, 1))
+    assert cfg != SolverConfig(init=x, seed=1) and cfg != SolverConfig()
+    assert SolverConfig() == SolverConfig(init="mixed") and hash(SolverConfig()) == hash(SolverConfig())
+    x[0] = 5.0  # the config keeps its own copy
+    assert cfg.init.tolist() == [1.0, -1.0, 0.0] and not cfg.init.flags.writeable
+
+
 # sha256 of the no-timings JSON report of dsi_solve(g, SolverConfig(seed=0));
 # a change that is meant to leave reports alone must keep these. The
 # digests cover best_x and r_trace, which come from dot products and

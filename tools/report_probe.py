@@ -15,6 +15,11 @@ The cases are fixed; the script takes no options.
   the m + n weights are 10 ** rng.uniform(-3, 3, m + n) for even seeds
   and rng.uniform(0.1, 1, m + n) for odd ones. Each graph is solved
   with SolverConfig(seed=seed).
+- 200 random strongly connected digraphs whose weights make every sum
+  exact, so that the solver's binary cut bookkeeping runs on weighted
+  input: the same recipe for seed in 400..599, with weights
+  rng.integers(1, 4, m + n) (in {1, 2, 3}) for even seeds and
+  rng.choice([0.5, 1, 1.5, 2], m + n) for odd ones.
 - 30 DSBM strong components: the largest strong component of
   dsbm(DsbmParams(n=200, p=0.02, q=0.02, eta, seed)) for eta in
   0.05, 0.10, ..., 0.30 and seed in 0..4, solved with
@@ -43,7 +48,12 @@ def random_case(seed: int):
     perm = rng.permutation(n)
     tails = np.concatenate([rng.integers(0, n, m), perm])
     heads = np.concatenate([rng.integers(0, n, m), np.roll(perm, -1)])
-    if seed % 2 == 0:
+    if seed >= 400:
+        if seed % 2 == 0:
+            weights = rng.integers(1, 4, m + n).astype(float)
+        else:
+            weights = rng.choice([0.5, 1.0, 1.5, 2.0], m + n)
+    elif seed % 2 == 0:
         weights = 10 ** rng.uniform(-3, 3, m + n)
     else:
         weights = rng.uniform(0.1, 1, m + n)
@@ -51,7 +61,7 @@ def random_case(seed: int):
 
 
 def cases():
-    for seed in range(400):
+    for seed in range(600):
         yield f"random-{seed}", random_case(seed), seed
     for eta in (0.05, 0.10, 0.15, 0.20, 0.25, 0.30):
         for seed in range(5):
