@@ -105,7 +105,9 @@ def build_graph(n, tails, heads, weights=None, labels=None) -> DirectedGraph:
     """Canonicalize raw arc arrays into a DirectedGraph.
 
     Drops self-loops (counted) and zero-weight arcs, aggregates parallel
-    arcs by weight sum, and sorts arcs by (tail, head).
+    arcs by weight sum, and sorts arcs by (tail, head). Raises
+    ValueError for an endpoint outside [0, n) and for a weight that is
+    negative, NaN or infinite.
     """
     if n <= 0:
         raise EmptyGraphError("graph has no vertices")
@@ -115,8 +117,19 @@ def build_graph(n, tails, heads, weights=None, labels=None) -> DirectedGraph:
         weights = np.ones(tails.size)
     else:
         weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
+    ends = np.concatenate([tails, heads])
+    if ends.size and (ends.min() < 0 or ends.max() >= n):
+        raise ValueError(f"arc endpoint outside the vertex ids [0, {n})")
+    if not np.isfinite(weights).all():
+        raise ValueError("non-finite arc weight")
+    if (weights < 0).any():
         raise ValueError("negative arc weight")
+    return _canonical_graph(n, tails, heads, weights, labels)
+
+
+def _canonical_graph(n, tails, heads, weights, labels) -> DirectedGraph:
+    """build_graph after its checks: n >= 1, int64 ids in [0, n) and
+    finite weights >= 0."""
     loops = tails == heads
     n_loops = int(loops.sum())
     keep = ~loops & (weights > 0)
@@ -204,7 +217,9 @@ def load_edge_list(source, *, default_weight=1.0) -> DirectedGraph:
 
     if not labels:
         raise EmptyGraphError("edge list defines no vertices")
-    return build_graph(len(labels), tails, heads, weights, labels)
+    # ids and weights are checked above: skip build_graph's checks
+    return _canonical_graph(len(labels), np.array(tails, dtype=np.int64),
+                            np.array(heads, dtype=np.int64), np.array(weights), labels)
 
 
 def write_edge_list(g: DirectedGraph, path) -> None:

@@ -248,10 +248,11 @@ def dsi_run(
     with one r_obj evaluation per vertex.
 
     When g.exact_sums holds, the run keeps one CutState: each iterate
-    that takes exactly two values +/-c moves it by the flipped vertices,
-    O(deg) each, and bounds reads its pair sums instead of an O(m) pass
-    over all pairs. Exactness makes the result the same as the general
-    code; other iterates and other graphs use the general code.
+    that takes exactly two values +/-c moves it, in O(deg) when a single
+    vertex flips and by an O(m) recount otherwise, and bounds reads its
+    cut sums (own = d - cut) instead of an O(m) pass over all pairs.
+    Exactness makes the result the same as the general code; other
+    iterates and other graphs use the general code.
     """
     t0 = time.perf_counter()
     x = np.asarray(x1, dtype=float)

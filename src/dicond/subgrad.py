@@ -17,15 +17,16 @@ tolerance, median, ratio and, on first use, the classes), and the steps
 of an iteration read it instead of recomputing it.
 
 Binary fast path. Nearly every iterate takes exactly the two values
-+/-c, and consecutive ones differ in a few signs. On such an iterate
-the pair terms of bounds depend only on the cut: p_i = sigma_i * own_i
-and q_i = cut_i, where own_i and cut_i are the symmetric weights from i
-to its own side and across the cut, the zero pairs are the cut pairs,
-and the median and A, B follow from the two side volumes. A CutState
-keeps these sums and moves them in O(deg) per flipped vertex. It is
-used only on graphs whose sums are all exact (DirectedGraph.exact_sums:
-weights that are multiples of one 2^-k with a bounded total), where the
-updated sums equal a full recount bit for bit, so the fast path gives
++/-c, and consecutive ones usually differ in one sign. On such an
+iterate the pair terms of bounds depend only on the cut: p_i =
+sigma_i * own_i and q_i = cut_i, where cut_i is the symmetric weight
+from i across the cut and own_i = d_i - cut_i the weight to its own
+side, the zero pairs are the cut pairs, and the median and A, B follow
+from the two side volumes. A CutState keeps the cut sums: a single flip
+moves them in O(deg), other moves recount in O(m). It is used only on
+graphs whose sums are all exact (DirectedGraph.exact_sums: weights that
+are multiples of one 2^-k with a bounded total), where the updated sums
+and d - cut equal a full recount bit for bit, so the fast path gives
 the same bounds and medians as the general code; on other graphs and
 on iterates that are not binary the general code runs.
 """
@@ -85,67 +86,45 @@ class SubgradientBounds:
 
 
 class CutState:
-    """Cut sums of a binary iterate, moved in O(deg) per flipped vertex.
+    """Cut sums of a binary iterate; a single flip moves them in O(deg).
 
-    side is the mask of the positive side; own[i] and cut[i] are the
-    symmetric weights from i to its own side and across the cut,
-    is_cut flags the cut pairs of g.pairs, and vol_neg is the volume of
-    the negative side. Only meaningful when g.exact_sums holds: then the
-    updates are exact and equal a full recount.
+    side is the mask of the positive side, cut[i] the symmetric weight
+    from i across the cut, is_cut flags the cut pairs of g.pairs, and
+    vol_neg is the volume of the negative side. The weight from i to its
+    own side is d[i] - cut[i], because d = d_out + d_in sums the pair
+    weights at each vertex. A move that flips one vertex updates its
+    pairs in O(deg); any other move recounts in O(m). g.exact_sums must
+    hold: then every update, and d - cut, equals a full recount bit for
+    bit.
     """
 
     def __init__(self, g: DirectedGraph):
+        if not g.exact_sums:
+            raise ValueError("CutState needs a graph whose sums are exact (g.exact_sums)")
         self.g = g
         self.side: np.ndarray | None = None
 
     def move_to(self, side: np.ndarray) -> None:
-        """Move to the positive-side mask side. Each flipped vertex
-        updates its own pairs; when the flipped vertices' degrees sum
-        to more than the pair count, one full recount is cheaper."""
-        g = self.g
-        pu, _, w_sym = g.pairs
-        if self.side is None:
+        """Move to the positive-side mask side: one flipped vertex moves
+        its pairs and neighbours in O(deg), any other move recounts."""
+        flipped = None if self.side is None else np.flatnonzero(side != self.side)
+        if flipped is None or flipped.size > 1:
             self._recount(side)
             return
-        moved = side != self.side
-        flipped = np.flatnonzero(moved)
         if flipped.size == 0:
             return
+        g, v = self.g, int(flipped[0])
         indptr, nbr, pair_ids = g.pair_adjacency
-        starts = indptr[flipped]
-        lens = indptr[flipped + 1] - starts
-        total = int(lens.sum())
-        if total > pu.size:
-            self._recount(side)
-            return
-        d = g.degree_profile.d
-        if flipped.size == 1:  # the common step; its neighbours are distinct
-            v = int(flipped[0])
-            at = slice(indptr[v], indptr[v + 1])
-            e, nb = pair_ids[at], nbr[at]
-            dw = np.where(self.is_cut[e], -w_sym[e], w_sym[e])  # change of the cut weight
-            self.is_cut[e] = ~self.is_cut[e]
-            self.cut[nb] += dw
-            self.own[nb] -= dw
-            self.own[v], self.cut[v] = self.cut[v], self.own[v]
-            self.vol_neg += float(-d[v] if side[v] else d[v])
-            self.side[v] = side[v]
-            return
-        # the CSR entries of the flipped vertices, and who owns each
-        at = np.arange(total) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        owner = np.repeat(flipped, lens)
-        # a pair between two flipped vertices keeps its state
-        keep = ~moved[nbr[at]]
-        e = pair_ids[at[keep]]
-        ends = np.concatenate([owner[keep], nbr[at[keep]]])
-        dw = np.where(self.is_cut[e], -w_sym[e], w_sym[e])  # change of the cut weight
-        dw = np.concatenate([dw, dw])
+        at = slice(indptr[v], indptr[v + 1])
+        e = pair_ids[at]  # the neighbours nbr[at] are distinct
+        w = g.pairs[2][e]
+        dw = np.where(self.is_cut[e], -w, w)  # change of the cut weight
         self.is_cut[e] = ~self.is_cut[e]
-        np.add.at(self.cut, ends, dw)
-        np.subtract.at(self.own, ends, dw)
-        to_pos = side[flipped]
-        self.vol_neg += float(d[flipped[~to_pos]].sum()) - float(d[flipped[to_pos]].sum())
-        self.side = side.copy()
+        self.cut[nbr[at]] += dw
+        d = g.degree_profile.d
+        self.cut[v] = d[v] - self.cut[v]  # v's own side and cut swap
+        self.vol_neg += float(-d[v] if side[v] else d[v])
+        self.side[v] = side[v]
 
     def _recount(self, side: np.ndarray) -> None:
         g = self.g
@@ -153,11 +132,8 @@ class CutState:
         self.side = side.copy()
         self.is_cut = side[pu] != side[pv]
         w_cut = w_sym * self.is_cut
-        w_own = w_sym - w_cut
         self.cut = np.bincount(pu, weights=w_cut, minlength=g.n)
         self.cut += np.bincount(pv, weights=w_cut, minlength=g.n)
-        self.own = np.bincount(pu, weights=w_own, minlength=g.n)
-        self.own += np.bincount(pv, weights=w_own, minlength=g.n)
         self.vol_neg = float(g.degree_profile.d[~side].sum())
 
     def matches_recount(self) -> bool:
@@ -165,7 +141,6 @@ class CutState:
         fresh = CutState(self.g)
         fresh._recount(self.side)
         return (self.is_cut.tobytes() == fresh.is_cut.tobytes()
-                and self.own.tobytes() == fresh.own.tobytes()
                 and self.cut.tobytes() == fresh.cut.tobytes()
                 and self.vol_neg == fresh.vol_neg)
 
@@ -318,8 +293,9 @@ def bounds(
         p -= q
         iz = zero.nonzero()[0]
     else:
+        own = degrees.d - cut.cut
         # 0.0 - own, not -own: the general code gives +0.0 where own is 0
-        p = np.where(cut.side, cut.own, 0.0 - cut.own)
+        p = np.where(cut.side, own, 0.0 - own)
         q = cut.cut.copy()
         iz = cut.is_cut.nonzero()[0]
 

@@ -31,9 +31,9 @@ def _graph(seed, kind, n=None):
 
 
 def _moves(rng, n):
-    """Sides to move through: single flips, small and large random
-    moves, and one move of every vertex, which always exceeds the pair
-    count in total degree and so takes the full recount."""
+    """Sides to move through: single flips, which move the state in
+    O(deg), and small and large random moves and one move of every
+    vertex, which recount it."""
     side = rng.random(n) < 0.5
     yield side
     for step in range(12):
@@ -71,24 +71,49 @@ def test_moves_equal_a_full_recount(seed, kind):
             tgt = across if side[a] != side[b] else own
             tgt[a] += wab
             tgt[b] += wab
-        assert _same_bits(cut.own, own) and _same_bits(cut.cut, across)
+        assert _same_bits(g.degree_profile.d - cut.cut, own) and _same_bits(cut.cut, across)
+        assert _same_bits(cut.is_cut, side[pu] != side[pv])
         assert cut.vol_neg == g.degree_profile.d[~side].sum()
 
 
-def test_large_moves_take_the_recount(monkeypatch):
+@given(seed=st.integers(0, 2**32 - 1), kind=exact_kinds)
+@settings(max_examples=80, deadline=None)
+def test_degrees_equal_the_pair_weight_sums(seed, kind):
+    # own = d - cut rests on this identity
+    g, _ = _graph(seed, kind)
+    pu, pv, w = g.pairs
+    per_vertex = np.zeros(g.n)
+    for a, b, wab in zip(pu, pv, w):
+        per_vertex[a] += wab
+        per_vertex[b] += wab
+    assert _same_bits(g.degree_profile.d, per_vertex)
+
+
+def test_only_a_single_flip_skips_the_recount(monkeypatch):
     g, rng = _graph(3, "integer", n=20)
-    calls = []
+    calls = []  # the states that recounted (matches_recount's fresh ones too)
     recount = CutState._recount
-    monkeypatch.setattr(CutState, "_recount", lambda self, side: (calls.append(1), recount(self, side)))
+    monkeypatch.setattr(CutState, "_recount", lambda self, side: (calls.append(self), recount(self, side)))
     cut = CutState(g)
+
+    def recounts():
+        return sum(c is cut for c in calls)
+
     side = rng.random(g.n) < 0.5
     cut.move_to(side)  # the first move counts everything
-    cut.move_to(~side)  # total degree 2 * pairs
-    side = ~side
-    side[0] ^= True
-    cut.move_to(side)  # one vertex: no recount
-    assert len(calls) == 2
-    assert cut.matches_recount()
+    assert recounts() == 1
+    for v in (0, 7, 0):
+        side = side.copy()
+        side[v] ^= True
+        cut.move_to(side)  # one vertex: O(deg), no recount
+        assert recounts() == 1 and cut.matches_recount()
+    cut.move_to(side.copy())  # nothing moves
+    assert recounts() == 1
+    side = side.copy()
+    side[[2, 5]] ^= True
+    cut.move_to(side)  # two vertices: recount
+    assert recounts() == 2 and cut.matches_recount()
+    assert _same_bits(cut.side, side)
 
 
 @given(seed=st.integers(0, 2**32 - 1), kind=exact_kinds,
@@ -140,6 +165,8 @@ def test_nonbinary_iterates_do_not_move_the_state():
 def test_wide_weights_never_use_the_state(seed):
     g, _ = _graph(seed, "wide")
     assert not g.exact_sums
+    with pytest.raises(ValueError, match="exact"):
+        CutState(g)
 
 
 def test_solve_without_exact_sums_never_builds_a_state(monkeypatch):

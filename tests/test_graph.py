@@ -64,6 +64,23 @@ def test_load_empty_input():
         load_edge_list(b"# nothing here\n")
 
 
+def test_build_graph_rejects_endpoints_outside_the_ids():
+    for tails, heads in (([0, 1, 5], [1, 2, 0]), ([0, 1, -1], [1, 2, 0]), ([0, 1, 2], [1, 2, 3])):
+        with pytest.raises(ValueError, match="outside the vertex ids"):
+            build_graph(3, tails, heads)
+    assert build_graph(3, [0, 1, 2], [1, 2, 0]).m == 3
+
+
+def test_build_graph_rejects_nan_weights():
+    with pytest.raises(ValueError, match="non-finite"):
+        build_graph(3, [0, 1, 2], [1, 2, 0], [1.0, np.nan, 1.0])
+
+
+def test_build_graph_rejects_infinite_weights():
+    with pytest.raises(ValueError, match="non-finite"):
+        build_graph(3, [0, 1, 2], [1, 2, 0], [1.0, np.inf, 1.0])
+
+
 def test_load_gzip_transparent(tmp_path):
     path = tmp_path / "g.el.gz"
     with gzip.open(path, "wt") as fh:

@@ -441,6 +441,7 @@ PINNED_REPORTS = {
     "c3": "e7ee23c1dcee4d458e48b521849a2d44c3496c0ecb6f80b51043e3270cd71de9",
     "dsbm-lscc": "43a5fa8aa16363a1ee2ef45895eb70360e5c0b45643ab57cdbbcdabe3a26f05d",
     "weighted": "8c6b912b6d66d12821426989f72b78a6f1dbd205ab2cfad590676e771a698b66",
+    "wide": "9132a9242d6f9d4b517946de3b3d4f4505feadcdaf2e6af0a8b713f25bde6c56",
 }
 # (best_r, certificate, iterations, vertices of best_set)
 PINNED_SUMMARIES = {
@@ -453,6 +454,7 @@ PINNED_SUMMARIES = {
          55, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 76, 77],
     ),
     "weighted": (0.061224489795918366, CERT_BOUNDARY, 3, [2, 6, 7, 10]),
+    "wide": (5.263760287094427e-06, CERT_BOUNDARY, 3, [0, 1, 3, 4, 5, 8, 9, 11]),
 }
 
 
@@ -462,14 +464,22 @@ def _pinned_input(name):
     if name == "dsbm-lscc":  # unweighted, N = 78
         g, _ = dsbm(DsbmParams(n=40, p=0.15, q=0.1, eta=0.2, seed=5))
         return largest_strong_component(g)[0]
-    # strongly connected (a Hamiltonian cycle plus 30 random arcs),
-    # weights in {0.5, 1, 1.5, 2}
+    # strongly connected (a Hamiltonian cycle plus 30 random arcs), with
+    # weights in {0.5, 1, 1.5, 2} ("weighted", whose sums are exact, so
+    # binary iterates run on a CutState) or 10^U(-3,3) ("wide", whose
+    # sums are not, so every iterate runs the general code)
     rng = np.random.default_rng(9)
     n = 12
     perm = rng.permutation(n)
     tails = np.concatenate([rng.integers(0, n, 30), perm])
     heads = np.concatenate([rng.integers(0, n, 30), np.roll(perm, -1)])
-    return build_graph(n, tails, heads, rng.choice([0.5, 1.0, 1.5, 2.0], size=tails.size))
+    if name == "weighted":
+        weights = rng.choice([0.5, 1.0, 1.5, 2.0], size=tails.size)
+    else:
+        weights = 10 ** rng.uniform(-3, 3, size=tails.size)
+    g = build_graph(n, tails, heads, weights)
+    assert g.exact_sums == (name == "weighted")
+    return g
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
