@@ -48,7 +48,6 @@ from .solver import (
 from .subgrad import (
     BoundaryIndicator,
     SelectedSubgradient,
-    StopCertificate,
     SubgradientBounds,
     VertexClasses,
     boundary_indicator,

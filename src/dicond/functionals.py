@@ -26,9 +26,9 @@ def linf(x: np.ndarray) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
-def is_nonconstant(x: np.ndarray, rtol: float = NONCONSTANT_RTOL) -> bool:
-    """max - min > rtol * max(1, ||x||_inf)."""
-    return float(np.max(x) - np.min(x)) > rtol * max(1.0, linf(x))
+def is_nonconstant(x: np.ndarray) -> bool:
+    """max - min > NONCONSTANT_RTOL * max(1, ||x||_inf)."""
+    return float(np.max(x) - np.min(x)) > NONCONSTANT_RTOL * max(1.0, linf(x))
 
 
 def i_plus(g: DirectedGraph, x: np.ndarray) -> float:

@@ -178,13 +178,13 @@ def _open_text(source):
     return data.decode("utf-8").splitlines()
 
 
-def load_edge_list(source, *, default_weight=1.0) -> DirectedGraph:
+def load_edge_list(source) -> DirectedGraph:
     """Parse a "tail head [weight]" edge list into a DirectedGraph.
 
     Lines starting with '#' or '%' are comments; blank lines are skipped.
-    A missing weight defaults to ``default_weight``. Parallel arcs are
-    aggregated, self-loops dropped (count kept on the graph), and labels
-    densified to 0-based ids in first-appearance order.
+    A missing weight is 1.0. Parallel arcs are aggregated, self-loops
+    dropped (count kept on the graph), and labels densified to 0-based
+    ids in first-appearance order.
     """
     labels: list[str] = []
     index: dict[str, int] = {}
@@ -204,7 +204,7 @@ def load_edge_list(source, *, default_weight=1.0) -> DirectedGraph:
         if len(parts) not in (2, 3):
             raise EdgeListParseError(line_no, f"expected 2 or 3 fields, got {len(parts)}")
         try:
-            w = float(parts[2]) if len(parts) == 3 else float(default_weight)
+            w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
             raise EdgeListParseError(line_no, f"bad weight {parts[2]!r}") from None
         if not np.isfinite(w):
@@ -323,9 +323,14 @@ def zero_cut(g: DirectedGraph, strong: bool = True) -> np.ndarray | None:
 
 
 def induced_subgraph(g: DirectedGraph, vertices: np.ndarray) -> tuple[DirectedGraph, np.ndarray]:
-    """Subgraph on the given vertices; returns (subgraph, original-id map)."""
-    vertices = np.asarray(vertices, dtype=np.int64)
-    vertices.sort()
+    """Subgraph on the given vertex ids, renumbered in ascending order;
+    returns (subgraph, original-id map). The caller's array is not
+    changed; ids outside [0, n) and repeated ids raise ValueError."""
+    vertices = np.sort(np.asarray(vertices, dtype=np.int64))
+    if vertices.size and (vertices[0] < 0 or vertices[-1] >= g.n):
+        raise ValueError(f"vertex ids must lie in [0, {g.n})")
+    if np.any(vertices[1:] == vertices[:-1]):
+        raise ValueError("vertex ids must be distinct")
     remap = -np.ones(g.n, dtype=np.int64)
     remap[vertices] = np.arange(vertices.size)
     keep = (remap[g.tails] >= 0) & (remap[g.heads] >= 0)

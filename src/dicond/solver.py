@@ -18,15 +18,8 @@ import numpy as np
 from .baselines import spectral_embedding, sweep_cut
 from .errors import ConstantVectorError, EmptyGraphError
 from .functionals import is_nonconstant, linf, q_r, r_obj
-from .graph import DegreeProfile, DirectedGraph, conductance_set, induced_subgraph, zero_cut
-from .subgrad import (
-    CutState,
-    StopCertificate,
-    bounds,
-    boundary_indicator,
-    iterate_state,
-    select_subgradient,
-)
+from .graph import DirectedGraph, conductance_set, induced_subgraph, zero_cut
+from .subgrad import CutState, bounds, boundary_indicator, iterate_state, select_subgradient
 
 CERT_BOUNDARY = "stop-by-V_b-empty"
 CERT_NO_DESCENT = "stop-by-no-descent"
@@ -162,9 +155,9 @@ def extract_partition(g: DirectedGraph, x: np.ndarray) -> tuple[np.ndarray, floa
     return sweep_cut(g, x, distinct_only=True)
 
 
-def verify_local_opt(g: DirectedGraph, s: np.ndarray, tol: float = 1e-12) -> bool:
+def verify_local_opt(g: DirectedGraph, s: np.ndarray) -> bool:
     """True iff no single sign flip of the +/-1 indicator of s improves
-    the ratio objective. As in flip_conductances, flips that would leave
+    the ratio objective by more than 1e-12. As in flip_conductances, flips that would leave
     a side with zero volume, where r is undefined, are skipped; these
     include the flips that would make x constant."""
     s = np.asarray(s, dtype=bool)
@@ -178,7 +171,7 @@ def verify_local_opt(g: DirectedGraph, s: np.ndarray, tol: float = 1e-12) -> boo
         x[i] = -x[i]
         ri = r_obj(g, degrees, x)
         x[i] = -x[i]
-        if ri < r0 - tol:
+        if ri < r0 - 1e-12:
             return False
     return True
 
@@ -235,17 +228,17 @@ def _precheck_report(g, mask, t0, note) -> SolveReport:
     )
 
 
-def dsi_run(
-    g: DirectedGraph, degrees: DegreeProfile, x1: np.ndarray, cfg: SolverConfig
-) -> SolveReport:
+def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     """One solver run from the initial vector x1.
 
     The bare three-step iteration, with no precheck, runs until a stop
     certificate or max_iters; dsi_solve calls it only on strongly
-    connected input. The best iterate is rounded by the distinct-value
-    sweep cut, and is_flip_local_opt is the O(m + n) single-flip test
-    of flip_conductances, the predicate that verify_local_opt checks
-    with one r_obj evaluation per vertex.
+    connected input. The three steps take the IterateState of each
+    iterate, and only a nonempty stop set V_b reaches
+    select_subgradient. The best iterate is rounded by the
+    distinct-value sweep cut, and is_flip_local_opt is the O(m + n)
+    single-flip test of flip_conductances, the predicate that
+    verify_local_opt checks with one r_obj evaluation per vertex.
 
     When g.exact_sums holds, the run keeps one CutState: each iterate
     that takes exactly two values +/-c moves it, in O(deg) when a single
@@ -259,7 +252,7 @@ def dsi_run(
     if not is_nonconstant(x):
         raise ConstantVectorError("initial vector must be nonconstant")
     cut = CutState(g) if g.exact_sums else None
-    state = iterate_state(g, degrees, x / linf(x), cut)
+    state = iterate_state(g, x / linf(x), cut)
     eps_dec = 1e-10 * max(1.0, state.r)
 
     trace = [state.r]
@@ -268,24 +261,23 @@ def dsi_run(
     iterations = 0
 
     for _ in range(cfg.max_iters):
-        x, r, classes = state.x, state.r, state.classes
         if cfg.self_check and state.cut is not None:
-            if not (np.array_equal(state.cut.side, x > 0) and state.cut.matches_recount()):
+            if not (np.array_equal(state.cut.side, state.x > 0) and state.cut.matches_recount()):
                 raise AssertionError("maintained cut sums differ from a full recount")
-        bnds = bounds(g, degrees, classes, x, state.cut)
-        ind = boundary_indicator(g, degrees, bnds, classes, r)
+        bnds = bounds(g, state)
+        ind = boundary_indicator(g, state, bnds)
         if ind.v_b.size == 0:
-            if not bool(classes.s_less.any()):
+            if not bool(state.classes.s_less.any()):
                 # the boundary test certifies only that no subgradient
                 # forces descent; it can miss single-flip improvements,
                 # so sweep the flips directly before accepting the stop
-                phis = flip_conductances(g, x > 0)
+                phis = flip_conductances(g, state.x > 0)
                 best_i = int(np.argmin(phis))
                 if phis[best_i] < r_star - eps_dec:
-                    x = np.where(x > 0, 1.0, -1.0)
+                    x = np.where(state.x > 0, 1.0, -1.0)
                     x[best_i] = -x[best_i]
                     iterations += 1
-                    state = iterate_state(g, degrees, x, cut)
+                    state = iterate_state(g, x, cut)
                     r_star, x_star = state.r, x.copy()
                     trace.append(state.r)
                     continue
@@ -293,18 +285,17 @@ def dsi_run(
                 break
             # stalled at a non-binary point: restart from the rounded
             # indicator, whose ratio can only be at least as good
-            mask, _ = sweep_cut(g, x, distinct_only=True)
+            mask, _ = sweep_cut(g, state.x, distinct_only=True)
             xb = np.where(mask, 1.0, -1.0)
             iterations += 1
-            state = iterate_state(g, degrees, xb, cut)
+            state = iterate_state(g, xb, cut)
             if state.r < r_star - eps_dec:
                 r_star, x_star = state.r, xb
                 trace.append(state.r)
             continue
-        sel = select_subgradient(g, degrees, bnds, ind, classes, r)
-        assert not isinstance(sel, StopCertificate)
+        sel = select_subgradient(g, state, bnds, ind)
         if cfg.self_check:
-            gap = abs(float(np.dot(x, sel.s)) - q_r(g, degrees, x, r))
+            gap = abs(float(np.dot(state.x, sel.s)) - q_r(g, g.degree_profile, state.x, state.r))
             # near-ties within the zero-test tolerance t of a class
             # boundary shift the identity by O(t); exact-tie iterates
             # sit at ~1e-15
@@ -315,7 +306,7 @@ def dsi_run(
         if not is_nonconstant(x_next):
             certificate = CERT_NO_DESCENT
             break
-        nxt = iterate_state(g, degrees, x_next, cut)
+        nxt = iterate_state(g, x_next, cut)
         if nxt.r < r_star - eps_dec:
             state = nxt
             r_star, x_star = nxt.r, x_next
@@ -348,7 +339,7 @@ def _random_sign_vector(n: int, rng: np.random.Generator) -> np.ndarray:
             return x
 
 
-def _initial_vectors(g, degrees, cfg, start) -> list[tuple[str, np.ndarray]]:
+def _initial_vectors(g, cfg, start) -> list[tuple[str, np.ndarray]]:
     """Restart schedule: the start vector when one is given, else
     spectral, sweep-seeded and degree-imbalance-seeded vectors by
     cfg.init; seeded random sign vectors fill the remaining restarts.
@@ -380,8 +371,9 @@ def _initial_vectors(g, degrees, cfg, start) -> list[tuple[str, np.ndarray]]:
             mask, _ = sweep_cut(g, emb_vec)
             inits.append(("sweep", np.where(mask, 1.0, -1.0)))
         elif kind == "imbalance":
-            if is_nonconstant(degrees.d_delta):
-                mask, _ = sweep_cut(g, degrees.d_delta)
+            d_delta = g.degree_profile.d_delta
+            if is_nonconstant(d_delta):
+                mask, _ = sweep_cut(g, d_delta)
                 inits.append(("imbalance", np.where(mask, 1.0, -1.0)))
 
     idx = 0
@@ -431,10 +423,9 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
         raise ConstantVectorError("init vector is constant on the positive-degree vertices "
                                   "(isolated vertices are ignored)")
 
-    degrees = sub.degree_profile
     reports = []
-    for idx, (kind, x1) in enumerate(_initial_vectors(sub, degrees, cfg, start)):
-        rep = dsi_run(sub, degrees, x1, cfg)
+    for idx, (kind, x1) in enumerate(_initial_vectors(sub, cfg, start)):
+        rep = dsi_run(sub, x1, cfg)
         reports.append(replace(rep, init_kind=kind, restart_index=idx))
     best = min(reports, key=lambda rep: (rep.best_r, rep.iterations, rep.restart_index))
 

@@ -3,9 +3,10 @@
 The descent machinery works on the per-vertex subdifferential intervals
 of the three convex pieces of Q_r (the arc term, the imbalance term, and
 the median term), combines their chi-signed extremes into a boundary
-indicator b, and either certifies flip-local optimality (V_b empty) or
+indicator b with its stop set V_b, and, when V_b is not empty,
 assembles a consistent subgradient whose l1 norm exceeds 1, which forces
-strict descent of the ratio objective.
+strict descent of the ratio objective. An empty V_b certifies the stop:
+no coordinate admits a descent-forcing boundary subgradient.
 
 All zero tests (x_i + x_j = 0, x_i = +/-||x||_inf, x_i = alpha, J = 0)
 use the relative tolerance ZERO_TOL * max(1, ||x||_inf); iterates of the
@@ -13,8 +14,11 @@ l1-ball subproblem carry few distinct values, so exact ties are the
 common case and must be detected robustly.
 
 The solver evaluates each iterate once, into an IterateState (extremes,
-tolerance, median, ratio and, on first use, the classes), and the steps
-of an iteration read it instead of recomputing it.
+tolerance, median, ratio, the moved CutState and, on first use, the
+classes). The three steps of an iteration, bounds, boundary_indicator
+and select_subgradient, take that state and read the degrees from the
+graph, so x, its tolerance, classes, ratio and cut sums always belong
+together.
 
 Binary fast path. Nearly every iterate takes exactly the two values
 +/-c, and consecutive ones usually differ in one sign. On such an
@@ -144,10 +148,11 @@ class CutState:
                 and self.cut.tobytes() == fresh.cut.tobytes()
                 and self.vol_neg == fresh.vol_neg)
 
-    def median(self, degrees: DegreeProfile, x: np.ndarray) -> MedianResult:
+    def median(self, x: np.ndarray) -> MedianResult:
         """n_med at a binary x on this side mask, from vol_neg alone:
         the lower median is -c iff the negative side holds at least
         half the volume, with the tolerance n_med uses."""
+        degrees = self.g.degree_profile
         w_total = degrees.vol_total
         half, eps = 0.5 * w_total, 1e-12 * w_total
         c = float(x.max())
@@ -213,13 +218,6 @@ class SelectedSubgradient:
     i_star: int
 
 
-@dataclass(frozen=True)
-class StopCertificate:
-    """Returned instead of a subgradient when V_b is empty."""
-
-    r: float
-
-
 def _classes(x: np.ndarray, spread: float, hi: float, t: float, alpha: float) -> VertexClasses:
     if spread <= t:
         raise ConstantVectorError("cannot classify a constant vector")
@@ -238,9 +236,7 @@ def classify(degrees: DegreeProfile, x: np.ndarray) -> VertexClasses:
     return _classes(x, spread, hi, ZERO_TOL * max(1.0, hi), n_med(degrees, x).alpha_low)
 
 
-def iterate_state(
-    g: DirectedGraph, degrees: DegreeProfile, x: np.ndarray, cut: CutState | None = None
-) -> IterateState:
+def iterate_state(g: DirectedGraph, x: np.ndarray, cut: CutState | None = None) -> IterateState:
     """Evaluate x once: extremes, tolerance, median and r; raises
     ConstantVectorError where r_obj would.
 
@@ -249,12 +245,13 @@ def iterate_state(
     from its side volumes instead of a sort; the result is the same.
     """
     x = np.asarray(x, dtype=float)
+    degrees = g.degree_profile
     x_min, x_max = float(np.min(x)), float(np.max(x))
     norm = max(x_max, -x_min)  # = ||x||_inf
     t = ZERO_TOL * max(1.0, norm)
     if cut is not None and x_min == -x_max and x_max > t and np.abs(x).min() == x_max:
         cut.move_to(x > 0)
-        median = cut.median(degrees, x)
+        median = cut.median(x)
     else:
         cut = None
         median = n_med(degrees, x)
@@ -262,22 +259,17 @@ def iterate_state(
     return IterateState(x, x_min, x_max, norm, t, median, r, cut)
 
 
-def bounds(
-    g: DirectedGraph,
-    degrees: DegreeProfile,
-    classes: VertexClasses,
-    x: np.ndarray,
-    cut: CutState | None = None,
-) -> SubgradientBounds:
-    """Per-vertex subdifferential intervals of the three pieces of Q_r.
+def bounds(g: DirectedGraph, state: IterateState) -> SubgradientBounds:
+    """Per-vertex subdifferential intervals of the three pieces of Q_r
+    at the iterate of state, with its tolerance t and classes.
 
-    cut, when given, is the CutState that iterate_state moved to this
-    binary x (IterateState.cut); the pair terms and A, B are then read
-    from its sums, with the same values as the general code.
+    When state.cut is set (a binary x on a graph with exact sums), the
+    pair terms and A, B are read from its cut sums, with the same values
+    as the general code.
     """
-    x = np.asarray(x, dtype=float)
+    x, t, classes, cut = state.x, state.t, state.classes, state.cut
+    degrees = g.degree_profile
     n = g.n
-    t = ZERO_TOL * max(1.0, linf(x))
     pu, pv, w_sym = g.pairs
 
     if cut is None:
@@ -343,14 +335,12 @@ def bounds(
 
 
 def boundary_indicator(
-    g: DirectedGraph,
-    degrees: DegreeProfile,
-    bnds: SubgradientBounds,
-    classes: VertexClasses,
-    r: float,
+    g: DirectedGraph, state: IterateState, bnds: SubgradientBounds
 ) -> BoundaryIndicator:
     """Boundary values b, signs chi, the chosen median-term endpoint, and
-    the stop set V_b = argmax{b_i chi_i : b_i chi_i > 0}."""
+    the stop set V_b = argmax{b_i chi_i : b_i chi_i > 0} at the iterate
+    of state, whose bounds are bnds. An empty V_b certifies the stop."""
+    classes, r = state.classes, state.r
     n = g.n
     p, q = bnds.p, bnds.q
     l_pt = bnds.l_low  # point value of the imbalance term when J != 0
@@ -373,7 +363,7 @@ def boundary_indicator(
     chi = np.where(classes.s_less, _sign(drift), np.where(classes.s_minus, 1.0, -1.0))
 
     if bnds.j_is_zero:
-        b = p + chi * np.abs(degrees.d_delta) + 2.0 * r * a_sel + chi * q
+        b = p + chi * np.abs(g.degree_profile.d_delta) + 2.0 * r * a_sel + chi * q
     else:
         b = drift + chi * q  # = p + l_pt + 2 r a_sel + chi q
 
@@ -388,16 +378,13 @@ def boundary_indicator(
 
 
 def select_subgradient(
-    g: DirectedGraph,
-    degrees: DegreeProfile,
-    bnds: SubgradientBounds,
-    indicator: BoundaryIndicator,
-    classes: VertexClasses,
-    r: float,
-) -> SelectedSubgradient | StopCertificate:
-    """Assemble the boundary-driven subgradient s = (u + y + 2 r v) / vol.
+    g: DirectedGraph, state: IterateState, bnds: SubgradientBounds, indicator: BoundaryIndicator
+) -> SelectedSubgradient:
+    """Assemble the boundary-driven subgradient s = (u + y + 2 r v) / vol
+    at the iterate of state, from its bounds and boundary indicator.
 
-    Returns a StopCertificate when V_b is empty. The pivot i* is the
+    V_b must not be empty (an empty V_b certifies the stop, and there is
+    no subgradient to select): raises ValueError. The pivot i* is the
     smallest id in V_b; the descent argument allows any member.
     Zero-sum neighbor pairs receive one consistent sign at both
     endpoints: chi(i*) for pairs touching i*, otherwise the chi of the
@@ -405,7 +392,8 @@ def select_subgradient(
     order with ties by id, so v on a tie, since pairs have u < v).
     """
     if indicator.v_b.size == 0:
-        return StopCertificate(r=r)
+        raise ValueError("V_b is empty: the boundary test certifies the stop")
+    classes, r, degrees = state.classes, state.r, g.degree_profile
     i_star = int(indicator.v_b.min())
 
     chi, abs_b = indicator.chi, np.abs(indicator.b)

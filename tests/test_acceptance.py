@@ -16,14 +16,12 @@ from dicond import (
     DsbmParams,
     SetFunctionHandle,
     SolverConfig,
-    StopCertificate,
     boundary_indicator,
     bounds,
     brute_binary_r_min,
     brute_conductance,
     build_graph,
     canonical,
-    classify,
     conductance_set,
     degrees,
     dsbm,
@@ -43,6 +41,7 @@ from dicond import (
 )
 from dicond.baselines import spectral_sweep
 from dicond.solver import CERT_BOUNDARY, flip_conductances, subproblem_argmin
+from dicond.subgrad import iterate_state
 
 from conftest import (
     all_pair_state_digraphs,
@@ -149,28 +148,23 @@ def test_criterion_3_descent_and_certificates():
     )
     states = blind_spots = 0
     for g in graphs:
-        deg = degrees(g)
         for x in sign_vectors(g.n):
-            r = r_obj(g, deg, x)
-            cls = classify(deg, x)
-            bnd = bounds(g, deg, cls, x)
-            ind = boundary_indicator(g, deg, bnd, cls, r)
-            sel = select_subgradient(g, deg, bnd, ind, cls, r)
-            if isinstance(sel, StopCertificate):
-                assert ind.v_b.size == 0
-                if flip_conductances(g, x > 0).min() < r - 1e-12:
+            state = iterate_state(g, x)
+            bnd = bounds(g, state)
+            ind = boundary_indicator(g, state, bnd)
+            if ind.v_b.size == 0:
+                if flip_conductances(g, x > 0).min() < state.r - 1e-12:
                     blind_spots += 1
             else:
-                _, l_val = subproblem_argmin(sel.s)
+                _, l_val = subproblem_argmin(select_subgradient(g, state, bnd, ind).s)
                 assert l_val < 0
             states += 1
 
     # (c) the solver never stops flip-suboptimal on these families
     for g in graphs[:150]:
-        deg = degrees(g)
         for bits in (1, (1 << g.n) - 2):
             x = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(g.n)])
-            rep = dsi_run(g, deg, x, SolverConfig(seed=0))
+            rep = dsi_run(g, x, SolverConfig(seed=0))
             if rep.certificate == CERT_BOUNDARY:
                 assert verify_local_opt(g, rep.best_set)
 
@@ -215,13 +209,13 @@ def test_criterion_4_subgradient_validity_fuzz():
             x = rng.standard_normal(g.n)
         if x.max() - x.min() <= 1e-9 or n_med(deg, x).n_value <= 0:
             continue
-        r = r_obj(g, deg, x)
-        cls = classify(deg, x)
-        bnd = bounds(g, deg, cls, x)
-        ind = boundary_indicator(g, deg, bnd, cls, r)
-        sel = select_subgradient(g, deg, bnd, ind, cls, r)
-        if isinstance(sel, StopCertificate):
+        state = iterate_state(g, x)
+        bnd = bounds(g, state)
+        ind = boundary_indicator(g, state, bnd)
+        if ind.v_b.size == 0:
             continue
+        r = state.r
+        sel = select_subgradient(g, state, bnd, ind)
         qx = q_r(g, deg, x, r)
         assert abs(float(x @ sel.s) - qx) <= 1e-10
         ys = rng.standard_normal((200, g.n)) * rng.choice([0.1, 1.0, 5.0])
@@ -243,23 +237,22 @@ def test_criterion_5_worked_trace_regression():
     deg = degrees(p3)
     x = np.array([1.0, -1.0, 1.0])
     assert r_obj(p3, deg, x) == 0.5
-    cls = classify(deg, x)
-    bnd = bounds(p3, deg, cls, x)
-    ind = boundary_indicator(p3, deg, bnd, cls, 0.5)
-    sel = select_subgradient(p3, deg, bnd, ind, cls, 0.5)
+    state = iterate_state(p3, x)
+    assert state.r == 0.5
+    bnd = bounds(p3, state)
+    ind = boundary_indicator(p3, state, bnd)
+    sel = select_subgradient(p3, state, bnd, ind)
     assert sel.s.tolist() == [-0.25, -1.0, 0.25]
     x_next, _ = subproblem_argmin(sel.s)
     assert np.allclose(x_next, [-1 / 3, -1 / 3, 1 / 3])
     assert r_obj(p3, deg, x_next) == 0.0
-    rep = dsi_run(p3, deg, x, SolverConfig())
+    rep = dsi_run(p3, x, SolverConfig())
     assert rep.r_trace == (0.5, 0.0)
 
     c3 = canonical("c3")
-    degc = degrees(c3)
-    xc = np.array([1.0, -1.0, -1.0])
-    clsc = classify(degc, xc)
-    bndc = bounds(c3, degc, clsc, xc)
-    indc = boundary_indicator(c3, degc, bndc, clsc, 0.5)
+    statec = iterate_state(c3, np.array([1.0, -1.0, -1.0]))
+    assert statec.r == 0.5
+    indc = boundary_indicator(c3, statec, bounds(c3, statec))
     assert indc.b.tolist() == [0.0, 0.0, 0.0]
     assert indc.v_b.size == 0
     elapsed = time.perf_counter() - t0

@@ -128,16 +128,16 @@ def test_bounds_and_median_match_the_general_code(seed, kind, scale):
         if side.all() or not side.any():
             continue
         x = np.where(side, c, -c)
-        fast = iterate_state(g, deg, x, cut)
-        slow = iterate_state(g, deg, x)
+        fast = iterate_state(g, x, cut)
+        slow = iterate_state(g, x)
         assert fast.cut is cut and slow.cut is None
         # the state's median is n_med's, bit for bit
         ref = n_med(deg, x)
         for name in ("alpha_low", "alpha_high", "n_value"):
             assert _same_bits(getattr(fast.median, name), getattr(ref, name))
         assert _same_bits(fast.r, slow.r)
-        b_fast = bounds(g, deg, fast.classes, x, fast.cut)
-        b_slow = bounds(g, deg, slow.classes, x)
+        b_fast = bounds(g, fast)
+        b_slow = bounds(g, slow)
         for f in fields(b_slow):
             a, b = getattr(b_fast, f.name), getattr(b_slow, f.name)
             if f.name == "zero_pairs":
@@ -152,11 +152,11 @@ def test_nonbinary_iterates_do_not_move_the_state():
     side = rng.random(g.n) < 0.5
     side[:2] = (True, False)
     x = np.where(side, 1.0, -1.0)
-    assert iterate_state(g, g.degree_profile, x, cut).cut is cut
+    assert iterate_state(g, x, cut).cut is cut
     x3 = np.where(~side, 1.0, -1.0)
     x3[0] = 0.5  # three values
     for y in (x3, np.where(~side, 2.0, -1.0)):  # two values, not +/-c
-        assert iterate_state(g, g.degree_profile, y, cut).cut is None
+        assert iterate_state(g, y, cut).cut is None
     assert _same_bits(cut.side, side)
 
 

@@ -18,7 +18,7 @@ from dicond import (
     load_edge_list,
     weak_components,
 )
-from dicond.graph import prefix_cut_profile, zero_cut
+from dicond.graph import induced_subgraph, prefix_cut_profile, zero_cut
 
 from conftest import random_digraph
 
@@ -241,6 +241,28 @@ def test_largest_strong_component_examples(p3):
     assert vmap.tolist() == [0, 1] and sub.m == 2
     sub, vmap = largest_strong_component(p3)
     assert vmap.tolist() == [0] and sub.m == 0
+
+
+def test_induced_subgraph_leaves_the_vertex_array_alone():
+    g = canonical("dicycle", 4)
+    v = np.array([3, 1])
+    sub, vmap = induced_subgraph(g, v)
+    assert v.tolist() == [3, 1]
+    assert vmap is not v and vmap.tolist() == [1, 3]
+    assert sub.labels == ("2", "4") and sub.m == 0
+
+
+def test_induced_subgraph_rejects_ids_outside_the_graph():
+    g = canonical("dicycle", 4)
+    for bad in ([-1, 0], [0, 4]):
+        with pytest.raises(ValueError, match="lie in"):
+            induced_subgraph(g, np.array(bad))
+
+
+def test_induced_subgraph_rejects_repeated_ids():
+    g = canonical("dicycle", 4)
+    with pytest.raises(ValueError, match="distinct"):
+        induced_subgraph(g, np.array([0, 0, 1]))
 
 
 def test_prefix_cut_profile_matches_direct():

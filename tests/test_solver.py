@@ -14,7 +14,6 @@ from dicond import (
     build_graph,
     canonical,
     conductance_set,
-    degrees,
     dsbm,
     dsi_run,
     dsi_solve,
@@ -139,8 +138,7 @@ def test_subproblem_equals_full_sort_near_the_unit_norm():
 
 
 def test_dsi_run_p3_trace(p3):
-    deg = degrees(p3)
-    rep = dsi_run(p3, deg, np.array([1.0, -1.0, 1.0]), SolverConfig(self_check=True))
+    rep = dsi_run(p3, np.array([1.0, -1.0, 1.0]), SolverConfig(self_check=True))
     assert rep.r_trace == (0.5, 0.0)
     assert rep.iterations == 1
     assert rep.certificate == CERT_BOUNDARY
@@ -151,8 +149,7 @@ def test_dsi_run_p3_trace(p3):
 
 
 def test_dsi_run_c3_immediate_stop(c3):
-    deg = degrees(c3)
-    rep = dsi_run(c3, deg, np.array([1.0, -1.0, -1.0]), SolverConfig())
+    rep = dsi_run(c3, np.array([1.0, -1.0, -1.0]), SolverConfig())
     assert rep.certificate == CERT_BOUNDARY
     assert rep.r_trace == (0.5,)
     assert rep.iterations == 0
@@ -170,7 +167,7 @@ def test_dsi_solve_disconnected_precheck():
 
 def test_dsi_run_constant_start_raises(p3):
     with pytest.raises(ConstantVectorError):
-        dsi_run(p3, degrees(p3), np.ones(3), SolverConfig())
+        dsi_run(p3, np.ones(3), SolverConfig())
 
 
 def test_sweep_cut_distinct_only_examples(p3):

@@ -5,7 +5,6 @@ import pytest
 
 from dicond import (
     ConstantVectorError,
-    StopCertificate,
     boundary_indicator,
     bounds,
     classify,
@@ -22,13 +21,10 @@ from dicond.subgrad import VertexClasses, iterate_state
 from conftest import all_pair_state_digraphs, pair_state_digraphs, random_digraph, sign_vectors
 
 
-def pipeline(g, x, r=None):
-    deg = degrees(g)
-    r = r_obj(g, deg, x) if r is None else r
-    cls = classify(deg, x)
-    bnd = bounds(g, deg, cls, x)
-    ind = boundary_indicator(g, deg, bnd, cls, r)
-    return deg, r, cls, bnd, ind
+def pipeline(g, x):
+    state = iterate_state(g, x)
+    bnd = bounds(g, state)
+    return state, bnd, boundary_indicator(g, state, bnd)
 
 
 def test_classify_examples(c3, p3):
@@ -67,7 +63,7 @@ def test_classify_constant_raises(c3):
 def test_bounds_c3_trace(c3):
     # hand-verified against finite differences of the three functionals
     x = np.array([1.0, -1.0, -1.0])
-    deg, r, cls, bnd, _ = pipeline(c3, x)
+    _, bnd, _ = pipeline(c3, x)
     assert bnd.p.tolist() == [0.0, -1.0, -1.0]
     assert bnd.q.tolist() == [2.0, 1.0, 1.0]
     assert (bnd.A, bnd.B) == (-2.0, 4.0)
@@ -79,7 +75,7 @@ def test_bounds_c3_trace(c3):
 
 def test_bounds_p3_nonzero_j(p3):
     x = np.array([1.0, -1.0, -1.0])
-    deg, r, cls, bnd, _ = pipeline(p3, x)
+    _, bnd, _ = pipeline(p3, x)
     assert not bnd.j_is_zero
     assert bnd.l_low.tolist() == [1.0, 0.0, -1.0]
     assert (bnd.A, bnd.B) == (-1.0, 3.0)
@@ -92,12 +88,10 @@ def test_bounds_smooth_region_is_gradient():
     rng = np.random.default_rng(21)
     for _ in range(20):
         g = random_digraph(rng, int(rng.integers(3, 8)), weighted=True)
-        deg = degrees(g)
         x = rng.standard_normal(g.n) + np.linspace(0, 0.01, g.n)  # break ties
         if np.min(np.abs(x[g.pairs[0]] + x[g.pairs[1]])) < 1e-6:
             continue
-        cls = classify(deg, x)
-        bnd = bounds(g, deg, cls, x)
+        bnd = bounds(g, iterate_state(g, x))
         assert not bnd.q.any()
         # central differences of the arc term
         eps = 1e-6
@@ -114,10 +108,11 @@ def test_bounds_fd_median_term():
         g = random_digraph(rng, int(rng.integers(3, 8)))
         deg = degrees(g)
         x = rng.standard_normal(g.n)
-        cls = classify(deg, x)
+        state = iterate_state(g, x)
+        cls = state.classes
         if cls.s_alpha.sum() != 1:
             continue  # FD only matches where N is differentiable
-        bnd = bounds(g, deg, cls, x)
+        bnd = bounds(g, state)
         eps = 1e-7
         for i in range(g.n):
             if cls.s_alpha[i]:
@@ -131,7 +126,8 @@ def test_bounds_fd_median_term():
 
 def test_boundary_indicator_c3_certificate(c3):
     x = np.array([1.0, -1.0, -1.0])
-    _, _, _, _, ind = pipeline(c3, x, r=0.5)
+    state, _, ind = pipeline(c3, x)
+    assert state.r == 0.5
     assert ind.chi.tolist() == [-1.0, 1.0, 1.0]
     assert ind.a_sel.tolist() == [2.0, 0.0, 0.0]
     assert ind.b.tolist() == [0.0, 0.0, 0.0]
@@ -140,7 +136,8 @@ def test_boundary_indicator_c3_certificate(c3):
 
 def test_boundary_indicator_p3_global_opt(p3):
     x = np.array([1.0, -1.0, -1.0])
-    _, _, _, _, ind = pipeline(p3, x, r=0.0)
+    state, _, ind = pipeline(p3, x)
+    assert state.r == 0.0
     assert ind.b.tolist() == [0.0, 0.0, -2.0]
     assert (ind.b * ind.chi <= 0).all()
     assert ind.v_b.size == 0
@@ -148,7 +145,8 @@ def test_boundary_indicator_p3_global_opt(p3):
 
 def test_boundary_indicator_p3_descent(p3):
     x = np.array([1.0, -1.0, 1.0])
-    _, _, _, _, ind = pipeline(p3, x, r=0.5)
+    state, _, ind = pipeline(p3, x)
+    assert state.r == 0.5
     assert ind.chi.tolist() == [-1.0, 1.0, -1.0]
     assert ind.b.tolist() == [-1.0, 0.0, -1.0]
     assert ind.v_b.tolist() == [0, 2]
@@ -156,23 +154,23 @@ def test_boundary_indicator_p3_descent(p3):
 
 def test_select_subgradient_p3_trace(p3):
     x = np.array([1.0, -1.0, 1.0])
-    deg, r, cls, bnd, ind = pipeline(p3, x, r=0.5)
-    sel = select_subgradient(p3, deg, bnd, ind, cls, 0.5)
+    state, bnd, ind = pipeline(p3, x)
+    assert state.r == 0.5
+    sel = select_subgradient(p3, state, bnd, ind)
     assert sel.i_star == 0
     assert sel.u.tolist() == [-1.0, -2.0, -1.0]
     assert sel.v.tolist() == [1.0, -2.0, 1.0]
     assert sel.y.tolist() == [-1.0, 0.0, 1.0]
     assert sel.s.tolist() == [-0.25, -1.0, 0.25]
     assert np.abs(sel.s).sum() == 1.5
-    assert float(x @ sel.s) == pytest.approx(q_r(p3, deg, x, 0.5), abs=1e-12)
+    assert float(x @ sel.s) == pytest.approx(q_r(p3, degrees(p3), x, 0.5), abs=1e-12)
 
 
-def test_select_returns_certificate_when_vb_empty(c3):
-    x = np.array([1.0, -1.0, -1.0])
-    deg, r, cls, bnd, ind = pipeline(c3, x, r=0.5)
-    out = select_subgradient(c3, deg, bnd, ind, cls, 0.5)
-    assert isinstance(out, StopCertificate)
-    assert out.r == 0.5
+def test_select_raises_when_vb_empty(c3):
+    state, bnd, ind = pipeline(c3, np.array([1.0, -1.0, -1.0]))
+    assert state.r == 0.5 and ind.v_b.size == 0
+    with pytest.raises(ValueError, match="V_b is empty"):
+        select_subgradient(c3, state, bnd, ind)
 
 
 def _random_states(rng, count):
@@ -198,7 +196,7 @@ def test_iterate_state_equals_r_obj_and_classify():
     rng = np.random.default_rng(29)
     checked = 0
     for g, deg, x in _random_states(rng, 300):
-        state = iterate_state(g, deg, x)
+        state = iterate_state(g, x)
         assert state.r == r_obj(g, deg, x)
         cls = classify(deg, x)
         for f in fields(VertexClasses):
@@ -212,20 +210,18 @@ def test_iterate_state_equals_r_obj_and_classify():
         with pytest.raises(ConstantVectorError):
             r_obj(g, deg, const)
         with pytest.raises(ConstantVectorError):
-            iterate_state(g, deg, const)
+            iterate_state(g, const)
 
 
 def test_subgradient_inequality_random_probes():
     rng = np.random.default_rng(23)
     tested = 0
     for g, deg, x in _random_states(rng, 150):
-        r = r_obj(g, deg, x)
-        cls = classify(deg, x)
-        bnd = bounds(g, deg, cls, x)
-        ind = boundary_indicator(g, deg, bnd, cls, r)
-        sel = select_subgradient(g, deg, bnd, ind, cls, r)
-        if isinstance(sel, StopCertificate):
+        state, bnd, ind = pipeline(g, x)
+        if ind.v_b.size == 0:
             continue
+        r = state.r
+        sel = select_subgradient(g, state, bnd, ind)
         qx = q_r(g, deg, x, r)
         assert float(x @ sel.s) == pytest.approx(qx, abs=1e-10)
         for _ in range(100):
@@ -238,18 +234,15 @@ def test_subgradient_inequality_random_probes():
 def test_component_feasibility_invariants():
     rng = np.random.default_rng(24)
     for g, deg, x in _random_states(rng, 120):
-        r = r_obj(g, deg, x)
-        cls = classify(deg, x)
-        bnd = bounds(g, deg, cls, x)
-        ind = boundary_indicator(g, deg, bnd, cls, r)
-        sel = select_subgradient(g, deg, bnd, ind, cls, r)
-        if isinstance(sel, StopCertificate):
+        state, bnd, ind = pipeline(g, x)
+        if ind.v_b.size == 0:
             continue
+        sel = select_subgradient(g, state, bnd, ind)
         assert (sel.u >= bnd.p - bnd.q - 1e-12).all()
         assert (sel.u <= bnd.p + bnd.q + 1e-12).all()
         assert (sel.v >= bnd.a_low - 1e-12).all()
         assert (sel.v <= bnd.a_high + 1e-12).all()
-        ties = cls.s_alpha
+        ties = state.classes.s_alpha
         assert sel.v[ties].sum() == pytest.approx(bnd.A, abs=1e-9)
         if ties.sum() >= 2:
             tie_ids = np.flatnonzero(ties)
@@ -294,12 +287,13 @@ def test_select_subgradient_equals_rank_rule():
     rng = np.random.default_rng(28)
     compared = 0
     for g, deg, x in _random_states(rng, 400):
-        deg, r, cls, bnd, ind = pipeline(g, x)
-        sel = select_subgradient(g, deg, bnd, ind, cls, r)
-        if isinstance(sel, StopCertificate):
+        state, bnd, ind = pipeline(g, x)
+        if ind.v_b.size == 0:
             continue
+        r = state.r
+        sel = select_subgradient(g, state, bnd, ind)
         assert sel.i_star == int(ind.v_b.min())
-        u, v = _select_by_rank(deg, bnd, ind, cls, sel.i_star)
+        u, v = _select_by_rank(deg, bnd, ind, state.classes, sel.i_star)
         assert sel.u.tolist() == u.tolist()
         assert sel.v.tolist() == v.tolist()
         assert sel.s.tolist() == ((u + sel.y + 2.0 * r * v) / deg.vol_total).tolist()
@@ -315,17 +309,10 @@ def test_descent_detection_binary_exhaustive():
         pair_state_digraphs(rng, 5, 40) + pair_state_digraphs(rng, 6, 25)
     states = 0
     for g in graphs:
-        deg = degrees(g)
         for x in sign_vectors(g.n):
-            r = r_obj(g, deg, x)
-            cls = classify(deg, x)
-            bnd = bounds(g, deg, cls, x)
-            ind = boundary_indicator(g, deg, bnd, cls, r)
-            sel = select_subgradient(g, deg, bnd, ind, cls, r)
-            if isinstance(sel, StopCertificate):
-                assert ind.v_b.size == 0
-            else:
-                _, l_val = subproblem_argmin(sel.s)
+            state, bnd, ind = pipeline(g, x)
+            if ind.v_b.size:
+                _, l_val = subproblem_argmin(select_subgradient(g, state, bnd, ind).s)
                 assert l_val < 0, (g.tails, g.heads, x, l_val)
             states += 1
     assert states > 3000
@@ -336,15 +323,11 @@ def test_vb_nonempty_implies_improving_flip():
     rng = np.random.default_rng(26)
     graphs = all_pair_state_digraphs(3) + pair_state_digraphs(rng, 5, 40)
     for g in graphs:
-        deg = degrees(g)
         for x in sign_vectors(g.n):
-            r = r_obj(g, deg, x)
-            cls = classify(deg, x)
-            bnd = bounds(g, deg, cls, x)
-            ind = boundary_indicator(g, deg, bnd, cls, r)
+            state, _, ind = pipeline(g, x)
             if ind.v_b.size:
                 phis = flip_conductances(g, x > 0)
-                assert phis.min() < r - 1e-12
+                assert phis.min() < state.r - 1e-12
 
 
 @pytest.mark.xfail(
@@ -357,15 +340,11 @@ def test_vb_empty_implies_flip_optimal_as_stated():
     rng = np.random.default_rng(27)
     graphs = all_pair_state_digraphs(4)
     for g in graphs:
-        deg = degrees(g)
         for x in sign_vectors(g.n):
-            r = r_obj(g, deg, x)
-            cls = classify(deg, x)
-            bnd = bounds(g, deg, cls, x)
-            ind = boundary_indicator(g, deg, bnd, cls, r)
+            state, _, ind = pipeline(g, x)
             if ind.v_b.size == 0:
                 phis = flip_conductances(g, x > 0)
-                assert phis.min() >= r - 1e-12
+                assert phis.min() >= state.r - 1e-12
 
 
 def test_known_boundary_blind_spot():
@@ -377,11 +356,9 @@ def test_known_boundary_blind_spot():
     g = build_graph(4, [0, 0, 0, 1, 1, 2], [1, 2, 3, 0, 2, 1])
     deg = degrees(g)
     x = np.array([-1.0, 1.0, 1.0, -1.0])
-    r = r_obj(g, deg, x)
+    state, bnd, ind = pipeline(g, x)
+    r = state.r
     assert r == pytest.approx(0.2)
-    cls = classify(deg, x)
-    bnd = bounds(g, deg, cls, x)
-    ind = boundary_indicator(g, deg, bnd, cls, r)
     assert ind.v_b.size == 0
     # upper boundary of the s_0 interval is negative: no subgradient escape
     s0_max = (bnd.p[0] + bnd.q[0] + bnd.l_low[0] + 2 * r * bnd.a_high[0]) / deg.vol_total
