@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 size-limit error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -59,29 +60,14 @@ def _emit(doc: dict, out_path, args, inputs, config: dict) -> None:
         sys.stdout.write(text)
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        max_iters=args.max_iters,
-        restarts=args.restarts,
-        init=args.init,
-        seed=args.seed,
-    )
-
-
 def cmd_solve(args) -> int:
     g = load_edge_list(args.graph)
-    cfg = _solver_config(args)
-    rep = dsi_solve(g, cfg)
+    settings = {k: getattr(args, k) for k in ("restarts", "max_iters", "seed", "init")}
+    rep = dsi_solve(g, SolverConfig(**settings))
     doc = rep.to_dict(with_timings=not args.no_timings)
     doc["n"] = g.n
     doc["m"] = g.m
-    snapshot = {
-        "restarts": args.restarts,
-        "max_iters": args.max_iters,
-        "seed": args.seed,
-        "init": args.init,
-    }
-    _emit(doc, args.out, args, [args.graph], {"solver": snapshot})
+    _emit(doc, args.out, args, [args.graph], {"solver": settings})
     if args.trace_csv:
         with open(args.trace_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -168,7 +154,8 @@ def _expand_values(text: str):
 def parse_grid(spec: str) -> dict:
     """Parse "p=q=0.02;eta=0,0.05,...,0.3;n=200;seeds=5" into a dict of
     lists; chained keys share values; "seeds=<count>" expands to
-    range(count)."""
+    range(count); "names=a,b" is a list of strings. n and seeds take
+    integers only, and a seed count must be at least 1."""
     grid: dict = {}
     for item in spec.split(";"):
         item = item.strip()
@@ -177,22 +164,27 @@ def parse_grid(spec: str) -> dict:
         *keys, value = item.split("=")
         if not keys:
             raise ValueError(f"bad grid item {item!r}")
-        vals = _expand_values(value)
         for key in keys:
             key = key.strip()
-            if key == "seeds":
-                if len(vals) == 1 and float(vals[0]).is_integer():
-                    grid["seeds"] = list(range(int(vals[0])))
-                else:
-                    grid["seeds"] = [int(v) for v in vals]
-            elif key == "n":
-                grid["n"] = [int(v) for v in vals]
-            else:
-                grid[key] = vals
+            if key == "names":
+                grid[key] = [v.strip() for v in value.split(",") if v.strip()]
+                continue
+            vals = _expand_values(value)
+            if key in ("n", "seeds"):
+                if not all(v.is_integer() for v in vals):
+                    raise ValueError(f"{key} takes integers, got {value!r}")
+                vals = [int(v) for v in vals]
+            if key == "seeds" and len(vals) == 1:
+                if vals[0] < 1:
+                    raise ValueError(f"seed count must be >= 1, got {value!r}")
+                vals = list(range(vals[0]))
+            grid[key] = vals
     return grid
 
 
 def _bench_rows_dsbm(grid, args):
+    if "names" in grid:
+        raise DicondError("names= needs --suite real")
     ns = grid.get("n", [200])
     ps = grid.get("p", [0.02])
     qs = grid.get("q", ps)
@@ -207,7 +199,7 @@ def _bench_rows_dsbm(grid, args):
                         g, _ = dsbm(params)
                         name = f"dsbm(n={n},p={p},q={q},eta={eta},seed={seed})"
                         pstr = f"n={n};p={p};q={q};eta={eta};seed={seed}"
-                        yield name, pstr, g, seed
+                        yield name, pstr, g, seed, None
 
 
 def _bench_rows_real(grid, args):
@@ -219,33 +211,21 @@ def _bench_rows_real(grid, args):
         path = fetch(name, registry_path=args.registry)
         g = load_edge_list(path)
         for seed in seeds:
-            yield str(name), f"name={name};seed={seed}", g, seed
+            yield name, f"name={name};seed={seed}", g, seed, path
 
 
 def cmd_bench(args) -> int:
-    grid_text = args.grid or ""
-    if args.suite == "real":
-        # names are strings; parse them apart from the numeric grid
-        grid = {}
-        for item in grid_text.split(";"):
-            if not item.strip():
-                continue
-            key, _, value = item.partition("=")
-            if key.strip() == "names":
-                grid["names"] = [v.strip() for v in value.split(",") if v.strip()]
-            else:
-                grid.update(parse_grid(item))
-        rows_iter = _bench_rows_real(grid, args)
-    else:
-        grid = parse_grid(grid_text)
-        rows_iter = _bench_rows_dsbm(grid, args)
+    grid = parse_grid(args.grid)
+    rows_iter = (_bench_rows_real if args.suite == "real" else _bench_rows_dsbm)(grid, args)
 
     fieldnames = [
         "instance", "params", "dsi_phi", "sweep_phi", "oracle_phi",
         "iters", "wall_time", "certificate",
     ]
-    rows = []
-    for name, pstr, g, seed in rows_iter:
+    rows, inputs = [], []
+    for name, pstr, g, seed, path in rows_iter:
+        if path is not None and path not in inputs:
+            inputs.append(path)
         t0 = time.perf_counter()
         cfg = SolverConfig(max_iters=args.max_iters, restarts=args.restarts, seed=seed)
         rep = dsi_solve(g, cfg)
@@ -269,16 +249,12 @@ def cmd_bench(args) -> int:
         })
 
     out = args.out_csv
-    if out:
-        with open(out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(rows)
-        _write_manifest(args, [], [out], {"grid": grid_text, "suite": args.suite})
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
+    if out:
+        _write_manifest(args, inputs, [out], {"grid": args.grid, "suite": args.suite})
     return EXIT_OK
 
 
@@ -287,15 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"dicond {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_solver_flags(p):
-        p.add_argument("--restarts", type=int, default=8)
-        p.add_argument("--max-iters", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--init", default="mixed", choices=INIT_MODES)
+    def add_iteration_flags(p):
+        p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
+        p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
 
     p = sub.add_parser("solve", help="minimize conductance on an edge-list graph")
     p.add_argument("graph")
-    add_solver_flags(p)
+    add_iteration_flags(p)
+    p.add_argument("--seed", type=int, default=SolverConfig.seed)
+    p.add_argument("--init", default=SolverConfig.init, choices=INIT_MODES)
     p.add_argument("--out", default=None)
     p.add_argument("--trace-csv", default=None)
     p.add_argument("--no-timings", action="store_true")
@@ -328,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-oracle", action="store_true")
     p.add_argument("--oracle-limit", type=int, default=20)
     p.add_argument("--registry", default=None)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--max-iters", type=int, default=1000)
+    add_iteration_flags(p)
     p.add_argument("--no-timings", action="store_true")
     p.set_defaults(func=cmd_bench)
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from dicond.cli import main, parse_grid
+from dicond.cli import build_parser, main, parse_grid
+from dicond.solver import SolverConfig
 
 
 @pytest.fixture
@@ -109,6 +110,26 @@ def test_parse_grid():
     assert parse_grid("seeds=3,9")["seeds"] == [3, 9]
     with pytest.raises(ValueError):
         parse_grid("eta=0,...,1")
+    assert parse_grid("names=a, b;seeds=2") == {"names": ["a", "b"], "seeds": [0, 1]}
+    for bad in ("seeds=2.5", "seeds=1,2.5", "n=7.9", "n=100,100.5,...,101", "seeds=0", "seeds=-1"):
+        with pytest.raises(ValueError):
+            parse_grid(bad)
+
+
+@pytest.mark.parametrize("grid", ["names=x", "eta=0;seeds=2.5", "eta=0;n=7.9", "eta=0;seeds=0"])
+def test_bench_rejects_bad_grid(grid, capsys):
+    assert main(["bench", "--suite", "dsbm", "--grid", grid]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_flag_defaults_are_the_solver_config_defaults():
+    cfg = SolverConfig()
+    solve = build_parser().parse_args(["solve", "g.el"])
+    assert (solve.restarts, solve.max_iters, solve.seed, solve.init) == (
+        cfg.restarts, cfg.max_iters, cfg.seed, cfg.init,
+    )
+    bench = build_parser().parse_args(["bench", "--suite", "dsbm"])
+    assert (bench.restarts, bench.max_iters) == (cfg.restarts, cfg.max_iters)
 
 
 def test_bench_dsbm_csv(tmp_path):
@@ -148,6 +169,11 @@ def test_bench_real_suite(tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["instance"] == "tiny"
+    man = json.loads((tmp_path / "real.csv.manifest.json").read_text())
+    cached = tmp_path / "cache" / "tiny.el"
+    assert man["inputs"] == [
+        {"path": str(cached), "sha256": hashlib.sha256(data.read_bytes()).hexdigest()}
+    ]
 
 
 def test_byte_identical_outputs(tmp_path, c3_file):
