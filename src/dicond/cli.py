@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import sys
 import time
@@ -41,7 +42,7 @@ def _write_manifest(args, inputs, outputs, config: dict) -> None:
         "tool": "dicond",
         "version": __version__,
         "schema_version": 1,
-        "command": [args.command] + args._raw_rest,
+        "command": args.argv,
         "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs if Path(p).exists()],
         "outputs": [str(p) for p in outputs],
         "config": config,
@@ -103,15 +104,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen_dsbm(args) -> int:
-    params = DsbmParams(n=args.n, p=args.p, q=args.q, eta=args.eta, seed=args.seed)
-    g, planted = dsbm(params)
+    settings = {k: getattr(args, k) for k in ("n", "p", "q", "eta", "seed")}
+    g, planted = dsbm(DsbmParams(**settings))
     write_edge_list(g, args.out)
     side = Path(str(args.out) + ".labels")
     with open(side, "w") as fh:
         for lab, block in zip(g.labels, planted):
             fh.write(f"{lab} {block}\n")
-    cfg = {"n": args.n, "p": args.p, "q": args.q, "eta": args.eta, "seed": args.seed}
-    _write_manifest(args, [], [args.out, side], {"params": cfg})
+    _write_manifest(args, [], [args.out, side], {"params": settings})
     return EXIT_OK
 
 
@@ -183,23 +183,13 @@ def parse_grid(spec: str) -> dict:
 
 
 def _bench_rows_dsbm(grid, args):
-    if "names" in grid:
-        raise DicondError("names= needs --suite real")
-    ns = grid.get("n", [200])
     ps = grid.get("p", [0.02])
-    qs = grid.get("q", ps)
-    etas = grid.get("eta", [0.0])
-    seeds = grid.get("seeds", [0])
-    for n in ns:
-        for p in ps:
-            for q in qs:
-                for eta in etas:
-                    for seed in seeds:
-                        params = DsbmParams(n=n, p=p, q=q, eta=eta, seed=seed)
-                        g, _ = dsbm(params)
-                        name = f"dsbm(n={n},p={p},q={q},eta={eta},seed={seed})"
-                        pstr = f"n={n};p={p};q={q};eta={eta};seed={seed}"
-                        yield name, pstr, g, seed, None
+    axes = (grid.get("n", [200]), ps, grid.get("q", ps), grid.get("eta", [0.0]),
+            grid.get("seeds", [0]))
+    for n, p, q, eta, seed in itertools.product(*axes):
+        g, _ = dsbm(DsbmParams(n=n, p=p, q=q, eta=eta, seed=seed))
+        pstr = f"n={n};p={p};q={q};eta={eta};seed={seed}"
+        yield f"dsbm({pstr.replace(';', ',')})", pstr, g, seed, None
 
 
 def _bench_rows_real(grid, args):
@@ -214,8 +204,14 @@ def _bench_rows_real(grid, args):
             yield name, f"name={name};seed={seed}", g, seed, path
 
 
+SUITE_GRID_KEYS = {"dsbm": {"n", "p", "q", "eta", "seeds"}, "real": {"names", "seeds"}}
+
+
 def cmd_bench(args) -> int:
     grid = parse_grid(args.grid)
+    unknown = sorted(set(grid) - SUITE_GRID_KEYS[args.suite])
+    if unknown:
+        raise DicondError(f"--suite {args.suite} does not read grid key(s) {', '.join(unknown)}")
     rows_iter = (_bench_rows_real if args.suite == "real" else _bench_rows_dsbm)(grid, args)
 
     fieldnames = [
@@ -298,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_dsbm)
 
     p = sub.add_parser("bench", help="benchmark grid to CSV")
-    p.add_argument("--suite", choices=["dsbm", "real"], required=True)
+    p.add_argument("--suite", choices=list(SUITE_GRID_KEYS), required=True)
     p.add_argument("--grid", default="")
     p.add_argument("--out-csv", default=None)
     p.add_argument("--with-oracle", action="store_true")
@@ -328,7 +324,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
-    args._raw_rest = argv
+    args.argv = argv
     try:
         return args.func(args)
     except GraphTooLargeError as exc:

@@ -9,6 +9,7 @@ by (tail, head), all weights strictly positive.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -124,12 +125,6 @@ def build_graph(n, tails, heads, weights=None, labels=None) -> DirectedGraph:
         raise ValueError("non-finite arc weight")
     if (weights < 0).any():
         raise ValueError("negative arc weight")
-    return _canonical_graph(n, tails, heads, weights, labels)
-
-
-def _canonical_graph(n, tails, heads, weights, labels) -> DirectedGraph:
-    """build_graph after its checks: n >= 1, int64 ids in [0, n) and
-    finite weights >= 0."""
     loops = tails == heads
     n_loops = int(loops.sum())
     keep = ~loops & (weights > 0)
@@ -207,7 +202,7 @@ def load_edge_list(source) -> DirectedGraph:
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
             raise EdgeListParseError(line_no, f"bad weight {parts[2]!r}") from None
-        if not np.isfinite(w):
+        if not math.isfinite(w):
             raise EdgeListParseError(line_no, f"non-finite weight {parts[2]!r}")
         if w < 0:
             raise EdgeListParseError(line_no, f"negative weight {w}")
@@ -217,9 +212,7 @@ def load_edge_list(source) -> DirectedGraph:
 
     if not labels:
         raise EmptyGraphError("edge list defines no vertices")
-    # ids and weights are checked above: skip build_graph's checks
-    return _canonical_graph(len(labels), np.array(tails, dtype=np.int64),
-                            np.array(heads, dtype=np.int64), np.array(weights), labels)
+    return build_graph(len(labels), tails, heads, weights, labels)
 
 
 def write_edge_list(g: DirectedGraph, path) -> None:

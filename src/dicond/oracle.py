@@ -34,79 +34,62 @@ class _LexMin:
 
     def __init__(self):
         self.value = np.inf
-        self.rev_key = None
         self.mask = None
 
-    def offer(self, values, rev_keys, masks):
+    def offer(self, values, masks):
         if values.size == 0:
             return
         lo = float(values.min())
         if lo > self.value:
             return
-        attain = values == lo
-        j = int(np.argmin(np.where(attain, rev_keys, np.iinfo(np.int64).max)))
-        key = int(rev_keys[j])
-        if lo < self.value or self.rev_key is None or key < self.rev_key:
-            self.value = lo
-            self.rev_key = key
-            self.mask = masks[j].copy()
+        tied = masks[values == lo]
+        if lo == self.value and self.mask is not None:
+            tied = np.vstack([self.mask, tied])
+        # keys ordered as the membership vectors, vertex 0 most significant
+        keys = tied.astype(np.int64) @ (1 << np.arange(tied.shape[1] - 1, -1, -1, dtype=np.int64))
+        self.value = lo
+        self.mask = tied[int(np.argmin(keys))].copy()
 
 
-def _member_matrix(reps: np.ndarray, n: int) -> np.ndarray:
-    """Boolean membership (chunk, n); vertex 0 is never a member."""
-    cols = ((reps[:, None] >> np.arange(n - 1)[None, :]) & 1).astype(bool)
-    return np.hstack([np.zeros((reps.size, 1), dtype=bool), cols])
-
-
-def _rev_keys(member: np.ndarray) -> np.ndarray:
-    """Integer keys whose order equals lexicographic order of the
-    membership vectors (vertex 0 is the most significant position)."""
-    n = member.shape[1]
-    return member.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+def _subsets(n: int, limit: int):
+    """Yield membership matrices (chunk, n) over the 2^(n-1) - 1 nonempty
+    subsets that leave out vertex 0, one per complementary pair, CHUNK
+    rows at a time."""
+    if n > limit:
+        raise GraphTooLargeError(f"n={n} exceeds oracle limit {limit}")
+    if n < 2:
+        raise DegenerateSubsetError("need at least two vertices")
+    total = (1 << (n - 1)) - 1
+    for start in range(1, total + 1, CHUNK):
+        reps = np.arange(start, min(start + CHUNK, total + 1), dtype=np.int64)
+        cols = ((reps[:, None] >> np.arange(n - 1)[None, :]) & 1).astype(bool)
+        yield np.hstack([np.zeros((reps.size, 1), dtype=bool), cols])
 
 
 def brute_conductance(g: DirectedGraph, limit: int = 24) -> OracleResult:
     """Exact minima of phi_d, phi_plus, phi_minus over all nonempty
     proper subsets, skipping zero-volume sides."""
-    n = g.n
-    if n > limit:
-        raise GraphTooLargeError(f"n={n} exceeds oracle limit {limit}")
-    if n < 2:
-        raise DegenerateSubsetError("need at least two vertices")
     d = g.degree_profile.d
     vol_total = g.degree_profile.vol_total
     w = g.weights
 
     best_d, best_p, best_m = _LexMin(), _LexMin(), _LexMin()
-    total = (1 << (n - 1)) - 1
-    for start in range(1, total + 1, CHUNK):
-        reps = np.arange(start, min(start + CHUNK, total + 1), dtype=np.int64)
-        member = _member_matrix(reps, n)
+    for member in _subsets(g.n, limit):
         t_in = member[:, g.tails]
         h_in = member[:, g.heads]
-        cp = (t_in & ~h_in) @ w
-        cm = (~t_in & h_in) @ w
         vol_s = member @ d
         mv = np.minimum(vol_s, vol_total - vol_s)
         valid = mv > 0
-        if not valid.any():
-            continue
-        reps_v = member[valid]
-        mv_v = mv[valid]
-        cp_v, cm_v = cp[valid], cm[valid]
-        phi_p = cp_v / mv_v
-        phi_m = cm_v / mv_v
-        phi_d = np.minimum(phi_p, phi_m)
-        keys = _rev_keys(reps_v)
-        comp = ~reps_v
-        comp_keys = _rev_keys(comp)
-        best_d.offer(phi_d, keys, reps_v)
+        reps = member[valid]
+        phi_p = ((t_in & ~h_in) @ w)[valid] / mv[valid]
+        phi_m = ((~t_in & h_in) @ w)[valid] / mv[valid]
+        best_d.offer(np.minimum(phi_p, phi_m), reps)
         # phi_plus over all subsets = phi_plus on reps plus phi_minus on
         # their complements (cut+ of the complement is cut- of the set)
-        best_p.offer(phi_p, keys, reps_v)
-        best_p.offer(phi_m, comp_keys, comp)
-        best_m.offer(phi_m, keys, reps_v)
-        best_m.offer(phi_p, comp_keys, comp)
+        best_p.offer(phi_p, reps)
+        best_p.offer(phi_m, ~reps)
+        best_m.offer(phi_m, reps)
+        best_m.offer(phi_p, ~reps)
 
     if best_d.mask is None:
         raise DegenerateSubsetError("every subset has a zero-volume side")
@@ -117,7 +100,7 @@ def brute_conductance(g: DirectedGraph, limit: int = 24) -> OracleResult:
         argmin_d=best_d.mask,
         argmin_plus=best_p.mask,
         argmin_minus=best_m.mask,
-        subsets_enumerated=total,
+        subsets_enumerated=(1 << (g.n - 1)) - 1,
     )
 
 
@@ -127,31 +110,17 @@ def brute_binary_r_min(
     """Exact minimum of the ratio objective over nonconstant +/-1
     vectors (evaluated through the continuous formula, not the cut
     definition, so the two enumerations cross-check each other)."""
-    n = g.n
-    if n > limit:
-        raise GraphTooLargeError(f"n={n} exceeds oracle limit {limit}")
-    if n < 2:
-        raise DegenerateSubsetError("need at least two vertices")
-    d = degrees.d
-    d_delta = degrees.d_delta
     vol_total = degrees.vol_total
-    w = g.weights
-
     best = _LexMin()
-    total = (1 << (n - 1)) - 1
-    for start in range(1, total + 1, CHUNK):
-        reps = np.arange(start, min(start + CHUNK, total + 1), dtype=np.int64)
-        member = _member_matrix(reps, n)
+    for member in _subsets(g.n, limit):
         same_side = member[:, g.tails] == member[:, g.heads]
-        i_plus = 2.0 * (same_side @ w)
-        j = 2.0 * np.abs(member @ d_delta)
-        vol_s = member @ d
+        i_plus = 2.0 * (same_side @ g.weights)
+        j = 2.0 * np.abs(member @ degrees.d_delta)
+        vol_s = member @ degrees.d
         n_val = 2.0 * np.minimum(vol_s, vol_total - vol_s)
         valid = n_val > 0
-        if not valid.any():
-            continue
         r = (vol_total - i_plus[valid] - j[valid]) / (2.0 * n_val[valid])
-        best.offer(r, _rev_keys(member[valid]), member[valid])
+        best.offer(r, member[valid])
 
     if best.mask is None:
         raise DegenerateSubsetError("every sign vector has zero median deviation")

@@ -116,7 +116,9 @@ def test_parse_grid():
             parse_grid(bad)
 
 
-@pytest.mark.parametrize("grid", ["names=x", "eta=0;seeds=2.5", "eta=0;n=7.9", "eta=0;seeds=0"])
+@pytest.mark.parametrize("grid", [
+    "names=x", "eta=0;seeds=2.5", "eta=0;n=7.9", "eta=0;seeds=0", "p=q=0.3;etas=0.3;n=6;seeds=1",
+])
 def test_bench_rejects_bad_grid(grid, capsys):
     assert main(["bench", "--suite", "dsbm", "--grid", grid]) == 3
     assert capsys.readouterr().out == ""
@@ -159,7 +161,14 @@ def test_bench_real_suite(tmp_path, monkeypatch):
     data.write_text("1 2\n2 3\n3 1\n1 3\n")
     reg = tmp_path / "registry.json"
     reg.write_text(json.dumps({"tiny": {"url": data.as_uri(), "format": "edgelist"}}))
-    monkeypatch.setenv("DICOND_CACHE_DIR", str(tmp_path / "cache"))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("DICOND_CACHE_DIR", str(cache))
+    # a key the real suite does not read is rejected before any fetch
+    assert main([
+        "bench", "--suite", "real", "--grid", "names=tiny;eta=0.1", "--registry", str(reg),
+    ]) == 3
+    assert list(cache.iterdir()) == []
     out = tmp_path / "real.csv"
     assert main([
         "bench", "--suite", "real", "--grid", "names=tiny;seeds=1",
@@ -189,6 +198,16 @@ def test_byte_identical_outputs(tmp_path, c3_file):
     man1["command"] = man2["command"] = []
     assert man1 == man2
     assert man1["inputs"][0]["sha256"] == hashlib.sha256(c3_file.read_bytes()).hexdigest()
+
+
+def test_manifest_command_is_the_argv(tmp_path, c3_file):
+    solve = ["solve", str(c3_file), "--no-timings", "--out", str(tmp_path / "r.json")]
+    bench = ["bench", "--suite", "dsbm", "--grid", "p=q=0.4;n=6;seeds=1",
+             "--out-csv", str(tmp_path / "b.csv"), "--no-timings"]
+    for argv, out in ((solve, "r.json"), (bench, "b.csv")):
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+        assert manifest["command"] == argv
 
 
 def test_bench_byte_identical(tmp_path):

@@ -57,6 +57,10 @@ def test_load_bad_weight():
         load_edge_list(b"1 2 abc\n")
     with pytest.raises(EdgeListParseError):
         load_edge_list(b"1 2 -1\n")
+    for weight in ("nan", "inf", "-inf"):
+        with pytest.raises(EdgeListParseError) as exc:
+            load_edge_list(f"1 2\n2 3 {weight}\n".encode())
+        assert exc.value.line_no == 2
 
 
 def test_load_empty_input():

@@ -6,6 +6,7 @@ from dicond import (
     brute_binary_r_min,
     brute_conductance,
     build_graph,
+    canonical,
     conductance_set,
     degrees,
     r_obj,
@@ -94,18 +95,25 @@ def test_argmin_is_attaining_subset():
         assert conductance_set(g, res.argmin_minus)[2] == res.phi_minus_min
 
 
-def test_chunked_enumeration_consistency():
-    # force multiple chunks and compare against a small-chunk rerun
+def test_chunked_enumeration_consistency(monkeypatch):
+    # force multiple chunks and compare against a default-chunk run; the
+    # dicycle ties many subsets at the minimum, so the lexicographic tie
+    # rule is checked across chunk boundaries
     import dicond.oracle as oracle_mod
 
     rng = np.random.default_rng(45)
-    g = random_digraph(rng, 12, weighted=True)
-    res_big = brute_conductance(g)
-    old = oracle_mod.CHUNK
-    try:
-        oracle_mod.CHUNK = 17
-        res_small = brute_conductance(g)
-    finally:
-        oracle_mod.CHUNK = old
-    assert res_big.phi_d_min == res_small.phi_d_min
-    assert res_big.argmin_d.tolist() == res_small.argmin_d.tolist()
+    graphs = (random_digraph(rng, 12, weighted=True), canonical("dicycle", 8))
+
+    def run(g):
+        return brute_conductance(g), brute_binary_r_min(g, degrees(g))
+
+    default_runs = [run(g) for g in graphs]
+    monkeypatch.setattr(oracle_mod, "CHUNK", 17)
+    for g, (big, (r_big, arg_big)) in zip(graphs, default_runs):
+        small, (r_small, arg_small) = run(g)
+        for field in ("phi_d_min", "phi_plus_min", "phi_minus_min", "subsets_enumerated"):
+            assert getattr(big, field) == getattr(small, field)
+        for field in ("argmin_d", "argmin_plus", "argmin_minus"):
+            assert getattr(big, field).tolist() == getattr(small, field).tolist()
+        assert r_big == r_small
+        assert arg_big.tolist() == arg_small.tolist()
