@@ -17,9 +17,9 @@ import numpy as np
 
 from .baselines import spectral_embedding, sweep_cut
 from .errors import ConstantVectorError, EmptyGraphError
-from .functionals import is_nonconstant, linf, q_r, r_obj
+from .functionals import is_nonconstant, linf, q_r
 from .graph import DirectedGraph, conductance_set, induced_subgraph, zero_cut
-from .subgrad import CutState, bounds, boundary_indicator, iterate_state, select_subgradient
+from .subgrad import CutState, binary_step, general_step, iterate_state
 
 CERT_BOUNDARY = "stop-by-V_b-empty"
 CERT_NO_DESCENT = "stop-by-no-descent"
@@ -156,22 +156,20 @@ def extract_partition(g: DirectedGraph, x: np.ndarray) -> tuple[np.ndarray, floa
 
 
 def verify_local_opt(g: DirectedGraph, s: np.ndarray) -> bool:
-    """True iff no single sign flip of the +/-1 indicator of s improves
-    the ratio objective by more than 1e-12. As in flip_conductances, flips that would leave
-    a side with zero volume, where r is undefined, are skipped; these
-    include the flips that would make x constant."""
-    s = np.asarray(s, dtype=bool)
-    degrees = g.degree_profile
-    x = np.where(s, 1.0, -1.0)
-    r0 = r_obj(g, degrees, x)
-    live = degrees.d > 0
+    """True iff no single-vertex flip of the subset s lowers its
+    conductance by more than 1e-12, with every flipped set measured
+    directly by conductance_set. As in flip_conductances, flips that
+    would leave a side empty or with zero volume are skipped."""
+    s = np.array(s, dtype=bool)
+    live = g.degree_profile.d > 0
+    phi0 = conductance_set(g, s)[0]
     # positive-degree vertices inside s after flipping each vertex
     live_in = np.count_nonzero(s & live) + np.where(s, -1, 1) * live
     for i in np.flatnonzero((live_in > 0) & (live_in < np.count_nonzero(live))):
-        x[i] = -x[i]
-        ri = r_obj(g, degrees, x)
-        x[i] = -x[i]
-        if ri < r0 - 1e-12:
+        s[i] = not s[i]
+        phi = conductance_set(g, s)[0]
+        s[i] = not s[i]
+        if phi < phi0 - 1e-12:
             return False
     return True
 
@@ -228,24 +226,39 @@ def _precheck_report(g, mask, t0, note) -> SolveReport:
     )
 
 
+def _check_binary_step(g, state, v_b, sel) -> None:
+    """self_check on a binary iterate: the cut sums equal a full recount,
+    and V_b and s equal the general chain's, bit for bit."""
+    if not (np.array_equal(state.cut.side, state.x > 0) and state.cut.matches_recount()):
+        raise AssertionError("maintained cut sums differ from a full recount")
+    ref_v_b, ref = general_step(g, state)
+    # both steps return a subgradient exactly when V_b is not empty
+    if v_b.tobytes() != ref_v_b.tobytes() or (sel is not None and sel.s.tobytes() != ref.s.tobytes()):
+        raise AssertionError("binary step differs from the general chain")
+
+
 def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     """One solver run from the initial vector x1.
 
     The bare three-step iteration, with no precheck, runs until a stop
     certificate or max_iters; dsi_solve calls it only on strongly
-    connected input. The three steps take the IterateState of each
-    iterate, and only a nonempty stop set V_b reaches
-    select_subgradient. The best iterate is rounded by the
-    distinct-value sweep cut, and is_flip_local_opt is the O(m + n)
-    single-flip test of flip_conductances, the predicate that
-    verify_local_opt checks with one r_obj evaluation per vertex.
+    connected input. Each iterate is evaluated once into an
+    IterateState, and a step returns its stop set V_b and, when V_b is
+    not empty, the selected subgradient. An iterate whose successor is
+    constant (is_nonconstant) stops the run with no descent. The best
+    iterate is rounded by the distinct-value sweep cut, and
+    is_flip_local_opt is the O(m + n) single-flip test of
+    flip_conductances, the predicate that verify_local_opt checks with
+    one conductance_set per vertex.
 
     When g.exact_sums holds, the run keeps one CutState: each iterate
     that takes exactly two values +/-c moves it, in O(deg) when a single
-    vertex flips and by an O(m) recount otherwise, and bounds reads its
-    cut sums (own = d - cut) instead of an O(m) pass over all pairs.
-    Exactness makes the result the same as the general code; other
-    iterates and other graphs use the general code.
+    vertex flips and by an O(m) recount otherwise, and its step is
+    binary_step, one pass over the cut sums instead of the O(m) pass
+    over all pairs and the three general steps. Exactness makes the
+    result the general chain's, bit for bit; with cfg.self_check every
+    such step asserts that against general_step. Other iterates and
+    other graphs take general_step.
     """
     t0 = time.perf_counter()
     x = np.asarray(x1, dtype=float)
@@ -261,12 +274,13 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     iterations = 0
 
     for _ in range(cfg.max_iters):
-        if cfg.self_check and state.cut is not None:
-            if not (np.array_equal(state.cut.side, state.x > 0) and state.cut.matches_recount()):
-                raise AssertionError("maintained cut sums differ from a full recount")
-        bnds = bounds(g, state)
-        ind = boundary_indicator(g, state, bnds)
-        if ind.v_b.size == 0:
+        if state.cut is None:
+            v_b, sel = general_step(g, state)
+        else:
+            v_b, sel = binary_step(g, state)
+            if cfg.self_check:
+                _check_binary_step(g, state, v_b, sel)
+        if v_b.size == 0:
             if not bool(state.classes.s_less.any()):
                 # the boundary test certifies only that no subgradient
                 # forces descent; it can miss single-flip improvements,
@@ -293,7 +307,6 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
                 r_star, x_star = state.r, xb
                 trace.append(state.r)
             continue
-        sel = select_subgradient(g, state, bnds, ind)
         if cfg.self_check:
             gap = abs(float(np.dot(state.x, sel.s)) - q_r(g, g.degree_profile, state.x, state.r))
             # near-ties within the zero-test tolerance t of a class
@@ -303,10 +316,11 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
                 raise AssertionError(f"subgradient tightness violated: gap={gap:.3e}")
         x_next, _ = subproblem_argmin(sel.s)
         iterations += 1
-        if not is_nonconstant(x_next):
+        try:
+            nxt = iterate_state(g, x_next, cut)
+        except ConstantVectorError:
             certificate = CERT_NO_DESCENT
             break
-        nxt = iterate_state(g, x_next, cut)
         if nxt.r < r_star - eps_dec:
             state = nxt
             r_star, x_star = nxt.r, x_next

@@ -14,25 +14,28 @@ l1-ball subproblem carry few distinct values, so exact ties are the
 common case and must be detected robustly.
 
 The solver evaluates each iterate once, into an IterateState (extremes,
-tolerance, median, ratio, the moved CutState and, on first use, the
-classes). The three steps of an iteration, bounds, boundary_indicator
-and select_subgradient, take that state and read the degrees from the
-graph, so x, its tolerance, classes, ratio and cut sums always belong
-together.
+tolerance, median, j0, ratio, the moved CutState and, on first use, the
+classes). The three steps of the general chain, bounds,
+boundary_indicator and select_subgradient, take that state and read the
+degrees from the graph, so x, its tolerance, classes, ratio and cut sums
+always belong together; general_step runs them in turn.
 
 Binary fast path. Nearly every iterate takes exactly the two values
 +/-c, and consecutive ones usually differ in one sign. On such an
-iterate the pair terms of bounds depend only on the cut: p_i =
-sigma_i * own_i and q_i = cut_i, where cut_i is the symmetric weight
-from i across the cut and own_i = d_i - cut_i the weight to its own
-side, the zero pairs are the cut pairs, and the median and A, B follow
-from the two side volumes. A CutState keeps the cut sums: a single flip
-moves them in O(deg), other moves recount in O(m). It is used only on
-graphs whose sums are all exact (DirectedGraph.exact_sums: weights that
-are multiples of one 2^-k with a bounded total), where the updated sums
-and d - cut equal a full recount bit for bit, so the fast path gives
-the same bounds and medians as the general code; on other graphs and
-on iterates that are not binary the general code runs.
+iterate the chain depends only on the cut: the classes are the two
+sides, the pair terms are p_i = sigma_i * own_i and q_i = cut_i, where
+cut_i is the symmetric weight from i across the cut and own_i = d_i -
+cut_i the weight to its own side, the zero pairs are the cut pairs, and
+the median and A, B follow from the two side volumes. A CutState keeps
+the cut sums: a single flip moves them in O(deg), other moves recount in
+O(m). It is used only on graphs whose sums are all exact
+(DirectedGraph.exact_sums: weights that are multiples of one 2^-k with a
+bounded total), where the updated sums, d - cut and every sum over the
+cut pairs equal the general code's bit for bit. There binary_step
+replaces the three steps with one pass: it returns the same V_b and
+subgradient as general_step without the O(m) pass over all pairs, the
+vertex classes or the interval arrays. On other graphs and on iterates
+that are not binary, general_step runs.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstantVectorError
-from .functionals import MedianResult, linf, median_deviation, n_med, ratio
+from .functionals import NONCONSTANT_RTOL, MedianResult, j_terms, linf, median_deviation, n_med, ratio
 from .graph import DegreeProfile, DirectedGraph
 
 ZERO_TOL = 1e-9
@@ -170,11 +173,11 @@ class IterateState:
     Holds x with its extremes and norm = ||x||_inf, the zero-test
     tolerance t = ZERO_TOL * max(1, norm), the degree-weighted median from a
     single n_med call (or, equal to it, from the cut state's volumes),
-    and r, the value r_obj returns at x. The vertex
-    classes are built on first use, so an iterate that is rejected
-    never pays for them (nor raises where classify would). cut is the
-    CutState moved to x when x is binary and a CutState was given,
-    else None.
+    the signed imbalance j0 = <d_delta, x>, and r, the value r_obj
+    returns at x. The vertex classes are built on first use, so an
+    iterate that is rejected never pays for them (nor raises where
+    classify would). cut is the CutState moved to x when x is binary
+    and a CutState was given, else None.
     """
 
     x: np.ndarray
@@ -183,6 +186,7 @@ class IterateState:
     norm: float
     t: float
     median: MedianResult
+    j0: float
     r: float
     cut: CutState | None = None
 
@@ -237,8 +241,9 @@ def classify(degrees: DegreeProfile, x: np.ndarray) -> VertexClasses:
 
 
 def iterate_state(g: DirectedGraph, x: np.ndarray, cut: CutState | None = None) -> IterateState:
-    """Evaluate x once: extremes, tolerance, median and r; raises
-    ConstantVectorError where r_obj would.
+    """Evaluate x once: extremes, tolerance, median, j0 and r; raises
+    ConstantVectorError where is_nonconstant(x) is False or r_obj would
+    raise.
 
     With a CutState of g (g.exact_sums must hold) and an x that takes
     exactly the values +/-c, the state moves to x and the median comes
@@ -248,6 +253,8 @@ def iterate_state(g: DirectedGraph, x: np.ndarray, cut: CutState | None = None) 
     degrees = g.degree_profile
     x_min, x_max = float(np.min(x)), float(np.max(x))
     norm = max(x_max, -x_min)  # = ||x||_inf
+    if not x_max - x_min > NONCONSTANT_RTOL * max(1.0, norm):  # is_nonconstant(x)
+        raise ConstantVectorError("cannot evaluate a constant vector")
     t = ZERO_TOL * max(1.0, norm)
     if cut is not None and x_min == -x_max and x_max > t and np.abs(x).min() == x_max:
         cut.move_to(x > 0)
@@ -255,44 +262,32 @@ def iterate_state(g: DirectedGraph, x: np.ndarray, cut: CutState | None = None) 
     else:
         cut = None
         median = n_med(degrees, x)
-    r = ratio(g, degrees, x, norm, median.n_value)
-    return IterateState(x, x_min, x_max, norm, t, median, r, cut)
+    j0, j = j_terms(g, x)
+    r = ratio(g, degrees, x, norm, median.n_value, j)
+    return IterateState(x, x_min, x_max, norm, t, median, j0, r, cut)
 
 
 def bounds(g: DirectedGraph, state: IterateState) -> SubgradientBounds:
     """Per-vertex subdifferential intervals of the three pieces of Q_r
-    at the iterate of state, with its tolerance t and classes.
-
-    When state.cut is set (a binary x on a graph with exact sums), the
-    pair terms and A, B are read from its cut sums, with the same values
-    as the general code.
-    """
-    x, t, classes, cut = state.x, state.t, state.classes, state.cut
+    at the iterate of state, with its tolerance t and classes."""
+    x, t, classes, j0 = state.x, state.t, state.classes, state.j0
     degrees = g.degree_profile
     n = g.n
     pu, pv, w_sym = g.pairs
 
-    if cut is None:
-        pair_sum = x[pu] + x[pv]
-        zero = np.abs(pair_sum) <= t
-        # +w on the zero band too; p -= q below takes it back
-        contrib = np.where(pair_sum < -t, -w_sym, w_sym)
-        p = np.bincount(pu, weights=contrib, minlength=n)
-        p += np.bincount(pv, weights=contrib, minlength=n)
-        w_zero = w_sym * zero
-        q = np.bincount(pu, weights=w_zero, minlength=n)
-        q += np.bincount(pv, weights=w_zero, minlength=n)
-        p -= q
-        iz = zero.nonzero()[0]
-    else:
-        own = degrees.d - cut.cut
-        # 0.0 - own, not -own: the general code gives +0.0 where own is 0
-        p = np.where(cut.side, own, 0.0 - own)
-        q = cut.cut.copy()
-        iz = cut.is_cut.nonzero()[0]
+    pair_sum = x[pu] + x[pv]
+    zero = np.abs(pair_sum) <= t
+    # +w on the zero band too; p -= q below takes it back
+    contrib = np.where(pair_sum < -t, -w_sym, w_sym)
+    p = np.bincount(pu, weights=contrib, minlength=n)
+    p += np.bincount(pv, weights=contrib, minlength=n)
+    w_zero = w_sym * zero
+    q = np.bincount(pu, weights=w_zero, minlength=n)
+    q += np.bincount(pv, weights=w_zero, minlength=n)
+    p -= q
+    iz = zero.nonzero()[0]
 
     d_delta = degrees.d_delta
-    j0 = float(np.dot(d_delta, x))
     j_is_zero = abs(j0) <= t
     if j_is_zero:
         l_high = np.abs(d_delta)
@@ -304,13 +299,8 @@ def bounds(g: DirectedGraph, state: IterateState) -> SubgradientBounds:
     in_a = classes.s_alpha
     below = (x < classes.alpha) & ~in_a
     above = (x > classes.alpha) & ~in_a
-    if cut is None:
-        A = float(d[below].sum() - d[above].sum())
-        B = float(d[in_a].sum())
-    else:
-        # the tie set is one side: the other side is all below or all above
-        vol_pos = degrees.vol_total - cut.vol_neg
-        A, B = (cut.vol_neg - 0.0, vol_pos) if classes.alpha > 0 else (0.0 - vol_pos, cut.vol_neg)
+    A = float(d[below].sum() - d[above].sum())
+    B = float(d[in_a].sum())
     a_low = np.where(above, d, -d)
     if np.count_nonzero(in_a) >= 2:
         a_high = np.where(in_a, np.minimum(A + B - d, d), a_low)
@@ -341,7 +331,6 @@ def boundary_indicator(
     the stop set V_b = argmax{b_i chi_i : b_i chi_i > 0} at the iterate
     of state, whose bounds are bnds. An empty V_b certifies the stop."""
     classes, r = state.classes, state.r
-    n = g.n
     p, q = bnds.p, bnds.q
     l_pt = bnds.l_low  # point value of the imbalance term when J != 0
     in_a = classes.s_alpha
@@ -367,14 +356,18 @@ def boundary_indicator(
     else:
         b = drift + chi * q  # = p + l_pt + 2 r a_sel + chi q
 
+    return BoundaryIndicator(b=b, chi=chi, a_sel=a_sel, v_b=_stop_set(b, chi))
+
+
+def _stop_set(b: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """V_b = argmax{b_i chi_i : b_i chi_i > 0}, with the zero test
+    relative to max |b|."""
     prod = b * chi
-    eps = ZERO_TOL * max(1.0, float(np.max(np.abs(b))) if n else 1.0)
-    top = float(prod.max()) if n else 0.0
+    eps = ZERO_TOL * max(1.0, float(np.max(np.abs(b))))
+    top = float(prod.max())
     if top > eps:
-        v_b = np.flatnonzero((prod > eps) & (prod >= top - eps))
-    else:
-        v_b = np.empty(0, dtype=np.int64)
-    return BoundaryIndicator(b=b, chi=chi, a_sel=a_sel, v_b=v_b)
+        return np.flatnonzero((prod > eps) & (prod >= top - eps))
+    return np.empty(0, dtype=np.int64)
 
 
 def select_subgradient(
@@ -435,3 +428,95 @@ def select_subgradient(
 
     s = (u + y + 2.0 * r * v) / degrees.vol_total
     return SelectedSubgradient(s=s, u=u, v=v, y=np.asarray(y, dtype=float), i_star=i_star)
+
+
+def general_step(g: DirectedGraph, state: IterateState) -> tuple[np.ndarray, SelectedSubgradient | None]:
+    """V_b at the iterate of state and, when V_b is not empty, the
+    selected subgradient: bounds, boundary_indicator and
+    select_subgradient in turn."""
+    bnds = bounds(g, state)
+    ind = boundary_indicator(g, state, bnds)
+    if ind.v_b.size == 0:
+        return ind.v_b, None
+    return ind.v_b, select_subgradient(g, state, bnds, ind)
+
+
+def binary_step(g: DirectedGraph, state: IterateState) -> tuple[np.ndarray, SelectedSubgradient | None]:
+    """general_step at a binary iterate, read from its CutState in one
+    pass; V_b and the subgradient are the general chain's, bit for bit.
+
+    state.cut must be set: x takes exactly the values +/-c with c > t,
+    and g.exact_sums holds. Then the classes are the sides (no vertex is
+    interior), chi is -1 on the positive side and +1 on the other, the
+    median tie set is the side that holds alpha, the pair terms are
+    p = +/-own with own = d - cut and q = cut, and the zero pairs are
+    the cut pairs. The zero-pair signing is summed per vertex with
+    bincount instead of np.add.at, which gives the same bits because
+    every such sum is exact.
+    """
+    cut, r = state.cut, state.r
+    degrees = g.degree_profile
+    d, d_delta = degrees.d, degrees.d_delta
+    side = cut.side
+    own = d - cut.cut
+    # 0.0 - own, not -own: the general code gives +0.0 where own is 0
+    p = np.where(side, own, 0.0 - own)
+    chi = np.where(side, -1.0, 1.0)
+
+    # median term: off the tie set a_sel = d * Sign(x - alpha); on a tie
+    # set of two or more, the endpoint the general chain selects (a_low
+    # when the tie set is the positive side, a_high when it is the
+    # negative one); on a single tie vertex, A
+    vol_pos = degrees.vol_total - cut.vol_neg
+    tie_pos = state.median.alpha_low > 0
+    in_a = side if tie_pos else ~side
+    A, B = (cut.vol_neg - 0.0, vol_pos) if tie_pos else (0.0 - vol_pos, cut.vol_neg)
+    n_tie = np.count_nonzero(in_a)
+    if n_tie >= 2:
+        tie = np.maximum(A - B + d, -d) if tie_pos else np.minimum(A + B - d, d)
+    else:
+        tie = A
+    a_sel = np.where(side, tie, -d) if tie_pos else np.where(side, d, tie)
+
+    j_is_zero = abs(state.j0) <= state.t
+    if j_is_zero:
+        imb = chi * np.abs(d_delta)
+    else:
+        imb = y = (1.0 if state.j0 >= 0 else -1.0) * d_delta
+    b = p + imb + 2.0 * r * a_sel + chi * cut.cut
+    v_b = _stop_set(b, chi)
+    if v_b.size == 0:
+        return v_b, None
+    i_star = int(v_b[0])
+    abs_b = np.abs(b)
+
+    v = a_sel
+    if n_tie >= 2:
+        tie_ids = np.flatnonzero(in_a)
+        if in_a[i_star]:
+            j_star = i_star
+        else:
+            ab = abs_b[tie_ids]
+            j_star = int(tie_ids[np.flatnonzero(ab == ab.max())[-1]])
+        denom = B - d[j_star]
+        scale = (A - a_sel[j_star]) / denom if denom > 0 else 0.0
+        v = np.where(in_a, scale * d, a_sel)
+        v[j_star] = a_sel[j_star]
+
+    # each cut pair adds chi(lead) * w at both ends, where lead is i* on
+    # pairs touching i* and else the end with the larger |b| (the later
+    # end on a tie). The ends of a cut pair have opposite chi, so vertex
+    # i gains chi_i * (2 lead_i - cut_i), lead_i the weight of the cut
+    # pairs it leads.
+    pu, pv, w_sym = g.pairs
+    iz = cut.is_cut.nonzero()[0]
+    zu, zv = pu.take(iz), pv.take(iz)
+    abs_b[i_star] = np.inf  # i* leads every pair it is in
+    lead = np.where(abs_b.take(zu) > abs_b.take(zv), zu, zv)
+    lead_w = np.bincount(lead, weights=w_sym.take(iz), minlength=g.n)
+    u = p + chi * (2.0 * lead_w - cut.cut)
+
+    if j_is_zero:
+        y = chi[i_star] * (1.0 if d_delta[i_star] >= 0 else -1.0) * d_delta
+    s = (u + y + 2.0 * r * v) / degrees.vol_total
+    return v_b, SelectedSubgradient(s=s, u=u, v=v, y=y, i_star=i_star)

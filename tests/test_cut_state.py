@@ -1,16 +1,15 @@
 """The binary fast path: CutState bookkeeping against full recounts, and
-bounds/iterate_state with a CutState against the general code."""
-
-from dataclasses import fields
+iterate_state and binary_step with a CutState against the general code."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicond import DsbmParams, SolverConfig, build_graph, dsbm, dsi_solve, largest_strong_component
+import dicond.solver
+from dicond import DsbmParams, SolverConfig, build_graph, canonical, dsbm, dsi_solve, largest_strong_component
 from dicond.functionals import n_med
-from dicond.subgrad import CutState, bounds, iterate_state
+from dicond.subgrad import CutState, binary_step, general_step, iterate_state
 
 WEIGHT_KINDS = {
     "integer": lambda rng, m: rng.integers(1, 4, m).astype(float),
@@ -116,34 +115,55 @@ def test_only_a_single_flip_skips_the_recount(monkeypatch):
     assert _same_bits(cut.side, side)
 
 
+def _check_binary_step(g, x, cut):
+    """binary_step at x with the state against the general chain without
+    it, bit for bit; returns (one tie vertex, J = 0, V_b empty)."""
+    fast = iterate_state(g, x, cut)
+    slow = iterate_state(g, x)
+    assert fast.cut is cut and slow.cut is None
+    # the state's median is n_med's, bit for bit
+    ref = n_med(g.degree_profile, x)
+    for name in ("alpha_low", "alpha_high", "n_value"):
+        assert _same_bits(getattr(fast.median, name), getattr(ref, name))
+    assert _same_bits(fast.r, slow.r)
+    v_b, sel = binary_step(g, fast)
+    ref_v_b, ref_sel = general_step(g, slow)
+    assert _same_bits(v_b, ref_v_b) and v_b.dtype == ref_v_b.dtype
+    assert (sel is None) == (ref_sel is None) == (v_b.size == 0)
+    if sel is not None:
+        assert sel.i_star == ref_sel.i_star
+        for name in ("u", "v", "y", "s"):
+            # tobytes tells -0.0 from 0.0
+            assert _same_bits(getattr(sel, name), getattr(ref_sel, name)), name
+    one_tie = np.count_nonzero(slow.classes.s_alpha) <= 1
+    return one_tie, abs(slow.j0) <= slow.t, v_b.size == 0
+
+
 @given(seed=st.integers(0, 2**32 - 1), kind=exact_kinds,
        scale=st.sampled_from([1.0, 0.5, 3.0, None]))
 @settings(max_examples=80, deadline=None)
-def test_bounds_and_median_match_the_general_code(seed, kind, scale):
+def test_binary_step_and_median_match_the_general_chain(seed, kind, scale):
     g, rng = _graph(seed, kind)
-    deg = g.degree_profile
     c = 1.0 / g.n if scale is None else scale
     cut = CutState(g)
     for side in _moves(rng, g.n):
         if side.all() or not side.any():
             continue
-        x = np.where(side, c, -c)
-        fast = iterate_state(g, x, cut)
-        slow = iterate_state(g, x)
-        assert fast.cut is cut and slow.cut is None
-        # the state's median is n_med's, bit for bit
-        ref = n_med(deg, x)
-        for name in ("alpha_low", "alpha_high", "n_value"):
-            assert _same_bits(getattr(fast.median, name), getattr(ref, name))
-        assert _same_bits(fast.r, slow.r)
-        b_fast = bounds(g, fast)
-        b_slow = bounds(g, slow)
-        for f in fields(b_slow):
-            a, b = getattr(b_fast, f.name), getattr(b_slow, f.name)
-            if f.name == "zero_pairs":
-                assert all(_same_bits(u, v) and u.dtype == v.dtype for u, v in zip(a, b))
-            else:
-                assert _same_bits(a, b), f.name  # tobytes tells -0.0 from 0.0
+        _check_binary_step(g, np.where(side, c, -c), cut)
+
+
+def test_binary_step_covers_one_tie_zero_imbalance_and_the_stop():
+    # a bidirected star has J = 0 everywhere, and its centre alone holds
+    # half the volume, so the centre is the only tie when it is negative
+    star = build_graph(5, [0, 0, 0, 0, 1, 2, 3, 4], [1, 2, 3, 4, 0, 0, 0, 0])
+    cases = ((star, np.arange(5) > 0), (star, np.arange(5) == 0),
+             (canonical("c3"), np.array([True, False, False])),  # a stop: V_b is empty
+             (canonical("p2"), np.array([True, False])),  # J = 2
+             (canonical("p3"), np.array([True, False, True])))  # a descent step
+    flags = np.array([_check_binary_step(g, np.where(side, c, -c), CutState(g))
+                      for g, side in cases for c in (1.0, 0.5, 3.0, 1.0 / g.n)])
+    # each of (one tie vertex, J = 0, V_b empty) holds in some case and fails in another
+    assert flags.any(axis=0).all() and not flags.all(axis=0).any()
 
 
 def test_nonbinary_iterates_do_not_move_the_state():
@@ -215,4 +235,28 @@ def test_self_check_compares_the_state_on_a_dsbm_component(monkeypatch):
 
     monkeypatch.setattr(CutState, "move_to", drift)
     with pytest.raises(AssertionError, match="full recount"):
+        dsi_solve(g, SolverConfig(seed=0, self_check=True))
+
+
+def test_self_check_compares_the_binary_step_with_the_general_chain(monkeypatch):
+    g, _ = dsbm(DsbmParams(n=40, p=0.15, q=0.1, eta=0.2, seed=5))
+    g = largest_strong_component(g)[0]
+    checks = []
+    general = dicond.solver.general_step
+    monkeypatch.setattr(dicond.solver, "general_step",
+                        lambda g, state: (checks.append(state.cut is not None), general(g, state))[1])
+    rep = dsi_solve(g, SolverConfig(seed=0, self_check=True))
+    assert rep.iterations > 0 and sum(checks) >= rep.iterations
+
+    # a fused result one ulp away from the general chain's is caught
+    fused = dicond.solver.binary_step
+
+    def perturbed(g, state):
+        v_b, sel = fused(g, state)
+        if sel is not None:
+            sel.s[sel.i_star] = np.nextafter(sel.s[sel.i_star], np.inf)
+        return v_b, sel
+
+    monkeypatch.setattr(dicond.solver, "binary_step", perturbed)
+    with pytest.raises(AssertionError, match="general chain"):
         dsi_solve(g, SolverConfig(seed=0, self_check=True))

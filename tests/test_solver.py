@@ -217,6 +217,17 @@ def test_verify_local_opt_skips_flips_that_empty_a_side_of_volume():
     assert verify_local_opt(g, s)
 
 
+@pytest.mark.parametrize("seed, bits", [(222, 68), (222, 187), (248, 260), (266, 32)])
+def test_verify_local_opt_decides_by_conductance_set(seed, bits):
+    # each set has conductance 0, a global minimum; on these weights the
+    # rounding of r_obj (about 2e-12) once made one of its flips look better
+    g = _wide_weight_digraph(seed)
+    s = (bits >> np.arange(g.n)) & 1 == 1
+    assert conductance_set(g, s)[0] == 0.0
+    assert verify_local_opt(g, s)
+    assert flip_conductances(g, s).min() >= -1e-12
+
+
 def test_dsi_solve_monotone_trace_and_identity():
     rng = np.random.default_rng(32)
     for trial in range(40):

@@ -14,7 +14,7 @@ from dicond import (
     r_obj,
     select_subgradient,
 )
-from dicond.functionals import i_plus
+from dicond.functionals import i_plus, is_nonconstant
 from dicond.solver import flip_conductances, subproblem_argmin
 from dicond.subgrad import VertexClasses, iterate_state
 
@@ -211,6 +211,12 @@ def test_iterate_state_equals_r_obj_and_classify():
             r_obj(g, deg, const)
         with pytest.raises(ConstantVectorError):
             iterate_state(g, const)
+    # constant to is_nonconstant's tolerance, though r_obj is defined there
+    nearly = np.ones(g.n)
+    nearly[0] += 1e-13
+    assert not is_nonconstant(nearly)
+    with pytest.raises(ConstantVectorError):
+        iterate_state(g, nearly)
 
 
 def test_subgradient_inequality_random_probes():
