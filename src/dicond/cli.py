@@ -1,7 +1,8 @@
 """Command-line interface: solve, oracle, sweep, DSBM generation,
 benchmark grids, dataset fetch, and format conversion.
 
-Every file output gets a sidecar <out>.manifest.json capturing the
+Every file output is listed in a sidecar <out>.manifest.json, one per
+command and named after its first output file, capturing the
 command, inputs (with content hashes), config, seeds, and tool version:
 rerunning with the same manifest inputs reproduces the outputs byte for
 byte (use --no-timings to zero out wall-clock fields, which are the only
@@ -52,13 +53,17 @@ def _write_manifest(args, inputs, outputs, config: dict) -> None:
     )
 
 
-def _emit(doc: dict, out_path, args, inputs, config: dict) -> None:
+def _emit(doc: dict, out_path, args, inputs, config: dict, extra_outputs=()) -> None:
+    """Write doc as JSON to out_path, or to stdout without one, and one
+    manifest for the files written: out_path, then extra_outputs."""
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
         Path(out_path).write_text(text)
-        _write_manifest(args, inputs, [out_path], config)
     else:
         sys.stdout.write(text)
+    outputs = [p for p in (out_path, *extra_outputs) if p]
+    if outputs:
+        _write_manifest(args, inputs, outputs, config)
 
 
 def cmd_solve(args) -> int:
@@ -68,12 +73,12 @@ def cmd_solve(args) -> int:
     doc = rep.to_dict(with_timings=not args.no_timings)
     doc["n"] = g.n
     doc["m"] = g.m
-    _emit(doc, args.out, args, [args.graph], {"solver": settings})
     if args.trace_csv:
         with open(args.trace_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "r"])
             writer.writerows(enumerate(doc["r_trace"]))
+    _emit(doc, args.out, args, [args.graph], {"solver": settings}, [args.trace_csv])
     return EXIT_OK
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer argument check shared across the package."""
+
+from numbers import Integral
 
 
 class DicondError(Exception):
@@ -28,3 +30,12 @@ class ConstantVectorError(DicondError, ValueError):
 
 class GraphTooLargeError(DicondError, ValueError):
     """Instance exceeds an exhaustive-enumeration size cap."""
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise ValueError unless value is an integer (numpy integers
+    count, bools do not) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")

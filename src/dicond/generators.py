@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_int
 from .graph import DirectedGraph, build_graph
 
 
@@ -16,7 +17,9 @@ class DsbmParams:
     n vertices per block (N = 2n total). Same-block pairs connect with
     probability p, direction uniform; cross pairs (u in block 1, v in
     block 2) connect with probability q, directed u -> v with
-    probability eta, v -> u otherwise. All weights are 1.
+    probability eta, v -> u otherwise. All weights are 1. n and seed are
+    integers (numpy integers too), n >= 1 and seed >= 0; other values
+    raise ValueError.
     """
 
     n: int
@@ -26,8 +29,8 @@ class DsbmParams:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("block size must be >= 1")
+        check_int("block size n", self.n, 1)
+        check_int("seed", self.seed, 0)
         for name in ("p", "q", "eta"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import spectral_embedding, sweep_cut
-from .errors import ConstantVectorError, EmptyGraphError
+from .errors import ConstantVectorError, EmptyGraphError, check_int
 from .functionals import is_nonconstant, linf, q_r
 from .graph import DirectedGraph, conductance_set, induced_subgraph, zero_cut
 from .subgrad import CutState, binary_step, general_step, iterate_state
@@ -37,6 +37,8 @@ class SolverConfig:
     length n, which is the first restart (kind "user") ahead of random
     ones. A start vector is kept as a read-only float copy (dsi_solve
     checks its length), and configs compare and hash by value.
+    max_iters and restarts are integers >= 1 and seed an integer >= 0
+    (numpy integers too); other values raise ValueError.
     """
 
     max_iters: int = 1000
@@ -46,8 +48,9 @@ class SolverConfig:
     self_check: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("max_iters and restarts must be >= 1")
+        check_int("max_iters", self.max_iters, 1)
+        check_int("restarts", self.restarts, 1)
+        check_int("seed", self.seed, 0)
         if isinstance(self.init, str):
             if self.init not in INIT_MODES:
                 raise ValueError(f"unknown init strategy {self.init!r}; expected one of {INIT_MODES}")

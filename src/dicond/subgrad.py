@@ -14,11 +14,12 @@ l1-ball subproblem carry few distinct values, so exact ties are the
 common case and must be detected robustly.
 
 The solver evaluates each iterate once, into an IterateState (extremes,
-tolerance, median, j0, ratio, the moved CutState and, on first use, the
-classes). The three steps of the general chain, bounds,
-boundary_indicator and select_subgradient, take that state and read the
-degrees from the graph, so x, its tolerance, classes, ratio and cut sums
-always belong together; general_step runs them in turn.
+tolerance, median, j0 with its sign and the one J = 0 test, ratio, the
+moved CutState and, on first use, the classes). The three steps of the
+general chain, bounds, boundary_indicator and select_subgradient, take
+that state and read the degrees from the graph, so x, its tolerance,
+classes, ratio and cut sums always belong together; general_step runs
+them in turn.
 
 Binary fast path. Nearly every iterate takes exactly the two values
 +/-c, and consecutive ones usually differ in one sign. On such an
@@ -35,7 +36,9 @@ cut pairs equal the general code's bit for bit. There binary_step
 replaces the three steps with one pass: it returns the same V_b and
 subgradient as general_step without the O(m) pass over all pairs, the
 vertex classes or the interval arrays. On other graphs and on iterates
-that are not binary, general_step runs.
+that are not binary, general_step runs. The two steps differ only in
+the inputs that binary_step reads off the cut state; both compute b
+in _boundary, V_b in _stop_set and v, y and s in _assemble.
 """
 
 from __future__ import annotations
@@ -88,7 +91,6 @@ class SubgradientBounds:
     A: float
     B: float
     j_is_zero: bool
-    j0: float
     zero_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -194,6 +196,16 @@ class IterateState:
     def classes(self) -> VertexClasses:
         return _classes(self.x, self.x_max - self.x_min, self.norm, self.t, self.median.alpha_low)
 
+    @property
+    def j_is_zero(self) -> bool:
+        """The J = 0 test, |j0| <= t."""
+        return abs(self.j0) <= self.t
+
+    @property
+    def j_sign(self) -> float:
+        """Sign(j0), with Sign(0) = +1."""
+        return 1.0 if self.j0 >= 0 else -1.0
+
 
 @dataclass(frozen=True)
 class BoundaryIndicator:
@@ -270,7 +282,7 @@ def iterate_state(g: DirectedGraph, x: np.ndarray, cut: CutState | None = None) 
 def bounds(g: DirectedGraph, state: IterateState) -> SubgradientBounds:
     """Per-vertex subdifferential intervals of the three pieces of Q_r
     at the iterate of state, with its tolerance t and classes."""
-    x, t, classes, j0 = state.x, state.t, state.classes, state.j0
+    x, t, classes = state.x, state.t, state.classes
     degrees = g.degree_profile
     n = g.n
     pu, pv, w_sym = g.pairs
@@ -288,12 +300,11 @@ def bounds(g: DirectedGraph, state: IterateState) -> SubgradientBounds:
     iz = zero.nonzero()[0]
 
     d_delta = degrees.d_delta
-    j_is_zero = abs(j0) <= t
-    if j_is_zero:
+    if state.j_is_zero:
         l_high = np.abs(d_delta)
         l_low = -l_high
     else:
-        l_low = l_high = d_delta * _sign(j0)
+        l_low = l_high = d_delta * state.j_sign
 
     d = degrees.d
     in_a = classes.s_alpha
@@ -318,8 +329,7 @@ def bounds(g: DirectedGraph, state: IterateState) -> SubgradientBounds:
         a_high=a_high,
         A=A,
         B=B,
-        j_is_zero=j_is_zero,
-        j0=j0,
+        j_is_zero=state.j_is_zero,
         zero_pairs=(pu[iz], pv[iz], w_sym[iz]),
     )
 
@@ -330,11 +340,10 @@ def boundary_indicator(
     """Boundary values b, signs chi, the chosen median-term endpoint, and
     the stop set V_b = argmax{b_i chi_i : b_i chi_i > 0} at the iterate
     of state, whose bounds are bnds. An empty V_b certifies the stop."""
-    classes, r = state.classes, state.r
-    p, q = bnds.p, bnds.q
-    l_pt = bnds.l_low  # point value of the imbalance term when J != 0
+    classes, r, p = state.classes, state.r, bnds.p
     in_a = classes.s_alpha
-    base = p + (l_pt if not bnds.j_is_zero else 0.0)
+    # l_low is the point value of the imbalance term when J != 0
+    base = p + (bnds.l_low if not state.j_is_zero else 0.0)
 
     # median-term endpoint per vertex: a_low is d * Sign(x - alpha) off
     # the tie set and A on a single tie vertex
@@ -350,18 +359,23 @@ def boundary_indicator(
 
     drift = base + 2.0 * r * a_sel
     chi = np.where(classes.s_less, _sign(drift), np.where(classes.s_minus, 1.0, -1.0))
-
-    if bnds.j_is_zero:
-        b = p + chi * np.abs(g.degree_profile.d_delta) + 2.0 * r * a_sel + chi * q
-    else:
-        b = drift + chi * q  # = p + l_pt + 2 r a_sel + chi q
-
+    b = _boundary(g, state, p, bnds.q, chi, a_sel)
     return BoundaryIndicator(b=b, chi=chi, a_sel=a_sel, v_b=_stop_set(b, chi))
 
 
+def _boundary(g: DirectedGraph, state: IterateState, p: np.ndarray, q: np.ndarray,
+              chi: np.ndarray, a_sel: np.ndarray) -> np.ndarray:
+    """b = p + imbalance + 2 r a_sel + chi q: the chi-signed extremes of
+    the arc and imbalance terms plus the selected median-term endpoint.
+    The imbalance term is chi |d_delta| at J = 0, else Sign(j0) d_delta."""
+    d_delta = g.degree_profile.d_delta
+    imb = chi * np.abs(d_delta) if state.j_is_zero else state.j_sign * d_delta
+    return p + imb + 2.0 * state.r * a_sel + chi * q
+
+
 def _stop_set(b: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """V_b = argmax{b_i chi_i : b_i chi_i > 0}, with the zero test
-    relative to max |b|."""
+    """V_b = argmax{b_i chi_i : b_i chi_i > 0} in ascending id order,
+    with the zero test relative to max |b|."""
     prod = b * chi
     eps = ZERO_TOL * max(1.0, float(np.max(np.abs(b))))
     top = float(prod.max())
@@ -386,8 +400,7 @@ def select_subgradient(
     """
     if indicator.v_b.size == 0:
         raise ValueError("V_b is empty: the boundary test certifies the stop")
-    classes, r, degrees = state.classes, state.r, g.degree_profile
-    i_star = int(indicator.v_b.min())
+    i_star = int(indicator.v_b[0])
 
     chi, abs_b = indicator.chi, np.abs(indicator.b)
     u = bnds.p.copy()
@@ -398,36 +411,42 @@ def select_subgradient(
         zval = np.where(touches, chi[i_star], chi[later])
         np.add.at(u, zu, zw * zval)
         np.add.at(u, zv, zw * zval)
+    return _assemble(g, state, indicator, i_star, u, state.classes.s_alpha, bnds.A, bnds.B)
 
-    d = degrees.d
-    in_a = classes.s_alpha
-    v = indicator.a_sel.copy()
-    tie_ids = np.flatnonzero(in_a)
-    if tie_ids.size <= 1:
-        v[tie_ids] = bnds.A
-    else:
+
+def _assemble(g: DirectedGraph, state: IterateState, ind: BoundaryIndicator, i_star: int,
+              u: np.ndarray, in_a: np.ndarray, A: float, B: float) -> SelectedSubgradient:
+    """s = (u + y + 2 r v) / vol from the signed arc term u at the pivot
+    i*, the median tie set in_a and its aggregates A and B.
+
+    v is a_sel (A on a single tie). On two or more ties it keeps a_sel
+    at j*: i* if i* ties, else the tie with the largest |b| (the largest
+    id among equals). It spreads A - a_sel[j*] over the other ties by
+    degree. y = Sign(j0) d_delta; at J = 0 one t in [-1, 1] scales
+    d_delta, and b_{i*} is attained only with t = chi_{i*} Sign(d_delta_i*).
+    """
+    degrees = g.degree_profile
+    d, d_delta = degrees.d, degrees.d_delta
+    v = ind.a_sel.copy()
+    if np.count_nonzero(in_a) >= 2:
         if in_a[i_star]:
             j_star = i_star
         else:
-            # the last tie in the |b|-ascending order: largest |b|, then largest id
-            ab = abs_b[tie_ids]
+            tie_ids = np.flatnonzero(in_a)
+            ab = np.abs(ind.b[tie_ids])
             j_star = int(tie_ids[np.flatnonzero(ab == ab.max())[-1]])
-        others = tie_ids[tie_ids != j_star]
-        denom = bnds.B - d[j_star]
-        scale = (bnds.A - indicator.a_sel[j_star]) / denom if denom > 0 else 0.0
-        v[others] = scale * d[others]
+        denom = B - d[j_star]
+        scale = (A - v[j_star]) / denom if denom > 0 else 0.0
+        v = np.where(in_a, scale * d, v)
+        v[j_star] = ind.a_sel[j_star]
 
-    if bnds.j_is_zero:
-        # one scalar t in [-1,1] scales the whole imbalance vector; the
-        # boundary value b_{i*} is attained only with t matching the
-        # sign of the i* component, chi_{i*} alone is not enough
-        t = chi[i_star] * (1.0 if degrees.d_delta[i_star] >= 0 else -1.0)
-        y = t * degrees.d_delta
+    if state.j_is_zero:
+        sign = ind.chi[i_star] * (1.0 if d_delta[i_star] >= 0 else -1.0)
     else:
-        y = _sign(bnds.j0) * degrees.d_delta
-
-    s = (u + y + 2.0 * r * v) / degrees.vol_total
-    return SelectedSubgradient(s=s, u=u, v=v, y=np.asarray(y, dtype=float), i_star=i_star)
+        sign = state.j_sign
+    y = sign * d_delta
+    s = (u + y + 2.0 * state.r * v) / degrees.vol_total
+    return SelectedSubgradient(s=s, u=u, v=v, y=y, i_star=i_star)
 
 
 def general_step(g: DirectedGraph, state: IterateState) -> tuple[np.ndarray, SelectedSubgradient | None]:
@@ -446,17 +465,18 @@ def binary_step(g: DirectedGraph, state: IterateState) -> tuple[np.ndarray, Sele
     pass; V_b and the subgradient are the general chain's, bit for bit.
 
     state.cut must be set: x takes exactly the values +/-c with c > t,
-    and g.exact_sums holds. Then the classes are the sides (no vertex is
-    interior), chi is -1 on the positive side and +1 on the other, the
-    median tie set is the side that holds alpha, the pair terms are
+    and g.exact_sums holds. Only the inputs come from the cut state: the
+    classes are the sides (no vertex is interior), chi is -1 on the
+    positive side and +1 on the other, the median tie set is the side
+    that holds alpha, A and B are side volumes, the pair terms are
     p = +/-own with own = d - cut and q = cut, and the zero pairs are
-    the cut pairs. The zero-pair signing is summed per vertex with
-    bincount instead of np.add.at, which gives the same bits because
-    every such sum is exact.
+    the cut pairs, signed per vertex with bincount instead of np.add.at
+    (the same bits, as every such sum is exact). b, V_b and the
+    assembly of v, y and s are the general chain's shared code.
     """
-    cut, r = state.cut, state.r
+    cut = state.cut
     degrees = g.degree_profile
-    d, d_delta = degrees.d, degrees.d_delta
+    d = degrees.d
     side = cut.side
     own = d - cut.cut
     # 0.0 - own, not -own: the general code gives +0.0 where own is 0
@@ -471,37 +491,17 @@ def binary_step(g: DirectedGraph, state: IterateState) -> tuple[np.ndarray, Sele
     tie_pos = state.median.alpha_low > 0
     in_a = side if tie_pos else ~side
     A, B = (cut.vol_neg - 0.0, vol_pos) if tie_pos else (0.0 - vol_pos, cut.vol_neg)
-    n_tie = np.count_nonzero(in_a)
-    if n_tie >= 2:
+    if np.count_nonzero(in_a) >= 2:
         tie = np.maximum(A - B + d, -d) if tie_pos else np.minimum(A + B - d, d)
     else:
         tie = A
     a_sel = np.where(side, tie, -d) if tie_pos else np.where(side, d, tie)
 
-    j_is_zero = abs(state.j0) <= state.t
-    if j_is_zero:
-        imb = chi * np.abs(d_delta)
-    else:
-        imb = y = (1.0 if state.j0 >= 0 else -1.0) * d_delta
-    b = p + imb + 2.0 * r * a_sel + chi * cut.cut
+    b = _boundary(g, state, p, cut.cut, chi, a_sel)
     v_b = _stop_set(b, chi)
     if v_b.size == 0:
         return v_b, None
     i_star = int(v_b[0])
-    abs_b = np.abs(b)
-
-    v = a_sel
-    if n_tie >= 2:
-        tie_ids = np.flatnonzero(in_a)
-        if in_a[i_star]:
-            j_star = i_star
-        else:
-            ab = abs_b[tie_ids]
-            j_star = int(tie_ids[np.flatnonzero(ab == ab.max())[-1]])
-        denom = B - d[j_star]
-        scale = (A - a_sel[j_star]) / denom if denom > 0 else 0.0
-        v = np.where(in_a, scale * d, a_sel)
-        v[j_star] = a_sel[j_star]
 
     # each cut pair adds chi(lead) * w at both ends, where lead is i* on
     # pairs touching i* and else the end with the larger |b| (the later
@@ -511,12 +511,10 @@ def binary_step(g: DirectedGraph, state: IterateState) -> tuple[np.ndarray, Sele
     pu, pv, w_sym = g.pairs
     iz = cut.is_cut.nonzero()[0]
     zu, zv = pu.take(iz), pv.take(iz)
+    abs_b = np.abs(b)
     abs_b[i_star] = np.inf  # i* leads every pair it is in
     lead = np.where(abs_b.take(zu) > abs_b.take(zv), zu, zv)
     lead_w = np.bincount(lead, weights=w_sym.take(iz), minlength=g.n)
     u = p + chi * (2.0 * lead_w - cut.cut)
-
-    if j_is_zero:
-        y = chi[i_star] * (1.0 if d_delta[i_star] >= 0 else -1.0) * d_delta
-    s = (u + y + 2.0 * r * v) / degrees.vol_total
-    return v_b, SelectedSubgradient(s=s, u=u, v=v, y=y, i_star=i_star)
+    ind = BoundaryIndicator(b=b, chi=chi, a_sel=a_sel, v_b=v_b)
+    return v_b, _assemble(g, state, ind, i_star, u, in_a, A, B)

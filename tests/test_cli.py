@@ -230,3 +230,19 @@ def test_solve_trace_csv(tmp_path, p3_file, capsys):
     rows = trace.read_text().splitlines()
     assert rows[0] == "step,r"
     assert len(rows) >= 2
+    # the trace CSV is a file output too: alone it gets its own manifest,
+    # and next to --out it is listed in the report's manifest
+    manifest = json.loads((tmp_path / "trace.csv.manifest.json").read_text())
+    assert manifest["outputs"] == [str(trace)]
+    out = tmp_path / "r.json"
+    assert main([
+        "solve", str(p3_file), "--no-timings", "--out", str(out), "--trace-csv", str(trace),
+    ]) == 0
+    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out), str(trace)]
+
+
+def test_solve_rejects_a_negative_seed_before_the_precheck(p3_file, capsys):
+    # p3 is settled by the precheck, which draws no random restart
+    assert main(["solve", str(p3_file), "--seed", "-1"]) == 3
+    assert "seed must be >= 0" in capsys.readouterr().err

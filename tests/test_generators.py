@@ -24,6 +24,13 @@ def test_params_validation():
         DsbmParams(n=0, p=0.1, q=0.1, eta=0.5, seed=0)
     with pytest.raises(ValueError):
         DsbmParams(n=5, p=1.5, q=0.1, eta=0.5, seed=0)
+    # seed=1.5 sampled the seed-1 graph, and n=2.5 failed later in range()
+    for bad in ({"seed": 1.5}, {"seed": -1}, {"seed": 2.0}, {"n": 2.5}, {"n": True}):
+        with pytest.raises(ValueError, match="integer|>= "):
+            DsbmParams(**{"n": 5, "p": 0.1, "q": 0.1, "eta": 0.5, "seed": 0, **bad})
+    numpy_ints = DsbmParams(n=np.int64(5), p=0.1, q=0.1, eta=0.5, seed=np.uint32(7))
+    g, _ = dsbm(numpy_ints)
+    assert g.tails.tolist() == dsbm(DsbmParams(n=5, p=0.1, q=0.1, eta=0.5, seed=7))[0].tails.tolist()
 
 
 def test_dsbm_deterministic():

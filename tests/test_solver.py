@@ -419,9 +419,17 @@ def test_init_vector_is_validated():
 
 
 def test_config_validation():
-    for bad in ({"init": "weird"}, {"init": "user"}, {"max_iters": 0}, {"restarts": 0}):
+    # the non-integer counts and the seeds failed only inside range(), a
+    # slice or SeedSequence, and not at all on input the precheck settles
+    for bad in ({"init": "weird"}, {"init": "user"}, {"max_iters": 0}, {"restarts": 0},
+                {"max_iters": 2.5}, {"restarts": 2.5}, {"seed": 1.5}, {"seed": -1},
+                {"restarts": 3.0}, {"max_iters": False}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    cfg = SolverConfig(max_iters=np.int32(50), restarts=np.int64(2), seed=np.uint8(3))
+    same = SolverConfig(max_iters=50, restarts=2, seed=3)
+    assert (dsi_solve(canonical("c3"), cfg).to_dict(with_timings=False)
+            == dsi_solve(canonical("c3"), same).to_dict(with_timings=False))
 
 
 def test_configs_with_a_start_vector_compare_and_hash_by_value():

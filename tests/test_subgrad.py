@@ -7,6 +7,7 @@ from dicond import (
     ConstantVectorError,
     boundary_indicator,
     bounds,
+    build_graph,
     classify,
     degrees,
     n_med,
@@ -16,7 +17,7 @@ from dicond import (
 )
 from dicond.functionals import i_plus, is_nonconstant
 from dicond.solver import flip_conductances, subproblem_argmin
-from dicond.subgrad import VertexClasses, iterate_state
+from dicond.subgrad import CutState, VertexClasses, binary_step, general_step, iterate_state
 
 from conftest import all_pair_state_digraphs, pair_state_digraphs, random_digraph, sign_vectors
 
@@ -372,3 +373,39 @@ def test_known_boundary_blind_spot():
     # yet the flip is strictly better
     phis = flip_conductances(g, x > 0)
     assert phis[0] == pytest.approx(0.0)
+
+
+def _both_steps(g, x):
+    """The general chain and the binary step at the binary iterate x;
+    both assemble v, y and s in the same shared code."""
+    return general_step(g, iterate_state(g, x)), binary_step(g, iterate_state(g, x, CutState(g)))
+
+
+def test_assembly_signs_y_by_chi_where_the_pivot_has_no_imbalance():
+    # J = 0 and d_delta[i*] = 0 while d_delta is not zero elsewhere: with
+    # Sign(0) = +1 the one imbalance scalar is chi[i*], so y = chi[i*] d_delta
+    g = build_graph(4, [0, 1, 2, 2, 3], [1, 2, 3, 1, 2])
+    x = np.array([-1.0, -1.0, 1.0, -1.0])
+    state = iterate_state(g, x)
+    ind = boundary_indicator(g, state, bounds(g, state))
+    d_delta = degrees(g).d_delta
+    assert state.j_is_zero and d_delta.any()
+    for _, sel in _both_steps(g, x):
+        i = sel.i_star
+        assert i == 3 and d_delta[i] == 0.0 and ind.chi[i] == 1.0
+        assert sel.y.tolist() == d_delta.tolist()
+
+
+def test_assembly_on_a_tie_set_whose_other_members_are_isolated():
+    # the tie set is {0, 1} with j* = 1, and vertex 0 is isolated, so
+    # B - d[j*] = 0: the other ties take v = 0 rather than a division by zero
+    g = build_graph(6, [1, 2], [3, 1])
+    x = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+    state = iterate_state(g, x)
+    bnd = bounds(g, state)
+    d = degrees(g).d
+    assert np.flatnonzero(state.classes.s_alpha).tolist() == [0, 1]
+    assert d[0] == 0.0 and bnd.B == d[1]
+    for _, sel in _both_steps(g, x):
+        assert sel.i_star == 2 and sel.v[0] == 0.0 and np.isfinite(sel.s).all()
+        assert sel.v[[0, 1]].sum() == bnd.A
