@@ -12,15 +12,11 @@ from .errors import (
 )
 from .functionals import (
     MedianResult,
-    SetFunctionHandle,
-    i_diff,
     i_plus,
     j_terms,
-    lovasz_extension,
     n_med,
     q_r,
     r_obj,
-    single_directed_ratio,
 )
 from .generators import DsbmParams, canonical, dsbm
 from .graph import (
@@ -29,14 +25,12 @@ from .graph import (
     build_graph,
     conductance_set,
     cut_values,
-    degrees,
     largest_strong_component,
-    largest_weak_component,
     load_edge_list,
     weak_components,
     write_edge_list,
 )
-from .oracle import OracleResult, brute_binary_r_min, brute_conductance
+from .oracle import OracleResult, brute_conductance
 from .solver import (
     SolveReport,
     SolverConfig,

@@ -67,6 +67,8 @@ def _emit(doc: dict, out_path, args, inputs, config: dict, extra_outputs=()) -> 
 
 
 def cmd_solve(args) -> int:
+    if args.out and args.trace_csv and Path(args.out).resolve() == Path(args.trace_csv).resolve():
+        raise DicondError("--out and --trace-csv name the same file")
     g = load_edge_list(args.graph)
     settings = {k: getattr(args, k) for k in ("restarts", "max_iters", "seed", "init")}
     rep = dsi_solve(g, SolverConfig(**settings))

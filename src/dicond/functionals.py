@@ -1,22 +1,19 @@
 """Continuous functionals over vertex vectors.
 
 These are the building blocks of the ratio objective whose minimum over
-nonconstant vectors equals the digraph conductance: the arc sums I+ and
-I, the signed/absolute degree-imbalance terms J0 and J, the
+nonconstant vectors equals the digraph conductance: the arc sum I+,
+the signed/absolute degree-imbalance terms J0 and J, the
 degree-weighted median deviation N, the ratio r itself, and the
-parametric combination Q_r driving the iterative solver. A generic
-Lovasz-extension evaluator is included for property-testing the
-framework on small ground sets.
+parametric combination Q_r driving the iterative solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConstantVectorError, GraphTooLargeError
+from .errors import ConstantVectorError
 from .graph import DegreeProfile, DirectedGraph
 
 NONCONSTANT_RTOL = 1e-12
@@ -34,11 +31,6 @@ def is_nonconstant(x: np.ndarray) -> bool:
 def i_plus(g: DirectedGraph, x: np.ndarray) -> float:
     """Sum over arcs of w_ij * |x_i + x_j|."""
     return float(np.dot(g.weights, np.abs(x[g.tails] + x[g.heads])))
-
-
-def i_diff(g: DirectedGraph, x: np.ndarray) -> float:
-    """Sum over arcs of w_ij * |x_i - x_j| (the total-variation companion)."""
-    return float(np.dot(g.weights, np.abs(x[g.tails] - x[g.heads])))
 
 
 def j_terms(g: DirectedGraph, x: np.ndarray) -> tuple[float, float]:
@@ -108,115 +100,3 @@ def q_r(g: DirectedGraph, degrees: DegreeProfile, x: np.ndarray, r: float) -> fl
     _, j = j_terms(g, x)
     n_val = n_med(degrees, x).n_value
     return (i_plus(g, x) + j + 2.0 * r * n_val) / degrees.vol_total
-
-
-def single_directed_ratio(
-    g: DirectedGraph, degrees: DegreeProfile, x: np.ndarray, sign: float = 1.0
-) -> float:
-    """One-sided cut ratio (vol * ||x||_inf - I+ - sign * J0) / (2 N).
-
-    At the +/-1 indicator of a set S, sign=+1 evaluates to the
-    in-conductance of S and sign=-1 to the out-conductance (pinned by
-    the exhaustive indicator tests); minimizing over nonconstant x gives
-    the same graph-level value either way.
-    """
-    n_val = n_med(degrees, x).n_value
-    if n_val <= 0:
-        raise ConstantVectorError("ratio undefined: zero median deviation")
-    j0, _ = j_terms(g, x)
-    return (degrees.vol_total * linf(x) - i_plus(g, x) - sign * j0) / (2.0 * n_val)
-
-
-@dataclass(frozen=True)
-class SetFunctionHandle:
-    """Nonnegative set function on a small ground set.
-
-    evaluate takes a bitmask over vertices 0..n-1. Only meant for
-    exhaustive testing; n is capped accordingly.
-    """
-
-    n: int
-    evaluate: Callable[[int], float]
-
-    def __post_init__(self):
-        if self.n > 20:
-            raise GraphTooLargeError("set-function ground sets are capped at n=20")
-
-    @staticmethod
-    def from_table(values) -> "SetFunctionHandle":
-        values = np.asarray(values, dtype=float)
-        n = int(np.log2(values.size))
-        if 1 << n != values.size:
-            raise ValueError("table length must be a power of two")
-        return SetFunctionHandle(n, lambda mask: float(values[mask]))
-
-    @staticmethod
-    def cut_plus(g: DirectedGraph) -> "SetFunctionHandle":
-        def f(mask: int) -> float:
-            t_in = (mask >> g.tails) & 1
-            h_in = (mask >> g.heads) & 1
-            return float(g.weights[(t_in == 1) & (h_in == 0)].sum())
-
-        return SetFunctionHandle(g.n, f)
-
-    @staticmethod
-    def cut_minus(g: DirectedGraph) -> "SetFunctionHandle":
-        def f(mask: int) -> float:
-            t_in = (mask >> g.tails) & 1
-            h_in = (mask >> g.heads) & 1
-            return float(g.weights[(t_in == 0) & (h_in == 1)].sum())
-
-        return SetFunctionHandle(g.n, f)
-
-    @staticmethod
-    def cut_min(g: DirectedGraph) -> "SetFunctionHandle":
-        fp, fm = SetFunctionHandle.cut_plus(g), SetFunctionHandle.cut_minus(g)
-        return SetFunctionHandle(g.n, lambda mask: min(fp.evaluate(mask), fm.evaluate(mask)))
-
-    @staticmethod
-    def vol_min(g: DirectedGraph) -> "SetFunctionHandle":
-        d = g.degree_profile.d
-        vol = g.degree_profile.vol_total
-
-        def f(mask: int) -> float:
-            vs = float(d[(mask >> np.arange(g.n)) & 1 == 1].sum())
-            return min(vs, vol - vs)
-
-        return SetFunctionHandle(g.n, f)
-
-
-def _threshold_mask(x: np.ndarray, t: float) -> int:
-    mask = 0
-    for i in np.flatnonzero(x > t):
-        mask |= 1 << int(i)
-    return mask
-
-
-def lovasz_extension(f: SetFunctionHandle, x: np.ndarray, mode: str = "sum") -> float:
-    """Evaluate the Lovasz extension of f at x.
-
-    "sum" uses the sorted threshold-set formula with the x_0 := 0
-    convention; "integral" integrates f over the strict superlevel sets
-    between consecutive distinct values of x (exact piecewise-constant
-    integration) and adds f(full set) * min(x). Both agree to rounding
-    and coincide with f on indicator vectors.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size != f.n:
-        raise ValueError("vector length does not match ground-set size")
-    full = (1 << f.n) - 1
-    if mode == "sum":
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        total = float(xs[0] - 0.0) * f.evaluate(full)
-        for i in range(f.n - 1):
-            if xs[i + 1] != xs[i]:
-                total += (xs[i + 1] - xs[i]) * f.evaluate(_threshold_mask(x, xs[i]))
-        return total
-    if mode == "integral":
-        levels = np.unique(x)
-        total = float(levels[0]) * f.evaluate(full)
-        for lo, hi in zip(levels[:-1], levels[1:]):
-            total += (hi - lo) * f.evaluate(_threshold_mask(x, lo))
-        return total
-    raise ValueError(f"unknown mode {mode!r}")

@@ -223,11 +223,6 @@ def write_edge_list(g: DirectedGraph, path) -> None:
             fh.write(f"{g.labels[t]} {g.labels[h]} {float(w)!r}\n")
 
 
-def degrees(g: DirectedGraph) -> DegreeProfile:
-    """Weighted out/in/total/delta degrees and total volume."""
-    return g.degree_profile
-
-
 def _check_subset(g: DirectedGraph, s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=bool)
     if s.shape != (g.n,):
@@ -335,15 +330,6 @@ def induced_subgraph(g: DirectedGraph, vertices: np.ndarray) -> tuple[DirectedGr
         [g.labels[v] for v in vertices],
     )
     return sub, vertices
-
-
-def largest_weak_component(g: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]:
-    """Induced subgraph on the largest weakly connected component.
-
-    Ties between equal-size components break toward the one containing
-    the smallest original vertex id.
-    """
-    return induced_subgraph(g, weak_components(g)[0])
 
 
 def largest_strong_component(g: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]:

@@ -2,8 +2,7 @@
 
 Enumerates one representative per complementary subset pair (vertex 0 is
 pinned to the complement side) in vectorized chunks, giving exact minima
-of the directed conductance, its one-sided variants, and the ratio
-objective restricted to nonconstant sign vectors.
+of the directed conductance and its one-sided variants.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSubsetError, GraphTooLargeError
-from .graph import DegreeProfile, DirectedGraph
+from .graph import DirectedGraph
 
 CHUNK = 1 << 15
 
@@ -102,26 +101,3 @@ def brute_conductance(g: DirectedGraph, limit: int = 24) -> OracleResult:
         argmin_minus=best_m.mask,
         subsets_enumerated=(1 << (g.n - 1)) - 1,
     )
-
-
-def brute_binary_r_min(
-    g: DirectedGraph, degrees: DegreeProfile, limit: int = 24
-) -> tuple[float, np.ndarray]:
-    """Exact minimum of the ratio objective over nonconstant +/-1
-    vectors (evaluated through the continuous formula, not the cut
-    definition, so the two enumerations cross-check each other)."""
-    vol_total = degrees.vol_total
-    best = _LexMin()
-    for member in _subsets(g.n, limit):
-        same_side = member[:, g.tails] == member[:, g.heads]
-        i_plus = 2.0 * (same_side @ g.weights)
-        j = 2.0 * np.abs(member @ degrees.d_delta)
-        vol_s = member @ degrees.d
-        n_val = 2.0 * np.minimum(vol_s, vol_total - vol_s)
-        valid = n_val > 0
-        r = (vol_total - i_plus[valid] - j[valid]) / (2.0 * n_val[valid])
-        best.offer(r, member[valid])
-
-    if best.mask is None:
-        raise DegenerateSubsetError("every sign vector has zero median deviation")
-    return best.value, best.mask

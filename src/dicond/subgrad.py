@@ -90,7 +90,6 @@ class SubgradientBounds:
     a_high: np.ndarray
     A: float
     B: float
-    j_is_zero: bool
     zero_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -329,7 +328,6 @@ def bounds(g: DirectedGraph, state: IterateState) -> SubgradientBounds:
         a_high=a_high,
         A=A,
         B=B,
-        j_is_zero=state.j_is_zero,
         zero_pairs=(pu[iz], pv[iz], w_sym[iz]),
     )
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dicond import (ConstantVectorError, DsbmParams, build_graph, conductance_set, degrees, dsbm,
+from dicond import (ConstantVectorError, DsbmParams, build_graph, conductance_set, dsbm,
                     largest_strong_component, spectral_embedding, sweep_cut)
 from dicond.baselines import spectral_sweep
 from dicond.errors import DicondError
@@ -31,12 +31,12 @@ def test_spectral_path_monotone_and_matches_dense_solve():
     signs = np.sign(emb.vector)
     assert int((np.diff(signs) != 0).sum()) == 1
     # the random-walk coordinate (vector / sqrt(d)) is value-monotone
-    f = emb.vector / np.sqrt(degrees(g).d)
+    f = emb.vector / np.sqrt(g.degree_profile.d)
     diffs = np.diff(f)
     assert (diffs > 0).all() or (diffs < 0).all()
 
     # dense eigensolver oracle
-    d = degrees(g).d
+    d = g.degree_profile.d
     pu, pv, w = g.pairs
     a_norm = np.zeros((8, 8))
     for u, v, wv in zip(pu, pv, w):
@@ -51,7 +51,7 @@ def test_spectral_orthogonal_to_degree_vector():
     for _ in range(10):
         g = random_digraph(rng, int(rng.integers(3, 30)), weighted=True)
         emb = spectral_embedding(g)
-        v0 = np.sqrt(degrees(g).d)
+        v0 = np.sqrt(g.degree_profile.d)
         v0 /= np.linalg.norm(v0)
         assert abs(float(emb.vector @ v0)) <= 1e-8
         assert np.linalg.norm(emb.vector) == pytest.approx(1.0)
@@ -76,7 +76,7 @@ def _dense_reference_graphs(b2):
 
 def test_spectral_embedding_matches_dense_eigh(b2):
     for name, g in _dense_reference_graphs(b2):
-        d = degrees(g).d
+        d = g.degree_profile.d
         pu, pv, w = g.pairs
         a_norm = np.zeros((g.n, g.n))
         a_norm[pu, pv] = a_norm[pv, pu] = w / np.sqrt(d[pu] * d[pv])
@@ -140,7 +140,7 @@ def test_sweep_profile_equals_direct_recompute():
     v = rng.standard_normal(150)
     order = np.lexsort((np.arange(150), -v))
     cps, cms, vols = prefix_cut_profile(g, order)
-    vol_total = degrees(g).vol_total
+    vol_total = g.degree_profile.vol_total
     best = np.inf
     for k in range(149):
         s = np.zeros(150, dtype=bool)

@@ -242,6 +242,16 @@ def test_solve_trace_csv(tmp_path, p3_file, capsys):
     assert manifest["outputs"] == [str(out), str(trace)]
 
 
+def test_solve_refuses_one_file_for_report_and_trace(tmp_path, p3_file, monkeypatch, capsys):
+    # two spellings of one path: refused before anything is written
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "solve", str(p3_file), "--no-timings", "--out", "same.out", "--trace-csv", str(tmp_path / "same.out"),
+    ]) == 3
+    assert "same file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["p3.el"]
+
+
 def test_solve_rejects_a_negative_seed_before_the_precheck(p3_file, capsys):
     # p3 is settled by the precheck, which draws no random restart
     assert main(["solve", str(p3_file), "--seed", "-1"]) == 3

@@ -1,9 +1,11 @@
 """The binary fast path: CutState bookkeeping against full recounts, and
 iterate_state and binary_step with a CutState against the general code."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dicond.solver
@@ -180,13 +182,26 @@ def test_nonbinary_iterates_do_not_move_the_state():
     assert _same_bits(cut.side, side)
 
 
+def _exact_by_fractions(weights):
+    """exact_sums recomputed in exact arithmetic: every weight a multiple
+    of one 2^-k with k <= 52, and twice the total below 2^(53-k)."""
+    ws = [Fraction(float(w)) for w in weights]
+    k = max(w.denominator.bit_length() - 1 for w in ws)  # denominators are powers of two
+    return k <= 52 and 2 * sum(ws) < 2 ** (53 - k)
+
+
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=450)  # n = 2 with weights that happen to be exact
 @settings(max_examples=40, deadline=None)
 def test_wide_weights_never_use_the_state(seed):
     g, _ = _graph(seed, "wide")
-    assert not g.exact_sums
-    with pytest.raises(ValueError, match="exact"):
+    exact = _exact_by_fractions(g.weights)
+    assert g.exact_sums == exact
+    if exact:
         CutState(g)
+    else:
+        with pytest.raises(ValueError, match="exact"):
+            CutState(g)
 
 
 def test_solve_without_exact_sums_never_builds_a_state(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dicond import DsbmParams, canonical, conductance_set, cut_values, degrees, dsbm
+from dicond import DsbmParams, canonical, conductance_set, cut_values, dsbm
 
 
 def test_canonical_kinds():
@@ -11,7 +11,7 @@ def test_canonical_kinds():
     p3 = canonical("dipath", 3)
     assert list(zip(p3.tails.tolist(), p3.heads.tolist())) == [(0, 1), (1, 2)]
     b2 = canonical("b2")
-    assert b2.m == 2 and degrees(b2).d.tolist() == [2, 2]
+    assert b2.m == 2 and b2.degree_profile.d.tolist() == [2, 2]
     assert canonical("dicycle", 7).m == 7
     with pytest.raises(ValueError):
         canonical("dipath", 1)

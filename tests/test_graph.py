@@ -12,15 +12,14 @@ from dicond import (
     canonical,
     conductance_set,
     cut_values,
-    degrees,
     largest_strong_component,
-    largest_weak_component,
     load_edge_list,
     weak_components,
 )
 from dicond.graph import induced_subgraph, prefix_cut_profile, zero_cut
 
 from conftest import random_digraph
+from reference import largest_weak_component
 
 
 def test_load_default_weight():
@@ -98,7 +97,7 @@ def test_load_gzip_transparent(tmp_path):
 
 
 def test_degrees_p2(p2):
-    d = degrees(p2)
+    d = p2.degree_profile
     assert d.d_out.tolist() == [1, 0]
     assert d.d_in.tolist() == [0, 1]
     assert d.d.tolist() == [1, 1]
@@ -107,14 +106,14 @@ def test_degrees_p2(p2):
 
 
 def test_degrees_c3(c3):
-    d = degrees(c3)
+    d = c3.degree_profile
     assert d.d.tolist() == [2, 2, 2]
     assert d.d_delta.tolist() == [0, 0, 0]
     assert d.vol_total == 6.0
 
 
 def test_degrees_b2(b2):
-    d = degrees(b2)
+    d = b2.degree_profile
     assert d.d.tolist() == [2, 2]
     assert d.d_delta.tolist() == [0, 0]
     assert d.vol_total == 4.0
@@ -169,7 +168,7 @@ def test_delta_degrees_sum_zero():
     rng = np.random.default_rng(6)
     for _ in range(20):
         g = random_digraph(rng, int(rng.integers(2, 12)), weighted=True)
-        assert abs(degrees(g).d_delta.sum()) < 1e-12
+        assert abs(g.degree_profile.d_delta.sum()) < 1e-12
 
 
 def test_bidirectionalization_halves_conductance():

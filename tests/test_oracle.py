@@ -3,16 +3,15 @@ import pytest
 
 from dicond import (
     GraphTooLargeError,
-    brute_binary_r_min,
     brute_conductance,
     build_graph,
     canonical,
     conductance_set,
-    degrees,
     r_obj,
 )
 
 from conftest import random_digraph
+from reference import brute_binary_r_min
 
 
 def test_c3_all_bipartitions_tie(c3):
@@ -53,13 +52,13 @@ def test_size_limit():
     with pytest.raises(GraphTooLargeError):
         brute_conductance(g, limit=4)
     with pytest.raises(GraphTooLargeError):
-        brute_binary_r_min(g, degrees(g), limit=4)
+        brute_binary_r_min(g, g.degree_profile, limit=4)
 
 
 def test_binary_r_min_examples(c3, p3):
-    r_min, arg = brute_binary_r_min(c3, degrees(c3))
+    r_min, arg = brute_binary_r_min(c3, c3.degree_profile)
     assert r_min == 0.5
-    r_min, _ = brute_binary_r_min(p3, degrees(p3))
+    r_min, _ = brute_binary_r_min(p3, p3.degree_profile)
     assert r_min == 0.0
 
 
@@ -69,10 +68,10 @@ def test_binary_r_min_equals_conductance_min():
     for _ in range(500):
         g = random_digraph(rng, int(rng.integers(2, 11)))
         res = brute_conductance(g)
-        r_min, arg = brute_binary_r_min(g, degrees(g))
+        r_min, arg = brute_binary_r_min(g, g.degree_profile)
         assert r_min == res.phi_d_min
         x = np.where(arg, 1.0, -1.0)
-        assert r_obj(g, degrees(g), x) == pytest.approx(r_min, abs=1e-12)
+        assert r_obj(g, g.degree_profile, x) == pytest.approx(r_min, abs=1e-12)
 
 
 def test_binary_r_min_weighted_close():
@@ -80,7 +79,7 @@ def test_binary_r_min_weighted_close():
     for _ in range(40):
         g = random_digraph(rng, int(rng.integers(2, 10)), weighted=True)
         res = brute_conductance(g)
-        r_min, _ = brute_binary_r_min(g, degrees(g))
+        r_min, _ = brute_binary_r_min(g, g.degree_profile)
         assert r_min == pytest.approx(res.phi_d_min, rel=1e-12)
 
 
@@ -105,7 +104,7 @@ def test_chunked_enumeration_consistency(monkeypatch):
     graphs = (random_digraph(rng, 12, weighted=True), canonical("dicycle", 8))
 
     def run(g):
-        return brute_conductance(g), brute_binary_r_min(g, degrees(g))
+        return brute_conductance(g), brute_binary_r_min(g, g.degree_profile)
 
     default_runs = [run(g) for g in graphs]
     monkeypatch.setattr(oracle_mod, "CHUNK", 17)

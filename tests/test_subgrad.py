@@ -9,7 +9,6 @@ from dicond import (
     bounds,
     build_graph,
     classify,
-    degrees,
     n_med,
     q_r,
     r_obj,
@@ -29,14 +28,14 @@ def pipeline(g, x):
 
 
 def test_classify_examples(c3, p3):
-    cls = classify(degrees(c3), np.array([1.0, -1.0, -1.0]))
+    cls = classify(c3.degree_profile, np.array([1.0, -1.0, -1.0]))
     assert np.flatnonzero(cls.s_plus).tolist() == [0]
     assert np.flatnonzero(cls.s_minus).tolist() == [1, 2]
     assert not cls.s_less.any()
     assert cls.alpha == -1.0
     assert np.flatnonzero(cls.s_alpha).tolist() == [1, 2]
 
-    cls = classify(degrees(p3), np.array([1.0, -1.0, 1.0]))
+    cls = classify(p3.degree_profile, np.array([1.0, -1.0, 1.0]))
     assert np.flatnonzero(cls.s_plus).tolist() == [0, 2]
     assert np.flatnonzero(cls.s_minus).tolist() == [1]
     assert cls.alpha == -1.0
@@ -58,26 +57,26 @@ def test_classify_interior_point(p3):
 
 def test_classify_constant_raises(c3):
     with pytest.raises(ConstantVectorError):
-        classify(degrees(c3), np.array([2.0, 2.0, 2.0]))
+        classify(c3.degree_profile, np.array([2.0, 2.0, 2.0]))
 
 
 def test_bounds_c3_trace(c3):
     # hand-verified against finite differences of the three functionals
     x = np.array([1.0, -1.0, -1.0])
-    _, bnd, _ = pipeline(c3, x)
+    state, bnd, _ = pipeline(c3, x)
     assert bnd.p.tolist() == [0.0, -1.0, -1.0]
     assert bnd.q.tolist() == [2.0, 1.0, 1.0]
     assert (bnd.A, bnd.B) == (-2.0, 4.0)
     assert bnd.a_low.tolist() == [2.0, -2.0, -2.0]
     assert bnd.a_high.tolist() == [2.0, 0.0, 0.0]
-    assert bnd.j_is_zero
+    assert state.j_is_zero
     assert bnd.l_low.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_bounds_p3_nonzero_j(p3):
     x = np.array([1.0, -1.0, -1.0])
-    _, bnd, _ = pipeline(p3, x)
-    assert not bnd.j_is_zero
+    state, bnd, _ = pipeline(p3, x)
+    assert not state.j_is_zero
     assert bnd.l_low.tolist() == [1.0, 0.0, -1.0]
     assert (bnd.A, bnd.B) == (-1.0, 3.0)
     assert bnd.a_low[0] == bnd.a_high[0] == 1.0
@@ -107,7 +106,7 @@ def test_bounds_fd_median_term():
     rng = np.random.default_rng(22)
     for _ in range(20):
         g = random_digraph(rng, int(rng.integers(3, 8)))
-        deg = degrees(g)
+        deg = g.degree_profile
         x = rng.standard_normal(g.n)
         state = iterate_state(g, x)
         cls = state.classes
@@ -164,7 +163,7 @@ def test_select_subgradient_p3_trace(p3):
     assert sel.y.tolist() == [-1.0, 0.0, 1.0]
     assert sel.s.tolist() == [-0.25, -1.0, 0.25]
     assert np.abs(sel.s).sum() == 1.5
-    assert float(x @ sel.s) == pytest.approx(q_r(p3, degrees(p3), x, 0.5), abs=1e-12)
+    assert float(x @ sel.s) == pytest.approx(q_r(p3, p3.degree_profile, x, 0.5), abs=1e-12)
 
 
 def test_select_raises_when_vb_empty(c3):
@@ -178,7 +177,7 @@ def _random_states(rng, count):
     """(graph, x, r) states with assorted tie structure."""
     for _ in range(count):
         g = random_digraph(rng, int(rng.integers(3, 10)), weighted=bool(rng.integers(2)))
-        deg = degrees(g)
+        deg = g.degree_profile
         kind = rng.integers(3)
         if kind == 0:
             x = rng.choice([-1.0, 1.0], size=g.n)
@@ -206,7 +205,7 @@ def test_iterate_state_equals_r_obj_and_classify():
         checked += 1
     assert checked >= 250
     g = random_digraph(rng, 5)
-    deg = degrees(g)
+    deg = g.degree_profile
     for const in (np.zeros(g.n), np.full(g.n, -2.5)):
         with pytest.raises(ConstantVectorError):
             r_obj(g, deg, const)
@@ -361,7 +360,7 @@ def test_known_boundary_blind_spot():
     from dicond import build_graph
 
     g = build_graph(4, [0, 0, 0, 1, 1, 2], [1, 2, 3, 0, 2, 1])
-    deg = degrees(g)
+    deg = g.degree_profile
     x = np.array([-1.0, 1.0, 1.0, -1.0])
     state, bnd, ind = pipeline(g, x)
     r = state.r
@@ -388,7 +387,7 @@ def test_assembly_signs_y_by_chi_where_the_pivot_has_no_imbalance():
     x = np.array([-1.0, -1.0, 1.0, -1.0])
     state = iterate_state(g, x)
     ind = boundary_indicator(g, state, bounds(g, state))
-    d_delta = degrees(g).d_delta
+    d_delta = g.degree_profile.d_delta
     assert state.j_is_zero and d_delta.any()
     for _, sel in _both_steps(g, x):
         i = sel.i_star
@@ -403,7 +402,7 @@ def test_assembly_on_a_tie_set_whose_other_members_are_isolated():
     x = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
     state = iterate_state(g, x)
     bnd = bounds(g, state)
-    d = degrees(g).d
+    d = g.degree_profile.d
     assert np.flatnonzero(state.classes.s_alpha).tolist() == [0, 1]
     assert d[0] == 0.0 and bnd.B == d[1]
     for _, sel in _both_steps(g, x):
