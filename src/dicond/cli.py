@@ -6,7 +6,8 @@ command and named after its first output file, capturing the
 command, inputs (with content hashes), config, seeds, and tool version:
 rerunning with the same manifest inputs reproduces the outputs byte for
 byte (use --no-timings to zero out wall-clock fields, which are the only
-nondeterministic bytes).
+nondeterministic bytes). A command whose output names one of its inputs
+or another output exits 3 before it writes anything.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 size-limit error.
 """
@@ -37,40 +38,48 @@ EXIT_DATA = 3
 EXIT_SIZE = 4
 
 
-def _write_manifest(args, inputs, outputs, config: dict) -> None:
-    """Write <first output>.manifest.json for the given files."""
-    man = {
+def _claim_files(args, inputs, outputs, config: dict):
+    """Check a command's files before it writes any: raise DicondError
+    where an output or the manifest <first output>.manifest.json resolves
+    to an input or another output. Returns the function that writes the
+    manifest (a no-op without output files), with the inputs hashed now."""
+    outputs = [str(p) for p in outputs if p]
+    if not outputs:
+        return lambda: None
+    manifest = Path(outputs[0] + ".manifest.json")
+    claimed = {Path(p).resolve(): p for p in inputs}
+    for p in outputs + [str(manifest)]:
+        key = Path(p).resolve()
+        if key in claimed:
+            raise DicondError(f"{claimed[key]} and {p} name the same file")
+        claimed[key] = p
+    text = json.dumps({
         "tool": "dicond",
         "version": __version__,
         "schema_version": 1,
         "command": args.argv,
         "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs if Path(p).exists()],
-        "outputs": [str(p) for p in outputs],
+        "outputs": outputs,
         "config": config,
-    }
-    Path(str(outputs[0]) + ".manifest.json").write_text(
-        json.dumps(man, indent=2, sort_keys=True) + "\n"
-    )
+    }, indent=2, sort_keys=True) + "\n"
+    return lambda: manifest.write_text(text)
 
 
-def _emit(doc: dict, out_path, args, inputs, config: dict, extra_outputs=()) -> None:
-    """Write doc as JSON to out_path, or to stdout without one, and one
-    manifest for the files written: out_path, then extra_outputs."""
+def _emit(doc: dict, out_path, write_manifest) -> None:
+    """Write doc as JSON to out_path, or to stdout without one, then the
+    manifest (write_manifest from _claim_files)."""
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
-    outputs = [p for p in (out_path, *extra_outputs) if p]
-    if outputs:
-        _write_manifest(args, inputs, outputs, config)
+    write_manifest()
 
 
 def cmd_solve(args) -> int:
-    if args.out and args.trace_csv and Path(args.out).resolve() == Path(args.trace_csv).resolve():
-        raise DicondError("--out and --trace-csv name the same file")
-    g = load_edge_list(args.graph)
     settings = {k: getattr(args, k) for k in ("restarts", "max_iters", "seed", "init")}
+    write_manifest = _claim_files(args, [args.graph], [args.out, args.trace_csv], {"solver": settings})
+    g = load_edge_list(args.graph)
     rep = dsi_solve(g, SolverConfig(**settings))
     doc = rep.to_dict(with_timings=not args.no_timings)
     doc["n"] = g.n
@@ -80,11 +89,12 @@ def cmd_solve(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["step", "r"])
             writer.writerows(enumerate(doc["r_trace"]))
-    _emit(doc, args.out, args, [args.graph], {"solver": settings}, [args.trace_csv])
+    _emit(doc, args.out, write_manifest)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
+    write_manifest = _claim_files(args, [args.graph], [args.out], {"limit": args.limit})
     g = load_edge_list(args.graph)
     res = brute_conductance(g, limit=args.limit)
     doc = {
@@ -98,27 +108,29 @@ def cmd_oracle(args) -> int:
         "n": g.n,
         "m": g.m,
     }
-    _emit(doc, args.out, args, [args.graph], {"limit": args.limit})
+    _emit(doc, args.out, write_manifest)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    write_manifest = _claim_files(args, [args.graph], [args.out], {})
     g = load_edge_list(args.graph)
     mask, phi = spectral_sweep(g)
     doc = {"phi": phi, "set": _sorted_labels(g, mask), "n": g.n, "m": g.m}
-    _emit(doc, args.out, args, [args.graph], {})
+    _emit(doc, args.out, write_manifest)
     return EXIT_OK
 
 
 def cmd_gen_dsbm(args) -> int:
     settings = {k: getattr(args, k) for k in ("n", "p", "q", "eta", "seed")}
+    side = Path(str(args.out) + ".labels")
+    write_manifest = _claim_files(args, [], [args.out, side], {"params": settings})
     g, planted = dsbm(DsbmParams(**settings))
     write_edge_list(g, args.out)
-    side = Path(str(args.out) + ".labels")
     with open(side, "w") as fh:
         for lab, block in zip(g.labels, planted):
             fh.write(f"{lab} {block}\n")
-    _write_manifest(args, [], [args.out, side], {"params": settings})
+    write_manifest()
     return EXIT_OK
 
 
@@ -129,9 +141,10 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    write_manifest = _claim_files(args, [args.input], [args.output], {})
     g = load_edge_list(args.input)
     write_edge_list(g, args.output)
-    _write_manifest(args, [args.input], [args.output], {})
+    write_manifest()
     if g.self_loops_dropped:
         print(f"dropped {g.self_loops_dropped} self-loop(s)", file=sys.stderr)
     return EXIT_OK
@@ -252,12 +265,12 @@ def cmd_bench(args) -> int:
         })
 
     out = args.out_csv
+    write_manifest = _claim_files(args, inputs, [out], {"grid": args.grid, "suite": args.suite})
     with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
-    if out:
-        _write_manifest(args, inputs, [out], {"grid": args.grid, "suite": args.suite})
+    write_manifest()
     return EXIT_OK
 
 

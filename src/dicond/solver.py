@@ -2,10 +2,12 @@
 
 The solver alternates three steps: pick a boundary subgradient of Q_r at
 the current iterate, minimize ||x||_inf - <x, s> exactly over the unit
-l1 sphere, and refresh the ratio r. It stops when the boundary stop set
-is empty (a flip-local-optimality certificate), when the ratio stalls,
-or after max_iters steps. Ratios along accepted iterates are strictly
-decreasing.
+l1 sphere, and refresh the ratio r; at an empty boundary stop set the
+move is the best single flip of a binary iterate or the rounding of a
+non-binary one. One rule accepts every move, a strictly lower ratio. The
+run stops when no flip descends at an empty stop set (a
+flip-local-optimality certificate), when a move does not descend, or
+after max_iters steps.
 """
 
 from __future__ import annotations
@@ -128,27 +130,23 @@ def subproblem_argmin(s: np.ndarray) -> tuple[np.ndarray, float]:
     n = s.size
     sgn = np.where(s >= 0, 1.0, -1.0)
     abs_s = np.abs(s)
+    x = sgn / n  # k = n
     # no sort is needed when the top n-1 partial sum A_{n-1} =
-    # ||s||_1 - n min|s| is at most 1: then both branches below return
-    # the uniform sign vector. The margin covers the rounding gap
-    # between the sorted and unsorted sums.
+    # ||s||_1 - n min|s| is at most 1, as then k = n. The margin covers
+    # the rounding gap between the sorted and unsorted sums.
     total = abs_s.sum()
-    if total - n * abs_s.min() <= 1.0 - 1e-9 * total:
-        x = sgn / n
-        return x, 1.0 / n - float(np.dot(x, s))
-    order = np.argsort(-abs_s, kind="stable")
-    a = abs_s[order]
-    a_next = np.append(a[1:], 0.0)
-    partial = np.cumsum(a) - np.arange(1, n + 1) * a_next  # A_m, nondecreasing
-    # branch on A_n (the sorted cumulative sum) so the threshold search
-    # below cannot disagree with the norm test by one rounding ulp
-    if partial[-1] <= 1.0:
-        x = sgn / n
-        return x, 1.0 / n - float(np.dot(x, s))
-    m0 = int(np.argmax(partial > 1.0)) + 1
-    z = np.zeros(n)
-    z[order[:m0]] = 1.0
-    x = sgn * z / m0
+    if total - n * abs_s.min() > 1.0 - 1e-9 * total:
+        order = np.argsort(-abs_s, kind="stable")
+        a = abs_s[order]
+        partial = np.cumsum(a) - np.arange(1, n + 1) * np.append(a[1:], 0.0)  # A_m, nondecreasing
+        # k is the first m with A_m > 1; testing A_n (the sorted
+        # cumulative sum) keeps k = n where A_n <= 1, so the search
+        # cannot disagree with the norm test by one rounding ulp
+        if partial[-1] > 1.0:
+            m0 = int(np.argmax(partial > 1.0)) + 1
+            z = np.zeros(n)
+            z[order[:m0]] = 1.0
+            x = sgn * z / m0
     return x, float(linf(x) - np.dot(x, s))
 
 
@@ -229,30 +227,43 @@ def _precheck_report(g, mask, t0, note) -> SolveReport:
     )
 
 
-def _check_binary_step(g, state, v_b, sel) -> None:
-    """self_check on a binary iterate: the cut sums equal a full recount,
-    and V_b and s equal the general chain's, bit for bit."""
-    if not (np.array_equal(state.cut.side, state.x > 0) and state.cut.matches_recount()):
-        raise AssertionError("maintained cut sums differ from a full recount")
-    ref_v_b, ref = general_step(g, state)
-    # both steps return a subgradient exactly when V_b is not empty
-    if v_b.tobytes() != ref_v_b.tobytes() or (sel is not None and sel.s.tobytes() != ref.s.tobytes()):
-        raise AssertionError("binary step differs from the general chain")
+def _self_check(g, state, v_b, sel) -> None:
+    """cfg.self_check on one step: on a binary iterate the cut sums equal
+    a full recount and V_b and s the general chain's, bit for bit; a
+    selected subgradient is tight, <x, s> = Q_r(x)."""
+    if state.cut is not None:
+        if not (np.array_equal(state.cut.side, state.x > 0) and state.cut.matches_recount()):
+            raise AssertionError("maintained cut sums differ from a full recount")
+        ref_v_b, ref = general_step(g, state)
+        # both steps return a subgradient exactly when V_b is not empty
+        if v_b.tobytes() != ref_v_b.tobytes() or (sel is not None and sel.s.tobytes() != ref.s.tobytes()):
+            raise AssertionError("binary step differs from the general chain")
+    if sel is not None:
+        gap = abs(float(np.dot(state.x, sel.s)) - q_r(g, g.degree_profile, state.x, state.r))
+        # near-ties within the zero-test tolerance t of a class boundary
+        # shift the identity by O(t); exact-tie iterates sit at ~1e-15
+        if gap > 1e-10 + 8.0 * state.t:
+            raise AssertionError(f"subgradient tightness violated: gap={gap:.3e}")
 
 
 def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     """One solver run from the initial vector x1.
 
-    The bare three-step iteration, with no precheck, runs until a stop
-    certificate or max_iters; dsi_solve calls it only on strongly
-    connected input. Each iterate is evaluated once into an
-    IterateState, and a step returns its stop set V_b and, when V_b is
-    not empty, the selected subgradient. An iterate whose successor is
-    constant (is_nonconstant) stops the run with no descent. The best
-    iterate is rounded by the distinct-value sweep cut, and
-    is_flip_local_opt is the O(m + n) single-flip test of
-    flip_conductances, the predicate that verify_local_opt checks with
-    one conductance_set per vertex.
+    The bare iteration, with no precheck, runs until a stop certificate
+    or max_iters; dsi_solve calls it only on strongly connected input.
+    Each iterate is evaluated once into an IterateState, and a step
+    returns its stop set V_b and, when V_b is not empty, the selected
+    subgradient. Each iteration proposes one move: the subproblem
+    minimizer; at an empty V_b, the sweep-cut rounding of a non-binary
+    iterate or the best flip of a binary one (the boundary test can miss
+    it), stopping with an empty V_b when no flip descends. One
+    iterate_state evaluates the move and one rule accepts it, a ratio
+    below the best by more than eps_dec. A rounding stays the current
+    iterate either way; any other move that does not descend or is
+    constant stops the run with no descent. The best iterate is rounded
+    by the distinct-value sweep cut, and is_flip_local_opt is the
+    O(m + n) single-flip test of flip_conductances, the predicate that
+    verify_local_opt checks with one conductance_set per vertex.
 
     When g.exact_sums holds, the run keeps one CutState: each iterate
     that takes exactly two values +/-c moves it, in O(deg) when a single
@@ -277,47 +288,22 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     iterations = 0
 
     for _ in range(cfg.max_iters):
-        if state.cut is None:
-            v_b, sel = general_step(g, state)
+        v_b, sel = (general_step if state.cut is None else binary_step)(g, state)
+        if cfg.self_check:
+            _self_check(g, state, v_b, sel)
+        rounding = sel is None and bool(state.classes.s_less.any())
+        if sel is not None:
+            x_next, _ = subproblem_argmin(sel.s)
+        elif rounding:
+            x_next = np.where(sweep_cut(g, state.x, distinct_only=True)[0], 1.0, -1.0)
         else:
-            v_b, sel = binary_step(g, state)
-            if cfg.self_check:
-                _check_binary_step(g, state, v_b, sel)
-        if v_b.size == 0:
-            if not bool(state.classes.s_less.any()):
-                # the boundary test certifies only that no subgradient
-                # forces descent; it can miss single-flip improvements,
-                # so sweep the flips directly before accepting the stop
-                phis = flip_conductances(g, state.x > 0)
-                best_i = int(np.argmin(phis))
-                if phis[best_i] < r_star - eps_dec:
-                    x = np.where(state.x > 0, 1.0, -1.0)
-                    x[best_i] = -x[best_i]
-                    iterations += 1
-                    state = iterate_state(g, x, cut)
-                    r_star, x_star = state.r, x.copy()
-                    trace.append(state.r)
-                    continue
+            phis = flip_conductances(g, state.x > 0)
+            best_i = int(np.argmin(phis))
+            if not phis[best_i] < r_star - eps_dec:
                 certificate = CERT_BOUNDARY
                 break
-            # stalled at a non-binary point: restart from the rounded
-            # indicator, whose ratio can only be at least as good
-            mask, _ = sweep_cut(g, state.x, distinct_only=True)
-            xb = np.where(mask, 1.0, -1.0)
-            iterations += 1
-            state = iterate_state(g, xb, cut)
-            if state.r < r_star - eps_dec:
-                r_star, x_star = state.r, xb
-                trace.append(state.r)
-            continue
-        if cfg.self_check:
-            gap = abs(float(np.dot(state.x, sel.s)) - q_r(g, g.degree_profile, state.x, state.r))
-            # near-ties within the zero-test tolerance t of a class
-            # boundary shift the identity by O(t); exact-tie iterates
-            # sit at ~1e-15
-            if gap > 1e-10 + 8.0 * state.t:
-                raise AssertionError(f"subgradient tightness violated: gap={gap:.3e}")
-        x_next, _ = subproblem_argmin(sel.s)
+            x_next = np.where(state.x > 0, 1.0, -1.0)
+            x_next[best_i] = -x_next[best_i]
         iterations += 1
         try:
             nxt = iterate_state(g, x_next, cut)
@@ -325,12 +311,12 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
             certificate = CERT_NO_DESCENT
             break
         if nxt.r < r_star - eps_dec:
-            state = nxt
             r_star, x_star = nxt.r, x_next
             trace.append(nxt.r)
-        else:
+        elif not rounding:
             certificate = CERT_NO_DESCENT
             break
+        state = nxt
 
     best_set, _ = sweep_cut(g, x_star, distinct_only=True)
     # the sweep's cumulative cut sums can differ from a direct recount in

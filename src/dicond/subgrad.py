@@ -392,24 +392,27 @@ def select_subgradient(
     no subgradient to select): raises ValueError. The pivot i* is the
     smallest id in V_b; the descent argument allows any member.
     Zero-sum neighbor pairs receive one consistent sign at both
-    endpoints: chi(i*) for pairs touching i*, otherwise the chi of the
-    endpoint with the larger |b| (the later one in the |b|-ascending
-    order with ties by id, so v on a tie, since pairs have u < v).
+    endpoints, the chi of the pair's lead end (_lead).
     """
     if indicator.v_b.size == 0:
         raise ValueError("V_b is empty: the boundary test certifies the stop")
     i_star = int(indicator.v_b[0])
 
-    chi, abs_b = indicator.chi, np.abs(indicator.b)
     u = bnds.p.copy()
     zu, zv, zw = bnds.zero_pairs
-    if zu.size:
-        touches = (zu == i_star) | (zv == i_star)
-        later = np.where(abs_b[zu] > abs_b[zv], zu, zv)
-        zval = np.where(touches, chi[i_star], chi[later])
-        np.add.at(u, zu, zw * zval)
-        np.add.at(u, zv, zw * zval)
+    zval = indicator.chi[_lead(zu, zv, indicator.b, i_star)]
+    np.add.at(u, zu, zw * zval)
+    np.add.at(u, zv, zw * zval)
     return _assemble(g, state, indicator, i_star, u, state.classes.s_alpha, bnds.A, bnds.B)
+
+
+def _lead(zu: np.ndarray, zv: np.ndarray, b: np.ndarray, i_star: int) -> np.ndarray:
+    """The lead end of each zero pair (zu, zv), whose chi signs the pair
+    at both ends: i* on pairs touching i*, else the end with the larger
+    |b|, and zv (the later id, as pairs have zu < zv) on a tie."""
+    abs_b = np.abs(b)
+    abs_b[i_star] = np.inf
+    return np.where(abs_b.take(zu) > abs_b.take(zv), zu, zv)
 
 
 def _assemble(g: DirectedGraph, state: IterateState, ind: BoundaryIndicator, i_star: int,
@@ -501,17 +504,12 @@ def binary_step(g: DirectedGraph, state: IterateState) -> tuple[np.ndarray, Sele
         return v_b, None
     i_star = int(v_b[0])
 
-    # each cut pair adds chi(lead) * w at both ends, where lead is i* on
-    # pairs touching i* and else the end with the larger |b| (the later
-    # end on a tie). The ends of a cut pair have opposite chi, so vertex
-    # i gains chi_i * (2 lead_i - cut_i), lead_i the weight of the cut
-    # pairs it leads.
+    # each cut pair adds chi(lead) * w at both ends (_lead); its ends have
+    # opposite chi, so vertex i gains chi_i * (2 lead_i - cut_i), lead_i
+    # the weight of the cut pairs it leads
     pu, pv, w_sym = g.pairs
     iz = cut.is_cut.nonzero()[0]
-    zu, zv = pu.take(iz), pv.take(iz)
-    abs_b = np.abs(b)
-    abs_b[i_star] = np.inf  # i* leads every pair it is in
-    lead = np.where(abs_b.take(zu) > abs_b.take(zv), zu, zv)
+    lead = _lead(pu.take(iz), pv.take(iz), b, i_star)
     lead_w = np.bincount(lead, weights=w_sym.take(iz), minlength=g.n)
     u = p + chi * (2.0 * lead_w - cut.cut)
     ind = BoundaryIndicator(b=b, chi=chi, a_sel=a_sel, v_b=v_b)

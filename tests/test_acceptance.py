@@ -5,6 +5,8 @@ Criteria 7 and 8 are soft reproduction targets on random instances and
 external data: they report their comparison without failing the build.
 """
 
+import gzip
+import json
 import os
 import time
 from pathlib import Path
@@ -35,6 +37,7 @@ from dicond import (
     verify_local_opt,
 )
 from dicond.baselines import spectral_sweep
+from dicond.datasets import cache_dir, fetch
 from dicond.solver import CERT_BOUNDARY, flip_conductances, subproblem_argmin
 from dicond.subgrad import iterate_state
 
@@ -319,13 +322,16 @@ def test_criterion_7_large_scale_soft():
 
 
 def _find_local_dataset(name):
+    """A local copy of a reference network: in $DICOND_DATA_DIR,
+    ./datasets, or the cache that `dicond fetch` fills (cache_dir(),
+    where a gzip download is stored as <name>.gz)."""
     candidates = []
     env = os.environ.get("DICOND_DATA_DIR")
     if env:
         candidates.append(Path(env))
-    candidates += [Path("datasets"), Path.home() / ".cache" / "dicond"]
+    candidates += [Path("datasets"), cache_dir()]
     for root in candidates:
-        for suffix in (".el", ".el.gz", ".txt", ".edgelist", ""):
+        for suffix in (".el", ".el.gz", ".gz", ".txt", ".edgelist", ""):
             path = root / f"{name}{suffix}"
             if path.is_file():
                 return path
@@ -350,6 +356,22 @@ def test_criterion_8_real_networks_soft():
         lines.append(f"{name}: ours={rep.best_r:.4f} sweep={phi_sweep:.4f} "
                      f"reference={ref:.4f} within2x={rep.best_r <= 2 * ref}")
     print("ACCEPTANCE 8: SOFT (not build-breaking) - " + "; ".join(lines))
+
+
+def test_criterion_8_finds_a_fetched_network(tmp_path, monkeypatch):
+    # a gzip registry entry is cached as <name>.gz under DICOND_CACHE_DIR
+    src = tmp_path / "florida.el.gz"
+    src.write_bytes(gzip.compress(b"1 2\n2 1\n"))
+    reg = tmp_path / "registry.json"
+    reg.write_text(json.dumps({"florida": {"url": str(src)}}))
+    monkeypatch.setenv("DICOND_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("DICOND_DATA_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert _find_local_dataset("florida") is None
+    path = fetch("florida", registry_path=reg)
+    assert path == tmp_path / "cache" / "florida.gz"
+    assert _find_local_dataset("florida") == path
+    assert load_edge_list(path).m == 2
 
 
 def test_criterion_9_lovasz_framework_suite():

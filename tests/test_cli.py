@@ -252,6 +252,21 @@ def test_solve_refuses_one_file_for_report_and_trace(tmp_path, p3_file, monkeypa
     assert [p.name for p in tmp_path.iterdir()] == ["p3.el"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "p3.el", "--no-timings", "--out", "p3.el"],
+    ["convert", "p3.el", "./p3.el"],
+])
+def test_an_output_that_names_an_input_is_refused(tmp_path, p3_file, monkeypatch, capsys, argv):
+    # refused before anything is written: the input keeps its bytes and
+    # no manifest records the hash of an output in the input's place
+    monkeypatch.chdir(tmp_path)
+    before = p3_file.read_bytes()
+    assert main(argv) == 3
+    assert "same file" in capsys.readouterr().err
+    assert p3_file.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["p3.el"]
+
+
 def test_solve_rejects_a_negative_seed_before_the_precheck(p3_file, capsys):
     # p3 is settled by the precheck, which draws no random restart
     assert main(["solve", str(p3_file), "--seed", "-1"]) == 3

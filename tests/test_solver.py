@@ -23,8 +23,10 @@ from dicond import (
     sweep_cut,
     verify_local_opt,
 )
+import dicond.solver
 from dicond.baselines import spectral_sweep
-from dicond.solver import CERT_BOUNDARY, CERT_MAX_ITERS, CERT_PRECHECK, flip_conductances
+from dicond.solver import CERT_BOUNDARY, CERT_MAX_ITERS, CERT_NO_DESCENT, CERT_PRECHECK, flip_conductances
+from dicond.subgrad import general_step, iterate_state
 
 from conftest import random_digraph
 
@@ -154,6 +156,74 @@ def test_dsi_run_c3_immediate_stop(c3):
     assert rep.r_trace == (0.5,)
     assert rep.iterations == 0
     assert rep.best_r == 0.5
+
+
+# a binary start where V_b is empty, yet flipping vertex 0 reaches ratio 0
+# (test_known_boundary_blind_spot)
+BLIND_SPOT = (build_graph(4, [0, 0, 0, 1, 1, 2], [1, 2, 3, 0, 2, 1]), np.array([-1.0, 1.0, 1.0, -1.0]))
+
+
+def _count_calls(monkeypatch, name):
+    """Record the calls to the dicond.solver global name."""
+    calls = []
+    real = getattr(dicond.solver, name)
+    monkeypatch.setattr(dicond.solver, name, lambda *a, **kw: (calls.append(a), real(*a, **kw))[1])
+    return calls
+
+
+def _assert_descent(g, rep):
+    tr = rep.r_trace
+    assert all(tr[i + 1] < tr[i] for i in range(len(tr) - 1))
+    assert rep.best_r == conductance_set(g, rep.best_set)[0]
+
+
+def test_dsi_run_takes_a_rescue_flip_at_a_blind_spot(monkeypatch):
+    g, x = BLIND_SPOT
+    assert general_step(g, iterate_state(g, x))[0].size == 0
+    sweeps = _count_calls(monkeypatch, "flip_conductances")
+    rep = dsi_run(g, x, SolverConfig(self_check=True))
+    # the sweep that flips, the one that certifies the stop, and the
+    # final is_flip_local_opt test
+    assert len(sweeps) == 3
+    assert rep.r_trace == (0.2, 0.0) and rep.iterations == 1
+    assert rep.certificate == CERT_BOUNDARY
+    _assert_descent(g, rep)
+
+
+def test_dsi_run_rounds_a_non_binary_stall_and_continues(monkeypatch):
+    # V_b is empty at this start, whose vertex 3 is interior: the first
+    # move is the sweep-cut rounding, and two subproblem steps follow it
+    g = build_graph(4, [0, 1, 2, 2, 3, 3], [3, 0, 0, 1, 1, 2], [1.0, 2.0, 2.0, 1.0, 3.0, 1.0])
+    x = np.array([-1.0, 1.0, -1.0, 0.0])
+    assert general_step(g, iterate_state(g, x))[0].size == 0
+    sweeps = _count_calls(monkeypatch, "sweep_cut")
+    rep = dsi_run(g, x, SolverConfig(self_check=True))
+    assert len(sweeps) == 2  # the rounding and the final best_set
+    assert rep.iterations == 3 and len(rep.r_trace) == 4
+    assert rep.certificate == CERT_BOUNDARY
+    _assert_descent(g, rep)
+
+
+def test_dsi_run_refuses_a_rescue_flip_that_does_not_descend(monkeypatch):
+    # the flip sweep reports a spurious improvement once, at the stall
+    # that the first rescue flip reaches; the evaluated flip does not
+    # descend, so the run stops there and the trace gains nothing
+    g, x = BLIND_SPOT
+    real = dicond.solver.flip_conductances
+    calls = []
+
+    def spurious(g, s):
+        phis = real(g, s)
+        calls.append(s)
+        if len(calls) == 2:
+            phis[np.argmin(phis)] = -1.0
+        return phis
+
+    monkeypatch.setattr(dicond.solver, "flip_conductances", spurious)
+    rep = dsi_run(g, x, SolverConfig())
+    assert rep.certificate == CERT_NO_DESCENT
+    assert rep.r_trace == (0.2, 0.0) and rep.iterations == 2
+    _assert_descent(g, rep)
 
 
 def test_dsi_solve_disconnected_precheck():
@@ -456,6 +526,8 @@ def test_configs_with_a_start_vector_compare_and_hash_by_value():
 PINNED_REPORTS = {
     "c3": "e7ee23c1dcee4d458e48b521849a2d44c3496c0ecb6f80b51043e3270cd71de9",
     "dsbm-lscc": "43a5fa8aa16363a1ee2ef45895eb70360e5c0b45643ab57cdbbcdabe3a26f05d",
+    "rescue-flip": "d66c892c05e48c829a75fac45f6fc5b38b978a241abcdff31c0660de6538cae4",
+    "rounding": "f1db9621ae9c93f33dd3368eca24242dd30aac53177ab88a2e52c47edb96121c",
     "weighted": "8c6b912b6d66d12821426989f72b78a6f1dbd205ab2cfad590676e771a698b66",
     "wide": "9132a9242d6f9d4b517946de3b3d4f4505feadcdaf2e6af0a8b713f25bde6c56",
 }
@@ -469,6 +541,8 @@ PINNED_SUMMARIES = {
         [0, 1, 3, 5, 7, 16, 19, 39, 41, 43, 44, 45, 46, 47, 48, 49, 50, 52, 53, 54,
          55, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 76, 77],
     ),
+    "rescue-flip": (0.13793103448275862, CERT_BOUNDARY, 1, [0, 1, 2, 4, 6, 8]),
+    "rounding": (0.16666666666666666, CERT_BOUNDARY, 4, [0, 2, 4]),
     "weighted": (0.061224489795918366, CERT_BOUNDARY, 3, [2, 6, 7, 10]),
     "wide": (5.263760287094427e-06, CERT_BOUNDARY, 3, [0, 1, 3, 4, 5, 8, 9, 11]),
 }
@@ -480,6 +554,18 @@ def _pinned_input(name):
     if name == "dsbm-lscc":  # unweighted, N = 78
         g, _ = dsbm(DsbmParams(n=40, p=0.15, q=0.1, eta=0.2, seed=5))
         return largest_strong_component(g)[0]
+    if name in ("rescue-flip", "rounding"):
+        # unweighted, a Hamiltonian cycle plus 2n random arcs. The winning
+        # restart takes a rescue flip ("rescue-flip", N = 11: the sweep
+        # restart's only move) or rounds a non-binary stall and goes on
+        # ("rounding", N = 8: the random-2 restart, whose rounding does
+        # not descend but stays the current iterate)
+        rng = np.random.default_rng(225 if name == "rescue-flip" else 163)
+        n = int(rng.integers(4, 13))
+        perm = rng.permutation(n)
+        tails = np.concatenate([rng.integers(0, n, 2 * n), perm])
+        heads = np.concatenate([rng.integers(0, n, 2 * n), np.roll(perm, -1)])
+        return build_graph(n, tails, heads)
     # strongly connected (a Hamiltonian cycle plus 30 random arcs), with
     # weights in {0.5, 1, 1.5, 2} ("weighted", whose sums are exact, so
     # binary iterates run on a CutState) or 10^U(-3,3) ("wide", whose
