@@ -21,8 +21,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConstantVectorError, DegenerateSubsetError, DicondError
 from .functionals import is_nonconstant
-from .graph import (DirectedGraph, _component_labels, conductance_set, induced_subgraph,
-                    prefix_cut_profile, zero_cut)
+from .graph import DirectedGraph, conductance_set, positive_core, prefix_cut_profile, zero_cut
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ def spectral_embedding(g: DirectedGraph) -> EmbeddingResult:
     start vector. The sign puts the largest-magnitude entry positive."""
     if g.n < 2:
         raise DicondError("embedding needs at least 2 vertices")
-    if _component_labels(g, "weak")[0] != 1:
+    if g.weak_labels[0] != 1:
         raise DicondError("embedding needs a connected graph")
     d = g.degree_profile.d
     n = g.n
@@ -80,6 +79,18 @@ def spectral_embedding(g: DirectedGraph) -> EmbeddingResult:
     return EmbeddingResult(vector=x, residual=residual, iterations=products)
 
 
+def graph_embedding(g: DirectedGraph) -> EmbeddingResult:
+    """spectral_embedding(g), computed once per graph and kept on it with
+    a read-only vector: the solver's restarts and spectral_sweep both
+    read the embedding from here."""
+    emb = g.__dict__.get("_embedding")
+    if emb is None:
+        emb = spectral_embedding(g)
+        emb.vector.flags.writeable = False
+        g.__dict__["_embedding"] = emb  # as functools.cached_property stores its values
+    return emb
+
+
 def spectral_sweep(g: DirectedGraph) -> tuple[np.ndarray, float]:
     """Sweep cut of the spectral embedding, tolerant of weakly
     disconnected input.
@@ -93,13 +104,12 @@ def spectral_sweep(g: DirectedGraph) -> tuple[np.ndarray, float]:
     pre = zero_cut(g, strong=False)
     if pre is not None:
         return pre, 0.0
-    core = np.flatnonzero(g.degree_profile.d > 0)
-    if core.size == g.n:
-        return sweep_cut(g, spectral_embedding(g).vector)
-    sub, vmap = induced_subgraph(g, core)
-    sub_mask, _ = sweep_cut(sub, spectral_embedding(sub).vector)
+    sub, core = positive_core(g)
+    sub_mask, phi = sweep_cut(sub, graph_embedding(sub).vector)
+    if sub is g:
+        return sub_mask, phi
     mask = np.zeros(g.n, dtype=bool)
-    mask[vmap[sub_mask]] = True
+    mask[core[sub_mask]] = True
     return mask, conductance_set(g, mask)[0]
 
 

@@ -9,6 +9,7 @@ by (tail, head), all weights strictly positive.
 from __future__ import annotations
 
 import gzip
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -42,8 +43,19 @@ class DirectedGraph:
     """Immutable weighted digraph.
 
     tails/heads/weights are parallel arrays over arcs; labels maps dense
-    ids back to the original vertex names. Derived adjacency structures
-    are cached lazily and safe to share across threads.
+    ids back to the original vertex names. Each derived structure is
+    built lazily, once per graph, and kept on it with its arrays
+    read-only:
+
+    - degree_profile, the weighted degrees;
+    - pairs and pair_adjacency, the symmetrized pairs and their CSR;
+    - exact_sums, whether float64 sums of the weights are exact;
+    - arc_csr, the 0/1 adjacency matrix;
+    - strong_labels and weak_labels, the component count and labels;
+    - the positive-degree subgraph of positive_core;
+    - the spectral embedding of baselines.graph_embedding.
+
+    The caches are safe to share across threads.
     """
 
     n: int
@@ -62,7 +74,7 @@ class DirectedGraph:
         d_out = np.bincount(self.tails, weights=self.weights, minlength=self.n)
         d_in = np.bincount(self.heads, weights=self.weights, minlength=self.n)
         d = d_out + d_in
-        return DegreeProfile(d_out, d_in, d, d_out - d_in, float(d.sum()))
+        return DegreeProfile(*_frozen(d_out, d_in, d, d_out - d_in), float(d.sum()))
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -73,7 +85,7 @@ class DirectedGraph:
         uniq, inv = np.unique(key, return_inverse=True)
         w_sym = np.zeros(uniq.size)
         np.add.at(w_sym, inv, self.weights)
-        return uniq // self.n, uniq % self.n, w_sym
+        return _frozen(uniq // self.n, uniq % self.n, w_sym)
 
     @cached_property
     def pair_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,7 +96,7 @@ class DirectedGraph:
         order = np.argsort(ends, kind="stable")
         ids = np.arange(pu.size)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=self.n))])
-        return indptr, np.concatenate([pv, pu])[order], np.concatenate([ids, ids])[order]
+        return _frozen(indptr, np.concatenate([pv, pu])[order], np.concatenate([ids, ids])[order])
 
     @cached_property
     def exact_sums(self) -> bool:
@@ -101,12 +113,59 @@ class DirectedGraph:
         k = max(0, int(np.max(54 - exp - low)))  # w is a multiple of 2^-k
         return k <= 52 and 2.0 * float(w.sum()) < 2.0 ** (53 - k)
 
+    @cached_property
+    def arc_csr(self) -> csr_matrix:
+        """0/1 adjacency matrix, row = tail; built directly in CSR form,
+        as the arcs are sorted by (tail, head) and distinct."""
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(self.tails, minlength=self.n))])
+        adj = csr_matrix((np.ones(self.m), self.heads, indptr), shape=(self.n, self.n))
+        _frozen(adj.data, adj.indices, adj.indptr)
+        return adj
+
+    @cached_property
+    def strong_labels(self) -> tuple[int, np.ndarray]:
+        """Number of strongly connected components and the component
+        label of every vertex."""
+        count, labels = connected_components(self.arc_csr, directed=True, connection="strong")
+        _frozen(labels)
+        return count, labels
+
+    @cached_property
+    def weak_labels(self) -> tuple[int, np.ndarray]:
+        """Number of weakly connected components and the component label
+        of every vertex. One strong component is also the one weak
+        component, so then the strong labelling, when already known, is
+        reused without a second pass."""
+        strong = self.__dict__.get("strong_labels")  # set once strong_labels is read
+        if strong is not None and strong[0] == 1:
+            return strong
+        count, labels = connected_components(self.arc_csr, directed=True, connection="weak")
+        _frozen(labels)
+        return count, labels
+
+    @cached_property
+    def _core(self) -> tuple[DirectedGraph | None, np.ndarray]:
+        """positive_core's subgraph, or None for the graph itself, and ids."""
+        sub, ids = None, np.flatnonzero(self.degree_profile.d > 0)
+        if ids.size < self.n:  # else None, not self, to keep out a reference cycle
+            sub, ids = induced_subgraph(self, ids)
+        _frozen(ids)
+        return sub, ids
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only in place."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
 
 def build_graph(n, tails, heads, weights=None, labels=None) -> DirectedGraph:
     """Canonicalize raw arc arrays into a DirectedGraph.
 
     Drops self-loops (counted) and zero-weight arcs, aggregates parallel
-    arcs by weight sum, and sorts arcs by (tail, head). Raises
+    arcs by weight sum, and sorts arcs by (tail, head); the arc arrays
+    are new and read-only, as every cache derived from them is. Raises
     ValueError for an endpoint outside [0, n) and for a weight that is
     negative, NaN or infinite.
     """
@@ -144,12 +203,7 @@ def build_graph(n, tails, heads, weights=None, labels=None) -> DirectedGraph:
         if len(labels) != n:
             raise ValueError("label count does not match vertex count")
     return DirectedGraph(
-        n=n,
-        tails=uniq // n,
-        heads=uniq % n,
-        weights=agg,
-        labels=labels,
-        self_loops_dropped=n_loops,
+        n, *_frozen(uniq // n, uniq % n, agg), labels=labels, self_loops_dropped=n_loops
     )
 
 
@@ -181,44 +235,44 @@ def load_edge_list(source) -> DirectedGraph:
     dropped (count kept on the graph), and labels densified to 0-based
     ids in first-appearance order.
     """
-    labels: list[str] = []
-    index: dict[str, int] = {}
+    index: dict[str, int] = {}  # label -> id, in first-appearance order
+    new_id = index.setdefault
     tails, heads, weights = [], [], []
-
-    def vid(tok: str) -> int:
-        if tok not in index:
-            index[tok] = len(labels)
-            labels.append(tok)
-        return index[tok]
-
     for line_no, raw in enumerate(_open_text(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith(COMMENT_PREFIXES):
+        parts = raw.split()
+        if not parts or parts[0].startswith(COMMENT_PREFIXES):
             continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
+        if len(parts) == 2:
+            w = 1.0
+        elif len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise EdgeListParseError(line_no, f"bad weight {parts[2]!r}") from None
+            if not math.isfinite(w):
+                raise EdgeListParseError(line_no, f"non-finite weight {parts[2]!r}")
+            if w < 0:
+                raise EdgeListParseError(line_no, f"negative weight {w}")
+        else:
             raise EdgeListParseError(line_no, f"expected 2 or 3 fields, got {len(parts)}")
-        try:
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError:
-            raise EdgeListParseError(line_no, f"bad weight {parts[2]!r}") from None
-        if not math.isfinite(w):
-            raise EdgeListParseError(line_no, f"non-finite weight {parts[2]!r}")
-        if w < 0:
-            raise EdgeListParseError(line_no, f"negative weight {w}")
-        tails.append(vid(parts[0]))
-        heads.append(vid(parts[1]))
+        tails.append(new_id(parts[0], len(index)))
+        heads.append(new_id(parts[1], len(index)))
         weights.append(w)
 
-    if not labels:
+    if not index:
         raise EmptyGraphError("edge list defines no vertices")
-    return build_graph(len(labels), tails, heads, weights, labels)
+    return build_graph(len(index), tails, heads, weights, index)
 
 
 def write_edge_list(g: DirectedGraph, path) -> None:
-    """Write the canonical edge list (original labels, sorted arcs)."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wt") as fh:
+    """Write the canonical edge list (original labels, sorted arcs). A
+    path ending in .gz is gzip-compressed with a zero header time, so a
+    rewrite gives the same bytes."""
+    if str(path).endswith(".gz"):
+        fh = io.TextIOWrapper(gzip.GzipFile(path, "wb", mtime=0))
+    else:
+        fh = open(path, "wt")
+    with fh:
         for t, h, w in zip(g.tails, g.heads, g.weights):
             fh.write(f"{g.labels[t]} {g.labels[h]} {float(w)!r}\n")
 
@@ -281,17 +335,10 @@ def prefix_cut_profile(g: DirectedGraph, order) -> tuple[np.ndarray, np.ndarray,
     return cut_plus, cut_minus, np.cumsum(g.degree_profile.d[order])
 
 
-def _component_labels(g: DirectedGraph, connection: str) -> tuple[int, np.ndarray]:
-    """Number of components and the component label of every vertex;
-    connection is "weak" or "strong"."""
-    adj = csr_matrix((np.ones(g.m), (g.tails, g.heads)), shape=(g.n, g.n))
-    return connected_components(adj, directed=True, connection=connection)
-
-
 def weak_components(g: DirectedGraph) -> list[np.ndarray]:
     """Weakly connected components as sorted vertex-id arrays, largest
     first; ties go to the component holding the smallest vertex id."""
-    _, labels = _component_labels(g, "weak")
+    _, labels = g.weak_labels
     comps = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     return sorted(comps, key=lambda c: (-c.size, int(c[0])))
 
@@ -301,7 +348,9 @@ def zero_cut(g: DirectedGraph, strong: bool = True) -> np.ndarray | None:
     strong=False) components, the mask of the positive-volume source
     component (no arc enters it) holding the smallest vertex id, a set
     with phi = 0; otherwise None. Every weak component is a source."""
-    count, labels = _component_labels(g, "strong" if strong else "weak")
+    count, labels = g.strong_labels if strong else g.weak_labels
+    if count == 1:
+        return None
     live = g.degree_profile.d > 0
     if np.unique(labels[live]).size < 2:
         return None
@@ -332,10 +381,18 @@ def induced_subgraph(g: DirectedGraph, vertices: np.ndarray) -> tuple[DirectedGr
     return sub, vertices
 
 
+def positive_core(g: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]:
+    """Subgraph on the positive-degree vertices, renumbered in ascending
+    order, and their ids in g; g itself when no vertex is isolated. It is
+    built once per graph, so a solve and a sweep of g share its caches."""
+    sub, ids = g._core
+    return (g if sub is None else sub), ids
+
+
 def largest_strong_component(g: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]:
     """Induced subgraph on the largest strongly connected component;
     ties go to the one holding the smallest vertex id."""
-    _, labels = _component_labels(g, "strong")
+    _, labels = g.strong_labels
     sizes = np.bincount(labels)
     first = np.flatnonzero(sizes[labels] == sizes.max())[0]
     return induced_subgraph(g, np.flatnonzero(labels == labels[first]))

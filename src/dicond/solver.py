@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import spectral_embedding, sweep_cut
+from .baselines import graph_embedding, sweep_cut
 from .errors import ConstantVectorError, EmptyGraphError, check_int
 from .functionals import is_nonconstant, linf, q_r
-from .graph import DirectedGraph, conductance_set, induced_subgraph, zero_cut
+from .graph import DirectedGraph, conductance_set, positive_core, zero_cut
 from .subgrad import CutState, binary_step, general_step, iterate_state
 
 CERT_BOUNDARY = "stop-by-V_b-empty"
@@ -363,7 +363,7 @@ def _initial_vectors(g, cfg, start) -> list[tuple[str, np.ndarray]]:
 
     emb_vec = None
     if "spectral" in fixed or "sweep" in fixed:
-        emb_vec = spectral_embedding(g).vector
+        emb_vec = graph_embedding(g).vector
 
     for kind in fixed[:want]:
         if kind == "spectral":
@@ -416,10 +416,8 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
         return _precheck_report(g, pre, t0, "not strongly connected: a source component cut is optimal")
 
     notes = ("initialized from symmetrized spectral embedding, sweep seed, and random restarts",)
-    core = np.flatnonzero(g.degree_profile.d > 0)
-    sub = g
-    if core.size < g.n:
-        sub, _ = induced_subgraph(g, core)
+    sub, core = positive_core(g)
+    if sub is not g:
         start = None if start is None else start[core]
         notes += ("isolated vertices assigned to the complement side",)
     if start is not None and not is_nonconstant(start):

@@ -10,7 +10,9 @@ still check the package against the paper's identities: the ratio's
 minimum equals the exhaustive conductance, the one-sided ratios match
 the one-sided conductances, and the numerators dominate the Lovasz
 extension of the cut. brute_binary_r_min shares the oracle's subset
-enumerator, so both exhaustive minima walk the same subsets.
+enumerator, so both exhaustive minima walk the same subsets. The
+component labelling from a COO-built arc matrix is the construction
+that the graph's cached arc CSR replaced.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from dicond.errors import ConstantVectorError, DegenerateSubsetError, GraphTooLargeError
 from dicond.functionals import i_plus, j_terms, linf, n_med
@@ -173,3 +177,10 @@ def largest_weak_component(g: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]
     the smallest original vertex id.
     """
     return induced_subgraph(g, weak_components(g)[0])
+
+
+def coo_component_labels(g: DirectedGraph, connection: str) -> tuple[int, np.ndarray]:
+    """Number of components and each vertex's label, from an arc matrix
+    built through COO; connection is "weak" or "strong"."""
+    adj = csr_matrix((np.ones(g.m), (g.tails, g.heads)), shape=(g.n, g.n))
+    return connected_components(adj, directed=True, connection=connection)

@@ -1,8 +1,12 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dicond import (ConstantVectorError, DsbmParams, build_graph, conductance_set, dsbm,
-                    largest_strong_component, spectral_embedding, sweep_cut)
+import dicond.baselines
+from dicond import (ConstantVectorError, DsbmParams, SolverConfig, build_graph, conductance_set,
+                    dsbm, dsi_solve, largest_strong_component, spectral_embedding, sweep_cut)
 from dicond.baselines import spectral_sweep
 from dicond.errors import DicondError
 from dicond.graph import prefix_cut_profile
@@ -163,3 +167,29 @@ def test_spectral_sweep_disconnected_variants():
     mask, phi = spectral_sweep(g2)
     assert phi == pytest.approx(0.5)
     assert not mask[3] and not mask[4]
+
+
+@pytest.mark.parametrize("isolated", [0, 2])
+def test_a_solve_and_a_sweep_of_one_graph_share_one_embedding(monkeypatch, isolated):
+    # every embedding runs one eigsh, whichever module calls it
+    calls = []
+    eigsh = dicond.baselines.eigsh
+    monkeypatch.setattr(dicond.baselines, "eigsh",
+                        lambda op, **kw: calls.append(op.shape[0]) or eigsh(op, **kw))
+    rng = np.random.default_rng(55)
+    for n in (5, 12, 40):
+        perm = rng.permutation(n)
+        tails = np.concatenate([rng.integers(0, n, 2 * n), perm])
+        heads = np.concatenate([rng.integers(0, n, 2 * n), np.roll(perm, -1)])
+        # strongly connected on its first n vertices, so the solve embeds
+        g = build_graph(n + isolated, tails, heads, rng.uniform(0.1, 1.0, 3 * n))
+        del calls[:]
+        report = dsi_solve(g, SolverConfig(seed=n)).to_dict(with_timings=False)
+        mask, phi = spectral_sweep(g)
+        assert calls == [n]
+        fresh = replace(g)  # same arcs, no caches
+        fresh_mask, fresh_phi = spectral_sweep(fresh)
+        assert np.array_equal(mask, fresh_mask) and phi == fresh_phi
+        fresh_report = dsi_solve(fresh, SolverConfig(seed=n)).to_dict(with_timings=False)
+        assert json.dumps(fresh_report) == json.dumps(report)
+        assert calls == [n, n]

@@ -80,6 +80,19 @@ def test_convert_gzip_roundtrip(tmp_path, capsys):
     assert lines == ["a b 2.0", "b c 2.0"]
 
 
+def test_convert_gzip_output_is_byte_reproducible(tmp_path):
+    src = tmp_path / "g.el"
+    src.write_text("a b 2.0\nb c\n")
+    gz = tmp_path / "out.el.gz"
+    outs = []
+    for _ in range(2):
+        assert main(["convert", str(src), str(gz)]) == 0
+        outs.append(gz.read_bytes())
+    assert outs[0] == outs[1]
+    # a zero header time, so runs in different seconds agree as well
+    assert outs[0][4:8] == bytes(4)
+
+
 def test_fetch_local_registry(tmp_path, capsys, monkeypatch):
     data = tmp_path / "tiny.el"
     data.write_text("1 2\n2 1\n")

@@ -1,8 +1,11 @@
 import gzip
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dicond import (
     DegenerateSubsetError,
@@ -16,10 +19,11 @@ from dicond import (
     load_edge_list,
     weak_components,
 )
-from dicond.graph import induced_subgraph, prefix_cut_profile, zero_cut
+from dicond.baselines import graph_embedding
+from dicond.graph import induced_subgraph, positive_core, prefix_cut_profile, zero_cut
 
 from conftest import random_digraph
-from reference import largest_weak_component
+from reference import coo_component_labels, largest_weak_component
 
 
 def test_load_default_weight():
@@ -235,6 +239,52 @@ def test_zero_cut_examples(p3, c3):
     assert zero_cut(p3, strong=False) is None
     for g in (p3, rev, two):
         assert conductance_set(g, zero_cut(g))[0] == 0.0
+
+
+@st.composite
+def digraphs_with_loops(draw):
+    """Digraphs on 1..9 vertices whose arcs may be self-loops, so some
+    vertices are often left isolated."""
+    n = draw(st.integers(1, 9))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    return build_graph(n, [a for a, _ in arcs], [b for _, b in arcs], [1.0] * len(arcs))
+
+
+def _same_labels(got, want):
+    return got[0] == want[0] and got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+
+
+@given(g=digraphs_with_loops())
+@example(g=build_graph(4, [0, 1, 2, 3], [1, 0, 2, 3]))  # loops at 2 and 3 leave them isolated
+@example(g=build_graph(3, [0, 1, 2], [1, 2, 0]))
+@settings(max_examples=200, deadline=None)
+def test_component_labels_equal_the_coo_built_labels(g):
+    strong, weak = coo_component_labels(g, "strong"), coo_component_labels(g, "weak")
+    # weak first; then strong first, where one strong component is
+    # reused as the weak labelling
+    assert _same_labels(g.weak_labels, weak) and _same_labels(g.strong_labels, strong)
+    fresh = replace(g)
+    assert _same_labels(fresh.strong_labels, strong) and _same_labels(fresh.weak_labels, weak)
+    assert (fresh.weak_labels is fresh.strong_labels) == (strong[0] == 1)
+
+
+def test_every_cached_array_is_read_only():
+    # a strongly connected core {0, 1, 2} plus the isolated vertex 3
+    g = build_graph(4, [0, 1, 2, 0], [1, 2, 0, 2], [1.0, 2.0, 1.0, 0.5])
+    sub, core = positive_core(g)
+    for graph in (g, sub, canonical("c3")):
+        arrays = [graph.tails, graph.heads, graph.weights, *graph.pairs, *graph.pair_adjacency,
+                  graph.arc_csr.data, graph.arc_csr.indices, graph.arc_csr.indptr,
+                  graph.strong_labels[1], graph.weak_labels[1], positive_core(graph)[1]]
+        degrees = graph.degree_profile
+        arrays += [degrees.d_out, degrees.d_in, degrees.d, degrees.d_delta]
+        if graph is not g:
+            arrays.append(graph_embedding(graph).vector)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+    assert positive_core(g)[0] is sub and positive_core(sub)[0] is sub
+    assert core.tolist() == [0, 1, 2]
 
 
 def test_largest_strong_component_examples(p3):

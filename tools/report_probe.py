@@ -6,7 +6,10 @@ change moves:
 
     PYTHONPATH=src python tools/report_probe.py > probe.jsonl
 
-The cases are fixed; the script takes no options.
+The cases are fixed; the script takes no options. Its output is kept as
+tools/probe.jsonl, and tests/test_report_probe.py reruns the probe and
+names every case whose line moved; a change that moves reports records
+the file again.
 
 - 400 random strongly connected digraphs. For seed in 0..399, with
   rng = default_rng(seed): n = rng.integers(4, 40), m = 3n,
@@ -69,11 +72,12 @@ def cases():
             yield f"dsbm-{eta:.2f}-{seed}", largest_strong_component(g)[0], seed
 
 
-def main() -> None:
+def probe_lines():
+    """The probe's output lines, one per case, in case order."""
     for name, g, seed in cases():
         rep = dsi_solve(g, SolverConfig(seed=seed))
         doc = json.dumps(rep.to_dict(with_timings=False), sort_keys=True)
-        print(json.dumps({
+        yield json.dumps({
             "name": name,
             "n": g.n,
             "best_r": rep.best_r,
@@ -82,7 +86,12 @@ def main() -> None:
             "init_kind": rep.init_kind,
             "iterations": rep.iterations,
             "digest": hashlib.sha256(doc.encode()).hexdigest(),
-        }), flush=True)
+        })
+
+
+def main() -> None:
+    for line in probe_lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
