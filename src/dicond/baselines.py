@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import ConstantVectorError, DegenerateSubsetError, DicondError
+from .errors import ConstantVectorError, DegenerateSubsetError, DicondError, EmptyGraphError
 from .functionals import is_nonconstant
-from .graph import DirectedGraph, conductance_set, positive_core, prefix_cut_profile, zero_cut
+from .graph import (DirectedGraph, conductance_set, lift_core, positive_core, prefix_cut_profile,
+                    zero_cut)
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ def spectral_embedding(g: DirectedGraph) -> EmbeddingResult:
     start vector. The sign puts the largest-magnitude entry positive."""
     if g.n < 2:
         raise DicondError("embedding needs at least 2 vertices")
-    if g.weak_labels[0] != 1:
+    if g.strong_labels[0] != 1 and g.weak_labels[0] != 1:
         raise DicondError("embedding needs a connected graph")
     d = g.degree_profile.d
     n = g.n
@@ -101,15 +102,16 @@ def spectral_sweep(g: DirectedGraph) -> tuple[np.ndarray, float]:
     run on the positive-degree vertices, and any isolated vertices join
     the complement side (no conductance value changes).
     """
+    if g.m == 0:
+        raise EmptyGraphError("sweep needs at least 1 arc")
     pre = zero_cut(g, strong=False)
     if pre is not None:
         return pre, 0.0
-    sub, core = positive_core(g)
+    sub, _ = positive_core(g)
     sub_mask, phi = sweep_cut(sub, graph_embedding(sub).vector)
     if sub is g:
         return sub_mask, phi
-    mask = np.zeros(g.n, dtype=bool)
-    mask[core[sub_mask]] = True
+    mask = lift_core(g, sub_mask, False)
     return mask, conductance_set(g, mask)[0]
 
 

@@ -52,7 +52,7 @@ class DirectedGraph:
     - exact_sums, whether float64 sums of the weights are exact;
     - arc_csr, the 0/1 adjacency matrix;
     - strong_labels and weak_labels, the component count and labels;
-    - the positive-degree subgraph of positive_core;
+    - positive_core's subgraph, which the precheck, solve and sweep share;
     - the spectral embedding of baselines.graph_embedding.
 
     The caches are safe to share across threads.
@@ -83,8 +83,7 @@ class DirectedGraph:
         v = np.maximum(self.tails, self.heads)
         key = u.astype(np.int64) * self.n + v
         uniq, inv = np.unique(key, return_inverse=True)
-        w_sym = np.zeros(uniq.size)
-        np.add.at(w_sym, inv, self.weights)
+        w_sym = np.bincount(inv, weights=self.weights, minlength=uniq.size)
         return _frozen(uniq // self.n, uniq % self.n, w_sym)
 
     @cached_property
@@ -132,13 +131,7 @@ class DirectedGraph:
 
     @cached_property
     def weak_labels(self) -> tuple[int, np.ndarray]:
-        """Number of weakly connected components and the component label
-        of every vertex. One strong component is also the one weak
-        component, so then the strong labelling, when already known, is
-        reused without a second pass."""
-        strong = self.__dict__.get("strong_labels")  # set once strong_labels is read
-        if strong is not None and strong[0] == 1:
-            return strong
+        """Number of weakly connected components and each vertex's label."""
         count, labels = connected_components(self.arc_csr, directed=True, connection="weak")
         _frozen(labels)
         return count, labels
@@ -166,8 +159,9 @@ def build_graph(n, tails, heads, weights=None, labels=None) -> DirectedGraph:
     Drops self-loops (counted) and zero-weight arcs, aggregates parallel
     arcs by weight sum, and sorts arcs by (tail, head); the arc arrays
     are new and read-only, as every cache derived from them is. Raises
-    ValueError for an endpoint outside [0, n) and for a weight that is
-    negative, NaN or infinite.
+    ValueError for an endpoint outside [0, n), for a weight that is
+    negative, NaN or infinite, and for weights whose volume 2·Σw
+    overflows float64.
     """
     if n <= 0:
         raise EmptyGraphError("graph has no vertices")
@@ -191,10 +185,11 @@ def build_graph(n, tails, heads, weights=None, labels=None) -> DirectedGraph:
 
     key = tails * n + heads
     uniq, inv = np.unique(key, return_inverse=True)
-    agg = np.zeros(uniq.size)
-    np.add.at(agg, inv, weights)
-    nonzero = agg > 0
-    uniq, agg = uniq[nonzero], agg[nonzero]
+    agg = np.bincount(inv, weights=weights, minlength=uniq.size)
+    with np.errstate(over="ignore"):
+        volume = 2.0 * float(agg.sum())
+    if not math.isfinite(volume):
+        raise ValueError("volume (twice the total arc weight) overflows float64")
 
     if labels is None:
         labels = tuple(str(i) for i in range(n))
@@ -344,19 +339,22 @@ def weak_components(g: DirectedGraph) -> list[np.ndarray]:
 
 
 def zero_cut(g: DirectedGraph, strong: bool = True) -> np.ndarray | None:
-    """If the positive-degree vertices span two or more strong (weak, with
-    strong=False) components, the mask of the positive-volume source
-    component (no arc enters it) holding the smallest vertex id, a set
-    with phi = 0; otherwise None. Every weak component is a source."""
-    count, labels = g.strong_labels if strong else g.weak_labels
+    """If positive_core(g) has two or more strong components (and, with
+    strong=False, two or more weak ones), the mask in g of the source
+    component (no arc enters it; every weak one is) with the smallest
+    vertex id, a set with phi = 0; otherwise None."""
+    if g.m == 0:
+        return None
+    core, _ = positive_core(g)
+    count, labels = core.strong_labels
+    if count > 1 and not strong:
+        count, labels = core.weak_labels
     if count == 1:
         return None
-    live = g.degree_profile.d > 0
-    if np.unique(labels[live]).size < 2:
-        return None
-    entered = np.bincount(labels[g.heads][labels[g.tails] != labels[g.heads]], minlength=count) > 0
-    first = np.flatnonzero(live & ~entered[labels])[0]
-    return labels == labels[first]
+    t, h = labels[core.tails], labels[core.heads]
+    entered = np.bincount(h[t != h], minlength=count) > 0
+    first = np.flatnonzero(~entered[labels])[0]
+    return lift_core(g, labels == labels[first], False)
 
 
 def induced_subgraph(g: DirectedGraph, vertices: np.ndarray) -> tuple[DirectedGraph, np.ndarray]:
@@ -384,9 +382,18 @@ def induced_subgraph(g: DirectedGraph, vertices: np.ndarray) -> tuple[DirectedGr
 def positive_core(g: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]:
     """Subgraph on the positive-degree vertices, renumbered in ascending
     order, and their ids in g; g itself when no vertex is isolated. It is
-    built once per graph, so a solve and a sweep of g share its caches."""
+    built once per graph, so the precheck, a solve and a sweep of g
+    share its caches; it needs an arc."""
     sub, ids = g._core
     return (g if sub is None else sub), ids
+
+
+def lift_core(g: DirectedGraph, values, fill) -> np.ndarray:
+    """values, given on positive_core(g), spread over g: the isolated
+    vertices join the complement side, as fill (False in a set, -1.0 in x)."""
+    out = np.full(g.n, fill)
+    out[positive_core(g)[1]] = values
+    return out
 
 
 def largest_strong_component(g: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]:

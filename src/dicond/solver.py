@@ -20,7 +20,7 @@ import numpy as np
 from .baselines import graph_embedding, sweep_cut
 from .errors import ConstantVectorError, EmptyGraphError, check_int
 from .functionals import is_nonconstant, linf, q_r
-from .graph import DirectedGraph, conductance_set, positive_core, zero_cut
+from .graph import DirectedGraph, conductance_set, lift_core, positive_core, zero_cut
 from .subgrad import CutState, binary_step, general_step, iterate_state
 
 CERT_BOUNDARY = "stop-by-V_b-empty"
@@ -429,11 +429,7 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
         rep = dsi_run(sub, x1, cfg)
         reports.append(replace(rep, init_kind=kind, restart_index=idx))
     best = min(reports, key=lambda rep: (rep.best_r, rep.iterations, rep.restart_index))
-
-    if sub is not g:
-        mask = np.zeros(g.n, dtype=bool)
-        mask[core[best.best_set]] = True
-        x_full = -np.ones(g.n)
-        x_full[core] = best.best_x
-        best = replace(best, best_x=x_full, best_set=mask, best_set_labels=_sorted_labels(g, mask))
-    return replace(best, wall_time=time.perf_counter() - t0, notes=notes)
+    mask = lift_core(g, best.best_set, False)
+    return replace(best, best_x=lift_core(g, best.best_x, -1.0), best_set=mask,
+                   best_set_labels=_sorted_labels(g, mask), wall_time=time.perf_counter() - t0,
+                   notes=notes)

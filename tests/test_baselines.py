@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import dicond.baselines
+import dicond.graph
 from dicond import (ConstantVectorError, DsbmParams, SolverConfig, build_graph, conductance_set,
                     dsbm, dsi_solve, largest_strong_component, spectral_embedding, sweep_cut)
 from dicond.baselines import spectral_sweep
-from dicond.errors import DicondError
+from dicond.errors import DicondError, EmptyGraphError
 from dicond.graph import prefix_cut_profile
 
 from conftest import random_digraph
@@ -169,6 +170,12 @@ def test_spectral_sweep_disconnected_variants():
     assert not mask[3] and not mask[4]
 
 
+def test_spectral_sweep_needs_an_arc():
+    # two vertices whose only arcs are self-loops
+    with pytest.raises(EmptyGraphError, match="1 arc"):
+        spectral_sweep(build_graph(2, [0, 1], [0, 1]))
+
+
 @pytest.mark.parametrize("isolated", [0, 2])
 def test_a_solve_and_a_sweep_of_one_graph_share_one_embedding(monkeypatch, isolated):
     # every embedding runs one eigsh, whichever module calls it
@@ -193,3 +200,32 @@ def test_a_solve_and_a_sweep_of_one_graph_share_one_embedding(monkeypatch, isola
         fresh_report = dsi_solve(fresh, SolverConfig(seed=n)).to_dict(with_timings=False)
         assert json.dumps(fresh_report) == json.dumps(report)
         assert calls == [n, n]
+
+
+@pytest.mark.parametrize("strongly_connected, isolated, passes", [
+    (True, 0, [(30, "strong")]),
+    (True, 2, [(30, "strong")]),
+    (False, 0, [(30, "strong"), (30, "weak")]),
+    (False, 2, [(30, "strong"), (30, "weak")]),
+])
+def test_a_solve_and_a_sweep_label_the_positive_core_once(monkeypatch, strongly_connected,
+                                                          isolated, passes):
+    calls = []
+    label = dicond.graph.connected_components
+    monkeypatch.setattr(dicond.graph, "connected_components",
+                        lambda adj, **kw: calls.append((adj.shape[0], kw["connection"]))
+                        or label(adj, **kw))
+    rng = np.random.default_rng(7)
+    n = 30
+    # a chain through all n vertices plus forward arcs: weakly but not
+    # strongly connected, until the arc n-1 -> 0 closes a cycle
+    tails, heads = np.sort(rng.integers(0, n, (2, 2 * n)), axis=0)
+    tails = np.concatenate([np.arange(n - 1), tails] + ([[n - 1]] if strongly_connected else []))
+    heads = np.concatenate([np.arange(1, n), heads] + ([[0]] if strongly_connected else []))
+    g = build_graph(n + isolated, tails, heads, rng.uniform(0.1, 1.0, tails.size))
+    report = dsi_solve(g, SolverConfig(seed=1))
+    mask, _ = spectral_sweep(g)
+    assert calls == passes
+    assert (report.certificate == "stop-by-precheck") != strongly_connected
+    assert not mask[n:].any() and not report.best_set[n:].any()
+    assert report.best_x[n:].tolist() == [-1.0] * isolated

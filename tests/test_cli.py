@@ -49,6 +49,18 @@ def test_missing_file_is_data_error(tmp_path):
     assert main(["solve", str(tmp_path / "nope.el")]) == 3
 
 
+def test_weights_whose_volume_overflows_are_data_errors(tmp_path, capsys):
+    # finite weights: two parallel arcs that sum to inf, and a cycle whose
+    # volume 2·Σw is inf
+    parallel = tmp_path / "parallel.el"
+    parallel.write_text("1 2 1e308\n1 2 1e308\n2 1 1\n")
+    cycle = tmp_path / "cycle.el"
+    cycle.write_text("1 2 1e308\n2 3 1e308\n3 1 1e308\n")
+    for argv in (["solve", str(parallel)], ["sweep", str(parallel)], ["oracle", str(cycle)]):
+        assert main(argv) == 3
+        assert "overflows" in capsys.readouterr().err
+
+
 def test_usage_error():
     assert main([]) == 2
     assert main(["solve"]) == 2

@@ -88,6 +88,17 @@ def test_build_graph_rejects_infinite_weights():
         build_graph(3, [0, 1, 2], [1, 2, 0], [1.0, np.inf, 1.0])
 
 
+def test_build_graph_rejects_weights_whose_volume_overflows():
+    # two finite parallel arcs that sum to inf, and finite arcs whose
+    # volume 2·Σw is inf
+    with pytest.raises(ValueError, match="overflows"):
+        build_graph(2, [0, 0, 1], [1, 1, 0], [1e308, 1e308, 1.0])
+    with pytest.raises(ValueError, match="overflows"):
+        build_graph(3, [0, 1, 2], [1, 2, 0], [1e308, 1e308, 1e308])
+    g = build_graph(3, [0, 1, 2], [1, 2, 0], [1e307, 1e307, 1e307])
+    assert g.degree_profile.vol_total == 6e307
+
+
 def test_load_gzip_transparent(tmp_path):
     path = tmp_path / "g.el.gz"
     with gzip.open(path, "wt") as fh:
@@ -237,6 +248,8 @@ def test_zero_cut_examples(p3, c3):
     assert zero_cut(two, strong=False).tolist() == [True] * 3 + [False] * 3
     # weakly connected but not strongly connected
     assert zero_cut(p3, strong=False) is None
+    # no arc, so no positive-degree vertex
+    assert zero_cut(build_graph(2, [0, 1], [0, 1])) is None
     for g in (p3, rev, two):
         assert conductance_set(g, zero_cut(g))[0] == 0.0
 
@@ -260,12 +273,10 @@ def _same_labels(got, want):
 @settings(max_examples=200, deadline=None)
 def test_component_labels_equal_the_coo_built_labels(g):
     strong, weak = coo_component_labels(g, "strong"), coo_component_labels(g, "weak")
-    # weak first; then strong first, where one strong component is
-    # reused as the weak labelling
+    # weak first, then strong first
     assert _same_labels(g.weak_labels, weak) and _same_labels(g.strong_labels, strong)
     fresh = replace(g)
     assert _same_labels(fresh.strong_labels, strong) and _same_labels(fresh.weak_labels, weak)
-    assert (fresh.weak_labels is fresh.strong_labels) == (strong[0] == 1)
 
 
 def test_every_cached_array_is_read_only():

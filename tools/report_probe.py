@@ -27,6 +27,11 @@ the file again.
   dsbm(DsbmParams(n=200, p=0.02, q=0.02, eta, seed)) for eta in
   0.05, 0.10, ..., 0.30 and seed in 0..4, solved with
   SolverConfig(seed=seed).
+- 90 random digraphs with isolated vertices or without the cycle, so
+  that the solve lifts its set from the positive-degree core or stops at
+  the zero-cut precheck: the first recipe for seed in 1000..1089, where
+  seeds with seed % 3 != 0 drop the n cycle arcs and seeds with
+  seed % 3 != 1 append 1 + (seed // 3) % 3 isolated vertices.
 
 Each line holds the case name, n, best_r, the spectral sweep baseline's
 phi, the certificate, the winning restart's init kind, the iteration
@@ -51,7 +56,7 @@ def random_case(seed: int):
     perm = rng.permutation(n)
     tails = np.concatenate([rng.integers(0, n, m), perm])
     heads = np.concatenate([rng.integers(0, n, m), np.roll(perm, -1)])
-    if seed >= 400:
+    if 400 <= seed < 600:
         if seed % 2 == 0:
             weights = rng.integers(1, 4, m + n).astype(float)
         else:
@@ -60,7 +65,11 @@ def random_case(seed: int):
         weights = 10 ** rng.uniform(-3, 3, m + n)
     else:
         weights = rng.uniform(0.1, 1, m + n)
-    return build_graph(n, tails, heads, weights)
+    if seed < 1000:
+        return build_graph(n, tails, heads, weights)
+    arcs = m + n if seed % 3 == 0 else m
+    isolated = 0 if seed % 3 == 1 else 1 + (seed // 3) % 3
+    return build_graph(n + isolated, tails[:arcs], heads[:arcs], weights[:arcs])
 
 
 def cases():
@@ -70,6 +79,8 @@ def cases():
         for seed in range(5):
             g, _ = dsbm(DsbmParams(n=200, p=0.02, q=0.02, eta=eta, seed=seed))
             yield f"dsbm-{eta:.2f}-{seed}", largest_strong_component(g)[0], seed
+    for seed in range(1000, 1090):
+        yield f"random-{seed}", random_case(seed), seed
 
 
 def probe_lines():
