@@ -100,22 +100,18 @@ def spectral_sweep(g: DirectedGraph) -> tuple[np.ndarray, float]:
     components: with two or more that carry volume, one of them is
     itself a zero-conductance answer. Otherwise the embedding and sweep
     run on the positive-degree vertices, and any isolated vertices join
-    the complement side (no conductance value changes).
+    the complement side. Returns (mask, conductance_set(g, mask)[0]).
     """
     if g.m == 0:
         raise EmptyGraphError("sweep needs at least 1 arc")
-    pre = zero_cut(g, strong=False)
-    if pre is not None:
-        return pre, 0.0
-    sub, _ = positive_core(g)
-    sub_mask, phi = sweep_cut(sub, graph_embedding(sub).vector)
-    if sub is g:
-        return sub_mask, phi
-    mask = lift_core(g, sub_mask, False)
+    mask = zero_cut(g, strong=False)
+    if mask is None:
+        sub, _ = positive_core(g)
+        mask = lift_core(g, sweep_cut(sub, graph_embedding(sub).vector), False)
     return mask, conductance_set(g, mask)[0]
 
 
-def sweep_cut(g: DirectedGraph, v, distinct_only: bool = False) -> tuple[np.ndarray, float]:
+def sweep_cut(g: DirectedGraph, v, distinct_only: bool = False) -> np.ndarray:
     """Best-conductance prefix of vertices sorted by v descending.
 
     Scores every prefix from one prefix_cut_profile pass (O(m + n log n));
@@ -123,7 +119,8 @@ def sweep_cut(g: DirectedGraph, v, distinct_only: bool = False) -> tuple[np.ndar
     smallest prefix. Equal values of v are split by vertex id, unless
     distinct_only is set: then only prefixes that end between two
     distinct values count, so a +/-1 vector reproduces its own sign
-    partition. Returns (mask, phi).
+    partition. Returns its mask: the scan's cumulative scores can differ
+    from conductance_set(g, mask)[0] in the last bits.
     """
     v = np.asarray(v, dtype=float)
     if not is_nonconstant(v):
@@ -144,4 +141,4 @@ def sweep_cut(g: DirectedGraph, v, distinct_only: bool = False) -> tuple[np.ndar
         raise DegenerateSubsetError("no prefix with positive volume on both sides")
     mask = np.zeros(g.n, dtype=bool)
     mask[order[: k + 1]] = True
-    return mask, float(phi[k])
+    return mask

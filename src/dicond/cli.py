@@ -175,7 +175,8 @@ def parse_grid(spec: str) -> dict:
     """Parse "p=q=0.02;eta=0,0.05,...,0.3;n=200;seeds=5" into a dict of
     lists; chained keys share values; "seeds=<count>" expands to
     range(count); "names=a,b" is a list of strings. n and seeds take
-    integers only, and a seed count must be at least 1."""
+    integers only, a seed count must be at least 1, and every axis needs
+    a value."""
     grid: dict = {}
     for item in spec.split(";"):
         item = item.strip()
@@ -187,9 +188,11 @@ def parse_grid(spec: str) -> dict:
         for key in keys:
             key = key.strip()
             if key == "names":
-                grid[key] = [v.strip() for v in value.split(",") if v.strip()]
-                continue
-            vals = _expand_values(value)
+                vals = [v.strip() for v in value.split(",") if v.strip()]
+            else:
+                vals = _expand_values(value)
+            if not vals:
+                raise ValueError(f"grid axis {key} has no values in {item!r}")
             if key in ("n", "seeds"):
                 if not all(v.is_integer() for v in vals):
                     raise ValueError(f"{key} takes integers, got {value!r}")

@@ -272,19 +272,14 @@ def write_edge_list(g: DirectedGraph, path) -> None:
             fh.write(f"{g.labels[t]} {g.labels[h]} {float(w)!r}\n")
 
 
-def _check_subset(g: DirectedGraph, s: np.ndarray) -> np.ndarray:
+def cut_values(g: DirectedGraph, s) -> tuple[float, float, float, float]:
+    """Outgoing cut, incoming cut, and volumes of both sides of S."""
     s = np.asarray(s, dtype=bool)
     if s.shape != (g.n,):
         raise ValueError(f"subset mask must have shape ({g.n},)")
     k = int(s.sum())
     if k == 0 or k == g.n:
         raise DegenerateSubsetError("subset must be a nonempty proper subset")
-    return s
-
-
-def cut_values(g: DirectedGraph, s) -> tuple[float, float, float, float]:
-    """Outgoing cut, incoming cut, and volumes of both sides of S."""
-    s = _check_subset(g, s)
     t_in, h_in = s[g.tails], s[g.heads]
     cut_plus = float(g.weights[t_in & ~h_in].sum())
     cut_minus = float(g.weights[~t_in & h_in].sum())

@@ -20,7 +20,7 @@ import numpy as np
 from .baselines import graph_embedding, sweep_cut
 from .errors import ConstantVectorError, EmptyGraphError, check_int
 from .functionals import is_nonconstant, linf, q_r
-from .graph import DirectedGraph, conductance_set, lift_core, positive_core, zero_cut
+from .graph import DirectedGraph, conductance_set, cut_values, lift_core, positive_core, zero_cut
 from .subgrad import CutState, binary_step, general_step, iterate_state
 
 CERT_BOUNDARY = "stop-by-V_b-empty"
@@ -114,7 +114,7 @@ class SolveReport:
 
 def _sorted_labels(g: DirectedGraph, mask: np.ndarray) -> tuple[str, ...]:
     labs = [g.labels[i] for i in np.flatnonzero(mask)]
-    return tuple(sorted(labs, key=lambda s: (0, int(s)) if s.isdigit() else (1, s)))
+    return tuple(sorted(labs, key=lambda s: (0, int(s)) if s.isdecimal() else (1, s)))
 
 
 def subproblem_argmin(s: np.ndarray) -> tuple[np.ndarray, float]:
@@ -150,7 +150,7 @@ def subproblem_argmin(s: np.ndarray) -> tuple[np.ndarray, float]:
     return x, float(linf(x) - np.dot(x, s))
 
 
-def extract_partition(g: DirectedGraph, x: np.ndarray) -> tuple[np.ndarray, float]:
+def extract_partition(g: DirectedGraph, x: np.ndarray) -> np.ndarray:
     """Same as ``sweep_cut(g, x, distinct_only=True)``; the solver no
     longer calls it. Kept only because perfbench traces this name."""
     return sweep_cut(g, x, distinct_only=True)
@@ -177,8 +177,9 @@ def verify_local_opt(g: DirectedGraph, s: np.ndarray) -> bool:
 
 def flip_conductances(g: DirectedGraph, s: np.ndarray) -> np.ndarray:
     """Conductance of every single-vertex flip of the subset s, in one
-    O(m + n) pass; entries are +inf where the flip would empty a side or
-    zero out a volume."""
+    O(m + n) pass from the cut sums of s (cut_values); entries are +inf
+    where the flip would empty a side or zero out a volume."""
+    cp, cm, vol_s, _ = cut_values(g, s)
     s = np.asarray(s, dtype=bool)
     degrees = g.degree_profile
     d = degrees.d
@@ -187,10 +188,6 @@ def flip_conductances(g: DirectedGraph, s: np.ndarray) -> np.ndarray:
     n = g.n
 
     t_in, h_in = s[tails], s[heads]
-    cp = float(w[t_in & ~h_in].sum())
-    cm = float(w[~t_in & h_in].sum())
-    vol_s = float(d[s].sum())
-
     out_to_s = np.bincount(tails, weights=w * h_in, minlength=n)
     in_from_s = np.bincount(heads, weights=w * t_in, minlength=n)
     out_to_sc = degrees.d_out - out_to_s
@@ -261,9 +258,10 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     below the best by more than eps_dec. A rounding stays the current
     iterate either way; any other move that does not descend or is
     constant stops the run with no descent. The best iterate is rounded
-    by the distinct-value sweep cut, and is_flip_local_opt is the
-    O(m + n) single-flip test of flip_conductances, the predicate that
-    verify_local_opt checks with one conductance_set per vertex.
+    by the distinct-value sweep cut, best_r is conductance_set of that
+    set, and is_flip_local_opt is the O(m + n) single-flip test of
+    flip_conductances, the predicate that verify_local_opt checks with
+    one conductance_set per vertex.
 
     When g.exact_sums holds, the run keeps one CutState: each iterate
     that takes exactly two values +/-c moves it, in O(deg) when a single
@@ -295,7 +293,7 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
         if sel is not None:
             x_next, _ = subproblem_argmin(sel.s)
         elif rounding:
-            x_next = np.where(sweep_cut(g, state.x, distinct_only=True)[0], 1.0, -1.0)
+            x_next = np.where(sweep_cut(g, state.x, distinct_only=True), 1.0, -1.0)
         else:
             phis = flip_conductances(g, state.x > 0)
             best_i = int(np.argmin(phis))
@@ -318,9 +316,7 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
             break
         state = nxt
 
-    best_set, _ = sweep_cut(g, x_star, distinct_only=True)
-    # the sweep's cumulative cut sums can differ from a direct recount in
-    # the last bits; report the conductance of the set itself
+    best_set = sweep_cut(g, x_star, distinct_only=True)
     best_phi = conductance_set(g, best_set)[0]
     return SolveReport(
         best_r=best_phi,
@@ -352,7 +348,6 @@ def _initial_vectors(g, cfg, start) -> list[tuple[str, np.ndarray]]:
     reliable starting points.
     """
     inits: list[tuple[str, np.ndarray]] = []
-    want = cfg.restarts
     fixed: list[str] = []
     if start is not None:
         inits.append(("user", start))
@@ -361,30 +356,38 @@ def _initial_vectors(g, cfg, start) -> list[tuple[str, np.ndarray]]:
     elif cfg.init != "random":
         fixed = [cfg.init]
 
-    emb_vec = None
-    if "spectral" in fixed or "sweep" in fixed:
-        emb_vec = graph_embedding(g).vector
-
-    for kind in fixed[:want]:
+    for kind in fixed[:cfg.restarts]:
         if kind == "spectral":
-            v = emb_vec - emb_vec.mean()
+            v = graph_embedding(g).vector
+            v = v - v.mean()
             if is_nonconstant(v):
                 inits.append(("spectral", v))
         elif kind == "sweep":
-            mask, _ = sweep_cut(g, emb_vec)
-            inits.append(("sweep", np.where(mask, 1.0, -1.0)))
+            inits.append(("sweep", np.where(sweep_cut(g, graph_embedding(g).vector), 1.0, -1.0)))
         elif kind == "imbalance":
             d_delta = g.degree_profile.d_delta
             if is_nonconstant(d_delta):
-                mask, _ = sweep_cut(g, d_delta)
-                inits.append(("imbalance", np.where(mask, 1.0, -1.0)))
+                inits.append(("imbalance", np.where(sweep_cut(g, d_delta), 1.0, -1.0)))
 
-    idx = 0
-    while len(inits) < want:
+    for idx in range(cfg.restarts - len(inits)):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(idx,)))
         inits.append((f"random-{idx}", _random_sign_vector(g.n, rng)))
-        idx += 1
     return inits
+
+
+_INIT_NOTES = {"user": "start vector", "spectral": "symmetrized spectral embedding",
+               "sweep": "sweep seed", "imbalance": "imbalance seed", "random": "random restarts"}
+
+
+def _init_note(kinds, mixed: bool) -> str:
+    """The report note naming the restart kinds that ran, in schedule
+    order. A mixed schedule's note leaves out its imbalance seed, as
+    every mixed report recorded so far reads."""
+    words = [_INIT_NOTES[k] for k in dict.fromkeys(kind.split("-")[0] for kind in kinds)
+             if not (mixed and k == "imbalance")]
+    if len(words) > 2:
+        words = [", ".join(words[:-1]) + ",", words[-1]]
+    return "initialized from " + " and ".join(words)
 
 
 def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
@@ -399,37 +402,38 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
     of the sweep-cut baseline's best set (which pins best_r at or below
     the baseline value), and seeded random sign vectors. The spectral
     vector here is the symmetrized-Laplacian embedding, a stand-in
-    initialization recorded in the report notes.
+    initialization; the first report note names the kinds that ran, and
+    best_r is conductance_set(g, best_set)[0].
     """
     cfg = cfg or SolverConfig()
     if g.n < 2 or g.m < 1:
         raise EmptyGraphError("solver needs at least 2 vertices and 1 arc")
     t0 = time.perf_counter()
-    start = None
-    if not isinstance(cfg.init, str):
-        start = np.asarray(cfg.init, dtype=float)
-        if start.shape != (g.n,) or not np.isfinite(start).all():
-            raise ValueError(f"init vector needs n = {g.n} finite values; got shape {start.shape}")
+    start = None if isinstance(cfg.init, str) else cfg.init
+    if start is not None and (start.shape != (g.n,) or not np.isfinite(start).all()):
+        raise ValueError(f"init vector needs n = {g.n} finite values; got shape {start.shape}")
 
     pre = zero_cut(g)
     if pre is not None:
         return _precheck_report(g, pre, t0, "not strongly connected: a source component cut is optimal")
 
-    notes = ("initialized from symmetrized spectral embedding, sweep seed, and random restarts",)
     sub, core = positive_core(g)
+    if start is not None:
+        start = start[core]
+        if not is_nonconstant(start):
+            raise ConstantVectorError("init vector is constant on the positive-degree vertices "
+                                      "(isolated vertices are ignored)")
+    inits = _initial_vectors(sub, cfg, start)
+    notes = (_init_note([kind for kind, _ in inits], mixed=start is None and cfg.init == "mixed"),)
     if sub is not g:
-        start = None if start is None else start[core]
         notes += ("isolated vertices assigned to the complement side",)
-    if start is not None and not is_nonconstant(start):
-        raise ConstantVectorError("init vector is constant on the positive-degree vertices "
-                                  "(isolated vertices are ignored)")
 
     reports = []
-    for idx, (kind, x1) in enumerate(_initial_vectors(sub, cfg, start)):
+    for idx, (kind, x1) in enumerate(inits):
         rep = dsi_run(sub, x1, cfg)
         reports.append(replace(rep, init_kind=kind, restart_index=idx))
     best = min(reports, key=lambda rep: (rep.best_r, rep.iterations, rep.restart_index))
     mask = lift_core(g, best.best_set, False)
-    return replace(best, best_x=lift_core(g, best.best_x, -1.0), best_set=mask,
-                   best_set_labels=_sorted_labels(g, mask), wall_time=time.perf_counter() - t0,
-                   notes=notes)
+    return replace(best, best_r=conductance_set(g, mask)[0], best_x=lift_core(g, best.best_x, -1.0),
+                   best_set=mask, best_set_labels=_sorted_labels(g, mask),
+                   wall_time=time.perf_counter() - t0, notes=notes)

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -117,3 +120,14 @@ def fixture_suite(max_n=10):
         for _ in range(2):
             graphs.append(random_digraph(rng, n, weighted=True))
     return [g for g in graphs if g.n <= max_n]
+
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def report_probe():
+    """tools/report_probe.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("report_probe", TOOLS / "report_probe.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

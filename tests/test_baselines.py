@@ -12,7 +12,7 @@ from dicond.baselines import spectral_sweep
 from dicond.errors import DicondError, EmptyGraphError
 from dicond.graph import prefix_cut_profile
 
-from conftest import random_digraph
+from conftest import random_digraph, report_probe
 
 
 def bidirected_path(n):
@@ -106,14 +106,13 @@ def test_spectral_rejects_disconnected():
 
 
 def test_sweep_examples(p3, c3):
-    mask, phi = sweep_cut(p3, np.array([0.9, 0.5, 0.1]))
+    mask = sweep_cut(p3, np.array([0.9, 0.5, 0.1]))
     assert mask.tolist() == [True, False, False]
-    assert phi == 0.0
+    assert conductance_set(p3, mask)[0] == 0.0
 
     # all prefixes of C3 tie at 1/2 under any injective ordering
     for v in ([3.0, 2.0, 1.0], [1.0, 3.0, 2.0], [2.0, 1.0, 3.0]):
-        _, phi = sweep_cut(c3, np.array(v))
-        assert phi == 0.5
+        assert conductance_set(c3, sweep_cut(c3, np.array(v)))[0] == 0.5
 
 
 def test_sweep_indicator_upper_bound():
@@ -129,7 +128,7 @@ def test_sweep_indicator_upper_bound():
             phi_s = conductance_set(g, s)[0]
         except Exception:
             continue
-        _, phi = sweep_cut(g, np.where(s, 1.0, -1.0))
+        phi = conductance_set(g, sweep_cut(g, np.where(s, 1.0, -1.0)))[0]
         assert phi <= phi_s + 1e-12
 
 
@@ -154,8 +153,7 @@ def test_sweep_profile_equals_direct_recompute():
         mv = min(vols[k], vol_total - vols[k])
         assert min(cps[k], cms[k]) / mv == phi_d
         best = min(best, phi_d)
-    _, phi = sweep_cut(g, v)
-    assert phi == best
+    assert conductance_set(g, sweep_cut(g, v))[0] == best
 
 
 def test_spectral_sweep_disconnected_variants():
@@ -168,6 +166,13 @@ def test_spectral_sweep_disconnected_variants():
     mask, phi = spectral_sweep(g2)
     assert phi == pytest.approx(0.5)
     assert not mask[3] and not mask[4]
+
+
+def test_spectral_sweep_reports_the_conductance_of_its_set():
+    # the prefix scan read this set's zero cut as 1.2e-17
+    g = report_probe().random_case(1084)
+    mask, phi = spectral_sweep(g)
+    assert phi == conductance_set(g, mask)[0] == 0.0
 
 
 def test_spectral_sweep_needs_an_arc():

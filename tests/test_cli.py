@@ -139,14 +139,31 @@ def test_parse_grid():
     for bad in ("seeds=2.5", "seeds=1,2.5", "n=7.9", "n=100,100.5,...,101", "seeds=0", "seeds=-1"):
         with pytest.raises(ValueError):
             parse_grid(bad)
+    # an axis with no values would make bench write a header-only CSV
+    for empty in ("eta=0.3,0.35,...,0.1", "names=", "names= , ;seeds=2"):
+        with pytest.raises(ValueError, match="no values"):
+            parse_grid(empty)
 
 
 @pytest.mark.parametrize("grid", [
     "names=x", "eta=0;seeds=2.5", "eta=0;n=7.9", "eta=0;seeds=0", "p=q=0.3;etas=0.3;n=6;seeds=1",
+    "eta=0.3,0.35,...,0.1",
 ])
 def test_bench_rejects_bad_grid(grid, capsys):
     assert main(["bench", "--suite", "dsbm", "--grid", grid]) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_superscript_digit_labels_sort_as_text(tmp_path, capsys):
+    # "²".isdigit() holds, but int("²") raises
+    path = tmp_path / "sup.el"
+    path.write_text("a ²\n² 10\n10 a\n9 a\n")
+    for command in ("solve", "oracle", "sweep"):
+        assert main([command, str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        labels = doc["set" if command == "sweep" else "best_set" if command == "solve" else "argmin_d"]
+        numbers = [lab for lab in labels if lab.isdecimal()]
+        assert labels == sorted(numbers, key=int) + sorted(set(labels) - set(numbers))
 
 
 def test_flag_defaults_are_the_solver_config_defaults():
