@@ -83,16 +83,15 @@ def median_deviation(degrees: DegreeProfile, x: np.ndarray, alpha: float) -> flo
 def r_obj(g: DirectedGraph, degrees: DegreeProfile, x: np.ndarray) -> float:
     """Ratio objective (vol * ||x||_inf - I+ - J) / (2 N); its minimum
     over nonconstant x equals the digraph conductance."""
-    return ratio(g, degrees, x, linf(x), n_med(degrees, x).n_value, j_terms(g, x)[1])
+    return ratio(degrees, linf(x), i_plus(g, x), n_med(degrees, x).n_value, j_terms(g, x)[1])
 
 
-def ratio(g: DirectedGraph, degrees: DegreeProfile, x: np.ndarray, norm: float,
-          n_value: float, j: float) -> float:
-    """r_obj at x from its known ||x||_inf, median deviation N(x) and
-    imbalance term J(x) = |j0|."""
+def ratio(degrees: DegreeProfile, norm: float, i_sum: float, n_value: float, j: float) -> float:
+    """r_obj at an x from its known ||x||_inf, arc sum I+(x), median
+    deviation N(x) and imbalance term J(x) = |j0|."""
     if n_value <= 0:
         raise ConstantVectorError("ratio undefined: zero median deviation")
-    return (degrees.vol_total * norm - i_plus(g, x) - j) / (2.0 * n_value)
+    return (degrees.vol_total * norm - i_sum - j) / (2.0 * n_value)
 
 
 def q_r(g: DirectedGraph, degrees: DegreeProfile, x: np.ndarray, r: float) -> float:

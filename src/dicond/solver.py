@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import graph_embedding, sweep_cut
 from .errors import ConstantVectorError, EmptyGraphError, check_int
-from .functionals import is_nonconstant, linf, q_r
+from .functionals import i_plus, is_nonconstant, linf, q_r, ratio
 from .graph import DirectedGraph, conductance_set, cut_values, lift_core, positive_core, zero_cut
 from .subgrad import CutState, binary_step, general_step, iterate_state
 
@@ -130,7 +130,8 @@ def subproblem_argmin(s: np.ndarray) -> tuple[np.ndarray, float]:
     n = s.size
     sgn = np.where(s >= 0, 1.0, -1.0)
     abs_s = np.abs(s)
-    x = sgn / n  # k = n
+    k = n
+    x = sgn / n
     # no sort is needed when the top n-1 partial sum A_{n-1} =
     # ||s||_1 - n min|s| is at most 1, as then k = n. The margin covers
     # the rounding gap between the sorted and unsorted sums.
@@ -143,11 +144,11 @@ def subproblem_argmin(s: np.ndarray) -> tuple[np.ndarray, float]:
         # cumulative sum) keeps k = n where A_n <= 1, so the search
         # cannot disagree with the norm test by one rounding ulp
         if partial[-1] > 1.0:
-            m0 = int(np.argmax(partial > 1.0)) + 1
+            k = int(np.argmax(partial > 1.0)) + 1
             z = np.zeros(n)
-            z[order[:m0]] = 1.0
-            x = sgn * z / m0
-    return x, float(linf(x) - np.dot(x, s))
+            z[order[:k]] = 1.0
+            x = sgn * z / k
+    return x, float(1.0 / k - np.dot(x, s))  # ||x||_inf is exactly 1/k
 
 
 def extract_partition(g: DirectedGraph, x: np.ndarray) -> np.ndarray:
@@ -225,12 +226,16 @@ def _precheck_report(g, mask, t0, note) -> SolveReport:
 
 
 def _self_check(g, state, v_b, sel) -> None:
-    """cfg.self_check on one step: on a binary iterate the cut sums equal
-    a full recount and V_b and s the general chain's, bit for bit; a
-    selected subgradient is tight, <x, s> = Q_r(x)."""
+    """cfg.self_check on one step: on a binary iterate the cut sums and
+    the arc mask equal a full recount, r the ratio with i_plus, and V_b
+    and s the general chain's, bit for bit; a selected subgradient is
+    tight, <x, s> = Q_r(x)."""
     if state.cut is not None:
         if not (np.array_equal(state.cut.side, state.x > 0) and state.cut.matches_recount()):
             raise AssertionError("maintained cut sums differ from a full recount")
+        ref_r = ratio(g.degree_profile, state.norm, i_plus(g, state.x), state.median.n_value, abs(state.j0))
+        if np.float64(ref_r).tobytes() != np.float64(state.r).tobytes():
+            raise AssertionError("binary ratio differs from the one with i_plus")
         ref_v_b, ref = general_step(g, state)
         # both steps return a subgradient exactly when V_b is not empty
         if v_b.tobytes() != ref_v_b.tobytes() or (sel is not None and sel.s.tobytes() != ref.s.tobytes()):
@@ -264,16 +269,21 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     one conductance_set per vertex.
 
     When g.exact_sums holds, the run keeps one CutState: each iterate
-    that takes exactly two values +/-c moves it, in O(deg) when a single
-    vertex flips and by an O(m) recount otherwise, and its step is
+    that takes exactly two values +/-c moves its cut sums and arc mask,
+    in O(deg) when a single vertex flips and by an O(m) recount
+    otherwise. Its ratio reads I+ off the arc mask, and its step is
     binary_step, one pass over the cut sums instead of the O(m) pass
     over all pairs and the three general steps. Exactness makes the
-    result the general chain's, bit for bit; with cfg.self_check every
-    such step asserts that against general_step. Other iterates and
-    other graphs take general_step.
+    result the general code's, bit for bit; with cfg.self_check every
+    such iterate asserts that its state equals a recount, its ratio the
+    one with i_plus and its step general_step. Other iterates and other
+    graphs take i_plus and general_step. A start vector that is not n
+    finite values raises ValueError, as in dsi_solve.
     """
     t0 = time.perf_counter()
     x = np.asarray(x1, dtype=float)
+    if x.shape != (g.n,) or not np.isfinite(x).all():
+        raise ValueError(f"initial vector needs n = {g.n} finite values; got shape {x.shape}")
     if not is_nonconstant(x):
         raise ConstantVectorError("initial vector must be nonconstant")
     cut = CutState(g) if g.exact_sums else None

@@ -28,17 +28,21 @@ sides, the pair terms are p_i = sigma_i * own_i and q_i = cut_i, where
 cut_i is the symmetric weight from i across the cut and own_i = d_i -
 cut_i the weight to its own side, the zero pairs are the cut pairs, and
 the median and A, B follow from the two side volumes. A CutState keeps
-the cut sums: a single flip moves them in O(deg), other moves recount in
-O(m). It is used only on graphs whose sums are all exact
-(DirectedGraph.exact_sums: weights that are multiples of one 2^-k with a
-bounded total), where the updated sums, d - cut and every sum over the
-cut pairs equal the general code's bit for bit. There binary_step
-replaces the three steps with one pass: it returns the same V_b and
-subgradient as general_step without the O(m) pass over all pairs, the
-vertex classes or the interval arrays. On other graphs and on iterates
-that are not binary, general_step runs. The two steps differ only in
-the inputs that binary_step reads off the cut state; both compute b
-in _boundary, V_b in _stop_set and v, y and s in _assemble.
+the cut sums and the mask of the arcs with both ends on one side: a
+single flip moves them in O(deg), other moves recount in O(m). It is
+used only on graphs whose sums are all exact (DirectedGraph.exact_sums:
+weights that are multiples of one 2^-k with a bounded total), where the
+updated sums, d - cut and every sum over the cut pairs equal the general
+code's bit for bit. There iterate_state reads the median off the side
+volumes and the arc sum I+ off the mask (|x_i + x_j| is 2c on a
+same-side arc and 0 on a cut one, so functionals.ratio gets the same
+I+ without gathering x over the arcs), and binary_step replaces the
+three steps with one pass: it returns the same V_b and subgradient as
+general_step without the O(m) pass over all pairs, the vertex classes
+or the interval arrays. On other graphs and on iterates that are not
+binary, general_step runs. The two steps differ only in the inputs that
+binary_step reads off the cut state; both compute b in _boundary, V_b in
+_stop_set and v, y and s in _assemble.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstantVectorError
-from .functionals import NONCONSTANT_RTOL, MedianResult, j_terms, linf, median_deviation, n_med, ratio
+from .functionals import NONCONSTANT_RTOL, MedianResult, i_plus, j_terms, linf, median_deviation, n_med, ratio
 from .graph import DegreeProfile, DirectedGraph
 
 ZERO_TOL = 1e-9
@@ -97,13 +101,13 @@ class CutState:
     """Cut sums of a binary iterate; a single flip moves them in O(deg).
 
     side is the mask of the positive side, cut[i] the symmetric weight
-    from i across the cut, is_cut flags the cut pairs of g.pairs, and
-    vol_neg is the volume of the negative side. The weight from i to its
-    own side is d[i] - cut[i], because d = d_out + d_in sums the pair
-    weights at each vertex. A move that flips one vertex updates its
-    pairs in O(deg); any other move recounts in O(m). g.exact_sums must
-    hold: then every update, and d - cut, equals a full recount bit for
-    bit.
+    from i across the cut, is_cut flags the cut pairs of g.pairs,
+    same_side flags the arcs with both ends on one side, and vol_neg is
+    the volume of the negative side. The weight from i to its own side
+    is d[i] - cut[i], because d = d_out + d_in sums the pair weights at
+    each vertex. A move that flips one vertex updates its pairs and arcs
+    in O(deg); any other move recounts in O(m). g.exact_sums must hold:
+    then every update, and d - cut, equals a full recount bit for bit.
     """
 
     def __init__(self, g: DirectedGraph):
@@ -114,8 +118,8 @@ class CutState:
 
     def move_to(self, side: np.ndarray) -> None:
         """Move to the positive-side mask side: one flipped vertex moves
-        its pairs and neighbours in O(deg), any other move recounts."""
-        flipped = None if self.side is None else np.flatnonzero(side != self.side)
+        its pairs, arcs and neighbours in O(deg), any other move recounts."""
+        flipped = None if self.side is None else (side != self.side).nonzero()[0]
         if flipped is None or flipped.size > 1:
             self._recount(side)
             return
@@ -131,6 +135,9 @@ class CutState:
         self.cut[nbr[at]] += dw
         d = g.degree_profile.d
         self.cut[v] = d[v] - self.cut[v]  # v's own side and cut swap
+        indptr, arc_ids = g.arc_adjacency
+        a = arc_ids[indptr[v]:indptr[v + 1]]
+        self.same_side[a] = ~self.same_side[a]
         self.vol_neg += float(-d[v] if side[v] else d[v])
         self.side[v] = side[v]
 
@@ -142,6 +149,7 @@ class CutState:
         w_cut = w_sym * self.is_cut
         self.cut = np.bincount(pu, weights=w_cut, minlength=g.n)
         self.cut += np.bincount(pv, weights=w_cut, minlength=g.n)
+        self.same_side = side[g.tails] == side[g.heads]
         self.vol_neg = float(g.degree_profile.d[~side].sum())
 
     def matches_recount(self) -> bool:
@@ -150,21 +158,27 @@ class CutState:
         fresh._recount(self.side)
         return (self.is_cut.tobytes() == fresh.is_cut.tobytes()
                 and self.cut.tobytes() == fresh.cut.tobytes()
+                and self.same_side.tobytes() == fresh.same_side.tobytes()
                 and self.vol_neg == fresh.vol_neg)
 
-    def median(self, x: np.ndarray) -> MedianResult:
-        """n_med at a binary x on this side mask, from vol_neg alone:
+    def median(self, x: np.ndarray, c: float) -> MedianResult:
+        """n_med at the x = +/-c of this side mask, from vol_neg alone:
         the lower median is -c iff the negative side holds at least
         half the volume, with the tolerance n_med uses."""
         degrees = self.g.degree_profile
         w_total = degrees.vol_total
         half, eps = 0.5 * w_total, 1e-12 * w_total
-        c = float(x.max())
         if self.vol_neg >= half - eps:
             low, high = -c, (c if self.vol_neg <= half + eps else -c)
         else:
             low = high = c
         return MedianResult(low, high, median_deviation(degrees, x, low))
+
+    def i_plus(self, c: float) -> float:
+        """functionals.i_plus at the x = +/-c of this side mask, without
+        its two arc gathers: |x_tail + x_head| is 2c on a same-side arc
+        and 0 on a cut one, so the same array meets the same dot."""
+        return float(np.dot(self.g.weights, self.same_side * (2.0 * c)))
 
 
 @dataclass(frozen=True)
@@ -257,24 +271,27 @@ def iterate_state(g: DirectedGraph, x: np.ndarray, cut: CutState | None = None) 
     raise.
 
     With a CutState of g (g.exact_sums must hold) and an x that takes
-    exactly the values +/-c, the state moves to x and the median comes
-    from its side volumes instead of a sort; the result is the same.
+    exactly the values +/-c, the state moves to x, the median comes from
+    its side volumes instead of a sort and I+ from its arc mask instead
+    of two gathers over the arcs; the result is the same, bit for bit.
     """
     x = np.asarray(x, dtype=float)
     degrees = g.degree_profile
-    x_min, x_max = float(np.min(x)), float(np.max(x))
+    x_min, x_max = float(x.min()), float(x.max())
     norm = max(x_max, -x_min)  # = ||x||_inf
     if not x_max - x_min > NONCONSTANT_RTOL * max(1.0, norm):  # is_nonconstant(x)
         raise ConstantVectorError("cannot evaluate a constant vector")
     t = ZERO_TOL * max(1.0, norm)
     if cut is not None and x_min == -x_max and x_max > t and np.abs(x).min() == x_max:
         cut.move_to(x > 0)
-        median = cut.median(x)
+        median = cut.median(x, x_max)
+        i_sum = cut.i_plus(x_max)
     else:
         cut = None
         median = n_med(degrees, x)
+        i_sum = i_plus(g, x)
     j0, j = j_terms(g, x)
-    r = ratio(g, degrees, x, norm, median.n_value, j)
+    r = ratio(degrees, norm, i_sum, median.n_value, j)
     return IterateState(x, x_min, x_max, norm, t, median, j0, r, cut)
 
 
@@ -373,13 +390,16 @@ def _boundary(g: DirectedGraph, state: IterateState, p: np.ndarray, q: np.ndarra
 
 def _stop_set(b: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """V_b = argmax{b_i chi_i : b_i chi_i > 0} in ascending id order,
-    with the zero test relative to max |b|."""
+    with the zero test relative to max |b| = max |b chi|, as |chi| = 1."""
     prod = b * chi
-    eps = ZERO_TOL * max(1.0, float(np.max(np.abs(b))))
     top = float(prod.max())
-    if top > eps:
-        return np.flatnonzero((prod > eps) & (prod >= top - eps))
-    return np.empty(0, dtype=np.int64)
+    eps = ZERO_TOL * max(1.0, top, -float(prod.min()))
+    if not top > eps:
+        return np.empty(0, dtype=np.int64)
+    keep = prod >= top - eps
+    if not top - eps > eps:  # else prod >= top - eps implies prod > eps
+        keep &= prod > eps
+    return keep.nonzero()[0]
 
 
 def select_subgradient(
@@ -428,14 +448,13 @@ def _assemble(g: DirectedGraph, state: IterateState, ind: BoundaryIndicator, i_s
     """
     degrees = g.degree_profile
     d, d_delta = degrees.d, degrees.d_delta
-    v = ind.a_sel.copy()
+    v = ind.a_sel
     if np.count_nonzero(in_a) >= 2:
         if in_a[i_star]:
             j_star = i_star
-        else:
-            tie_ids = np.flatnonzero(in_a)
-            ab = np.abs(ind.b[tie_ids])
-            j_star = int(tie_ids[np.flatnonzero(ab == ab.max())[-1]])
+        else:  # -1 is below every |b|; the reversed argmax is the last maximum
+            ab = np.where(in_a, np.abs(ind.b), -1.0)
+            j_star = g.n - 1 - int(np.argmax(ab[::-1]))
         denom = B - d[j_star]
         scale = (A - v[j_star]) / denom if denom > 0 else 0.0
         v = np.where(in_a, scale * d, v)

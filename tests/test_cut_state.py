@@ -1,5 +1,6 @@
 """The binary fast path: CutState bookkeeping against full recounts, and
-iterate_state and binary_step with a CutState against the general code."""
+iterate_state, its ratio and binary_step with a CutState against the
+general code."""
 
 from fractions import Fraction
 
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 import dicond.solver
 from dicond import DsbmParams, SolverConfig, build_graph, canonical, dsbm, dsi_solve, largest_strong_component
-from dicond.functionals import n_med
+from dicond.functionals import i_plus, linf, n_med
+from dicond.solver import subproblem_argmin
 from dicond.subgrad import CutState, binary_step, general_step, iterate_state
 
 WEIGHT_KINDS = {
+    "unit": lambda rng, m: np.ones(m),
     "integer": lambda rng, m: rng.integers(1, 4, m).astype(float),
     "dyadic": lambda rng, m: rng.choice([0.5, 1.0, 1.5, 2.0], m),
     "wide": lambda rng, m: 10 ** rng.uniform(-3, 3, m),
@@ -52,7 +55,7 @@ def _same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-exact_kinds = st.sampled_from(["integer", "dyadic"])
+exact_kinds = st.sampled_from(["unit", "integer", "dyadic"])
 
 
 @given(seed=st.integers(0, 2**32 - 1), kind=exact_kinds)
@@ -74,6 +77,7 @@ def test_moves_equal_a_full_recount(seed, kind):
             tgt[b] += wab
         assert _same_bits(g.degree_profile.d - cut.cut, own) and _same_bits(cut.cut, across)
         assert _same_bits(cut.is_cut, side[pu] != side[pv])
+        assert _same_bits(cut.same_side, [side[a] == side[b] for a, b in zip(g.tails, g.heads)])
         assert cut.vol_neg == g.degree_profile.d[~side].sum()
 
 
@@ -182,6 +186,33 @@ def test_nonbinary_iterates_do_not_move_the_state():
     assert _same_bits(cut.side, side)
 
 
+@given(seed=st.integers(0, 2**32 - 1), kind=exact_kinds, uniform=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_binary_ratio_and_subproblem_value_match_the_general_code(seed, kind, uniform):
+    # along single flips (the arc mask moves in O(deg)) and larger moves
+    # (it is recounted), at c = 1 and at the c = 1/n of a k = n step
+    g, rng = _graph(seed, kind)
+    c = 1.0 / g.n if uniform else 1.0
+    cut = CutState(g)
+    for side in _moves(rng, g.n):
+        if side.all() or not side.any():
+            continue
+        x = np.where(side, c, -c)
+        fast = iterate_state(g, x, cut)
+        assert fast.cut is cut
+        assert _same_bits(cut.i_plus(c), i_plus(g, x))
+        assert _same_bits(fast.r, iterate_state(g, x).r)
+        _, sel = binary_step(g, fast)
+        if sel is None:
+            continue
+        # the subgradient itself (k <= n) and, scaled to ||s||_1 = 1/2,
+        # the k = n case: the uniform sign vector / n
+        for s in (sel.s, sel.s * (0.5 / np.abs(sel.s).sum())):
+            x_new, value = subproblem_argmin(s)
+            assert _same_bits(value, linf(x_new) - np.dot(x_new, s))
+        assert _same_bits(np.abs(x_new), np.full(g.n, 1.0 / g.n))
+
+
 def _exact_by_fractions(weights):
     """exact_sums recomputed in exact arithmetic: every weight a multiple
     of one 2^-k with k <= 52, and twice the total below 2^(53-k)."""
@@ -230,9 +261,13 @@ def test_exact_sums_predicate():
     assert not exact([2.0**-10, 2.0**42])  # 2^-10 steps need totals below 2^43
 
 
-def test_self_check_compares_the_state_on_a_dsbm_component(monkeypatch):
+def _dsbm_component():
     g, _ = dsbm(DsbmParams(n=40, p=0.15, q=0.1, eta=0.2, seed=5))
-    g = largest_strong_component(g)[0]
+    return largest_strong_component(g)[0]
+
+
+def test_self_check_compares_the_state_on_a_dsbm_component(monkeypatch):
+    g = _dsbm_component()
     assert g.exact_sums
     checks = []
     matches = CutState.matches_recount
@@ -253,9 +288,37 @@ def test_self_check_compares_the_state_on_a_dsbm_component(monkeypatch):
         dsi_solve(g, SolverConfig(seed=0, self_check=True))
 
 
+@pytest.mark.parametrize("arc", [0, -1])
+def test_self_check_catches_an_arc_mask_that_drifts(monkeypatch, arc):
+    g = _dsbm_component()
+    move_to = CutState.move_to
+
+    def drift(self, side):
+        move_to(self, side)
+        self.same_side[arc] = ~self.same_side[arc]
+
+    monkeypatch.setattr(CutState, "move_to", drift)
+    cut = CutState(g)
+    cut.move_to(np.arange(g.n) % 2 == 0)
+    assert not cut.matches_recount()
+    with pytest.raises(AssertionError, match="full recount"):
+        dsi_solve(g, SolverConfig(seed=0, self_check=True))
+
+
+def test_self_check_compares_the_binary_ratio_with_i_plus(monkeypatch):
+    g = _dsbm_component()
+    # the mask passes its recount, but the sum read off it is one ulp off
+    arc_sum = CutState.i_plus
+    monkeypatch.setattr(CutState, "i_plus", lambda self, c: np.nextafter(arc_sum(self, c), np.inf))
+    with pytest.raises(AssertionError, match="i_plus"):
+        dsi_solve(g, SolverConfig(seed=0, self_check=True))
+    # and the unchanged run passes every check
+    monkeypatch.setattr(CutState, "i_plus", arc_sum)
+    assert dsi_solve(g, SolverConfig(seed=0, self_check=True)).iterations > 0
+
+
 def test_self_check_compares_the_binary_step_with_the_general_chain(monkeypatch):
-    g, _ = dsbm(DsbmParams(n=40, p=0.15, q=0.1, eta=0.2, seed=5))
-    g = largest_strong_component(g)[0]
+    g = _dsbm_component()
     checks = []
     general = dicond.solver.general_step
     monkeypatch.setattr(dicond.solver, "general_step",

@@ -240,6 +240,17 @@ def test_dsi_run_constant_start_raises(p3):
         dsi_run(p3, np.ones(3), SolverConfig())
 
 
+@pytest.mark.parametrize("x1", [[1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [[1.0], [-1.0], [1.0]],
+                                [1.0, np.nan, -1.0], [1.0, np.inf, -1.0], [-np.inf, 0.0, 1.0]],
+                         ids=["short", "long", "column", "nan", "inf", "minus-inf"])
+def test_dsi_run_rejects_a_start_vector_of_the_wrong_shape_or_not_finite(c3, x1):
+    # a short vector once raised IndexError inside iterate_state, and a
+    # NaN or infinite one read as a constant vector
+    with pytest.raises(ValueError, match="n = 3 finite values") as err:
+        dsi_run(c3, np.array(x1), SolverConfig())
+    assert not isinstance(err.value, ConstantVectorError)
+
+
 def test_sweep_cut_distinct_only_examples(p3):
     mask = sweep_cut(p3, np.array([-1 / 3, -1 / 3, 1 / 3]), distinct_only=True)
     assert mask.tolist() == [False, False, True]
