@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import ConstantVectorError, DegenerateSubsetError, DicondError, EmptyGraphError
+from .errors import ConstantVectorError, DegenerateSubsetError, DicondError, EmptyGraphError, check_vector
 from .functionals import is_nonconstant
 from .graph import (DirectedGraph, conductance_set, lift_core, positive_core, prefix_cut_profile,
                     zero_cut)
@@ -120,9 +120,10 @@ def sweep_cut(g: DirectedGraph, v, distinct_only: bool = False) -> np.ndarray:
     distinct_only is set: then only prefixes that end between two
     distinct values count, so a +/-1 vector reproduces its own sign
     partition. Returns its mask: the scan's cumulative scores can differ
-    from conductance_set(g, mask)[0] in the last bits.
+    from conductance_set(g, mask)[0] in the last bits. A v that is not
+    n finite values raises ValueError.
     """
-    v = np.asarray(v, dtype=float)
+    v = check_vector("sweep vector", v, g.n)
     if not is_nonconstant(v):
         raise ConstantVectorError("sweep vector must be nonconstant")
     order = np.lexsort((np.arange(g.n), -v))

@@ -1,6 +1,8 @@
-"""Exception types and the integer argument check shared across the package."""
+"""Exception types and the argument checks shared across the package."""
 
 from numbers import Integral
+
+import numpy as np
 
 
 class DicondError(Exception):
@@ -39,3 +41,11 @@ def check_int(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def check_vector(name: str, x, n: int) -> np.ndarray:
+    """x as a float array; raise ValueError unless it is n finite values."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,) or not np.isfinite(x).all():
+        raise ValueError(f"{name} needs n = {n} finite values; got shape {x.shape}")
+    return x

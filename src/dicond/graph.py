@@ -49,7 +49,6 @@ class DirectedGraph:
 
     - degree_profile, the weighted degrees;
     - pairs and pair_adjacency, the symmetrized pairs and their CSR;
-    - arc_adjacency, the arcs at each vertex as a CSR;
     - exact_sums, whether float64 sums of the weights are exact;
     - arc_csr, the 0/1 adjacency matrix;
     - strong_labels and weak_labels, the component count and labels;
@@ -97,15 +96,6 @@ class DirectedGraph:
         ids = np.arange(pu.size)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=self.n))])
         return _frozen(indptr, np.concatenate([pv, pu])[order], np.concatenate([ids, ids])[order])
-
-    @cached_property
-    def arc_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR over the arcs: (indptr, arc id), where the arcs with
-        vertex i at either end are entries indptr[i]:indptr[i+1]."""
-        ends = np.concatenate([self.tails, self.heads])
-        order = np.argsort(ends, kind="stable")
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=self.n))])
-        return _frozen(indptr, np.concatenate([np.arange(self.m)] * 2)[order])
 
     @cached_property
     def exact_sums(self) -> bool:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import graph_embedding, sweep_cut
-from .errors import ConstantVectorError, EmptyGraphError, check_int
-from .functionals import i_plus, is_nonconstant, linf, q_r, ratio
+from .errors import ConstantVectorError, EmptyGraphError, check_int, check_vector
+from .functionals import is_nonconstant, linf, q_r
 from .graph import DirectedGraph, conductance_set, cut_values, lift_core, positive_core, zero_cut
 from .subgrad import CutState, binary_step, general_step, iterate_state
 
@@ -226,16 +226,15 @@ def _precheck_report(g, mask, t0, note) -> SolveReport:
 
 
 def _self_check(g, state, v_b, sel) -> None:
-    """cfg.self_check on one step: on a binary iterate the cut sums and
-    the arc mask equal a full recount, r the ratio with i_plus, and V_b
-    and s the general chain's, bit for bit; a selected subgradient is
-    tight, <x, s> = Q_r(x)."""
+    """cfg.self_check on one step: on a binary iterate the cut sums
+    equal a full recount, r conductance_set of the positive side, and
+    V_b and s the general chain's, bit for bit; a selected subgradient
+    is tight, <x, s> = Q_r(x)."""
     if state.cut is not None:
         if not (np.array_equal(state.cut.side, state.x > 0) and state.cut.matches_recount()):
             raise AssertionError("maintained cut sums differ from a full recount")
-        ref_r = ratio(g.degree_profile, state.norm, i_plus(g, state.x), state.median.n_value, abs(state.j0))
-        if np.float64(ref_r).tobytes() != np.float64(state.r).tobytes():
-            raise AssertionError("binary ratio differs from the one with i_plus")
+        if np.float64(conductance_set(g, state.cut.side)[0]).tobytes() != np.float64(state.r).tobytes():
+            raise AssertionError("binary ratio differs from conductance_set of its side")
         ref_v_b, ref = general_step(g, state)
         # both steps return a subgradient exactly when V_b is not empty
         if v_b.tobytes() != ref_v_b.tobytes() or (sel is not None and sel.s.tobytes() != ref.s.tobytes()):
@@ -269,21 +268,19 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     one conductance_set per vertex.
 
     When g.exact_sums holds, the run keeps one CutState: each iterate
-    that takes exactly two values +/-c moves its cut sums and arc mask,
-    in O(deg) when a single vertex flips and by an O(m) recount
-    otherwise. Its ratio reads I+ off the arc mask, and its step is
+    that takes exactly two values +/-c moves its cut sums, in O(deg)
+    when a single vertex flips and by an O(m) recount otherwise. Its
+    ratio is phi of its positive side (CutState.phi), and its step is
     binary_step, one pass over the cut sums instead of the O(m) pass
-    over all pairs and the three general steps. Exactness makes the
-    result the general code's, bit for bit; with cfg.self_check every
-    such iterate asserts that its state equals a recount, its ratio the
-    one with i_plus and its step general_step. Other iterates and other
-    graphs take i_plus and general_step. A start vector that is not n
-    finite values raises ValueError, as in dsi_solve.
+    over all pairs and the three general steps. With cfg.self_check
+    every such iterate asserts that its state equals a recount, its
+    ratio conductance_set and its step general_step, bit for bit. Other
+    iterates and other graphs take r_obj's formula and general_step. A
+    start vector that is not n finite values raises ValueError, as in
+    dsi_solve.
     """
     t0 = time.perf_counter()
-    x = np.asarray(x1, dtype=float)
-    if x.shape != (g.n,) or not np.isfinite(x).all():
-        raise ValueError(f"initial vector needs n = {g.n} finite values; got shape {x.shape}")
+    x = check_vector("initial vector", x1, g.n)
     if not is_nonconstant(x):
         raise ConstantVectorError("initial vector must be nonconstant")
     cut = CutState(g) if g.exact_sums else None
@@ -419,9 +416,7 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
     if g.n < 2 or g.m < 1:
         raise EmptyGraphError("solver needs at least 2 vertices and 1 arc")
     t0 = time.perf_counter()
-    start = None if isinstance(cfg.init, str) else cfg.init
-    if start is not None and (start.shape != (g.n,) or not np.isfinite(start).all()):
-        raise ValueError(f"init vector needs n = {g.n} finite values; got shape {start.shape}")
+    start = None if isinstance(cfg.init, str) else check_vector("init vector", cfg.init, g.n)
 
     pre = zero_cut(g)
     if pre is not None:

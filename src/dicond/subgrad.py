@@ -28,21 +28,22 @@ sides, the pair terms are p_i = sigma_i * own_i and q_i = cut_i, where
 cut_i is the symmetric weight from i across the cut and own_i = d_i -
 cut_i the weight to its own side, the zero pairs are the cut pairs, and
 the median and A, B follow from the two side volumes. A CutState keeps
-the cut sums and the mask of the arcs with both ends on one side: a
-single flip moves them in O(deg), other moves recount in O(m). It is
-used only on graphs whose sums are all exact (DirectedGraph.exact_sums:
-weights that are multiples of one 2^-k with a bounded total), where the
-updated sums, d - cut and every sum over the cut pairs equal the general
-code's bit for bit. There iterate_state reads the median off the side
-volumes and the arc sum I+ off the mask (|x_i + x_j| is 2c on a
-same-side arc and 0 on a cut one, so functionals.ratio gets the same
-I+ without gathering x over the arcs), and binary_step replaces the
-three steps with one pass: it returns the same V_b and subgradient as
-general_step without the O(m) pass over all pairs, the vertex classes
-or the interval arrays. On other graphs and on iterates that are not
-binary, general_step runs. The two steps differ only in the inputs that
-binary_step reads off the cut state; both compute b in _boundary, V_b in
-_stop_set and v, y and s in _assemble.
+the cut sums, cut+ + cut- and cut+ - cut-: a single flip moves them in
+O(deg), other moves recount in O(m). It is used only on graphs whose
+sums are all exact (DirectedGraph.exact_sums: weights that are
+multiples of one 2^-k with a bounded total), where the updated sums,
+d - cut and every sum over the cut pairs equal the general code's bit
+for bit. There iterate_state reads the median off the side volumes and
+r off the cut sums: at x = +/-c on S, vol c - I+ - J = 4c min(cut+,
+cut-) and 2N = 4c min(vol S, vol S^c), so r = phi(S), which
+CutState.phi returns as conductance_set does, bit for bit. binary_step
+replaces the three steps with one pass: it returns general_step's V_b
+and subgradient on the same state without the O(m) pass over all
+pairs, the vertex classes or the interval arrays. Other graphs and
+non-binary iterates take r_obj's formula and general_step. The two
+steps differ only in the inputs that binary_step reads off the cut
+state; both compute b in _boundary, V_b in _stop_set and v, y and s in
+_assemble.
 """
 
 from __future__ import annotations
@@ -100,14 +101,14 @@ class SubgradientBounds:
 class CutState:
     """Cut sums of a binary iterate; a single flip moves them in O(deg).
 
-    side is the mask of the positive side, cut[i] the symmetric weight
+    side is the mask of the positive side S, cut[i] the symmetric weight
     from i across the cut, is_cut flags the cut pairs of g.pairs,
-    same_side flags the arcs with both ends on one side, and vol_neg is
-    the volume of the negative side. The weight from i to its own side
-    is d[i] - cut[i], because d = d_out + d_in sums the pair weights at
-    each vertex. A move that flips one vertex updates its pairs and arcs
-    in O(deg); any other move recounts in O(m). g.exact_sums must hold:
-    then every update, and d - cut, equals a full recount bit for bit.
+    cut_total = cut+ + cut-, imbalance = d_delta summed over S = cut+ -
+    cut-, and vol_neg the volume of the negative side. The weight from i
+    to its own side is d[i] - cut[i], because d = d_out + d_in sums the
+    pair weights at each vertex. A move that flips one vertex updates
+    its pairs in O(deg); any other move recounts in O(m). g.exact_sums
+    must hold: then every update, and d - cut, equals a full recount.
     """
 
     def __init__(self, g: DirectedGraph):
@@ -118,7 +119,7 @@ class CutState:
 
     def move_to(self, side: np.ndarray) -> None:
         """Move to the positive-side mask side: one flipped vertex moves
-        its pairs, arcs and neighbours in O(deg), any other move recounts."""
+        its pairs, neighbours and sums in O(deg), any other move recounts."""
         flipped = None if self.side is None else (side != self.side).nonzero()[0]
         if flipped is None or flipped.size > 1:
             self._recount(side)
@@ -133,11 +134,10 @@ class CutState:
         dw = np.where(self.is_cut[e], -w, w)  # change of the cut weight
         self.is_cut[e] = ~self.is_cut[e]
         self.cut[nbr[at]] += dw
-        d = g.degree_profile.d
+        d, d_delta = g.degree_profile.d, g.degree_profile.d_delta
+        self.cut_total += float(d[v] - 2.0 * self.cut[v])
         self.cut[v] = d[v] - self.cut[v]  # v's own side and cut swap
-        indptr, arc_ids = g.arc_adjacency
-        a = arc_ids[indptr[v]:indptr[v + 1]]
-        self.same_side[a] = ~self.same_side[a]
+        self.imbalance += float(d_delta[v] if side[v] else -d_delta[v])
         self.vol_neg += float(-d[v] if side[v] else d[v])
         self.side[v] = side[v]
 
@@ -149,7 +149,8 @@ class CutState:
         w_cut = w_sym * self.is_cut
         self.cut = np.bincount(pu, weights=w_cut, minlength=g.n)
         self.cut += np.bincount(pv, weights=w_cut, minlength=g.n)
-        self.same_side = side[g.tails] == side[g.heads]
+        self.cut_total = float(w_cut.sum())
+        self.imbalance = float(g.degree_profile.d_delta[side].sum())
         self.vol_neg = float(g.degree_profile.d[~side].sum())
 
     def matches_recount(self) -> bool:
@@ -158,8 +159,8 @@ class CutState:
         fresh._recount(self.side)
         return (self.is_cut.tobytes() == fresh.is_cut.tobytes()
                 and self.cut.tobytes() == fresh.cut.tobytes()
-                and self.same_side.tobytes() == fresh.same_side.tobytes()
-                and self.vol_neg == fresh.vol_neg)
+                and (self.cut_total, self.imbalance, self.vol_neg)
+                == (fresh.cut_total, fresh.imbalance, fresh.vol_neg))
 
     def median(self, x: np.ndarray, c: float) -> MedianResult:
         """n_med at the x = +/-c of this side mask, from vol_neg alone:
@@ -174,11 +175,14 @@ class CutState:
             low = high = c
         return MedianResult(low, high, median_deviation(degrees, x, low))
 
-    def i_plus(self, c: float) -> float:
-        """functionals.i_plus at the x = +/-c of this side mask, without
-        its two arc gathers: |x_tail + x_head| is 2c on a same-side arc
-        and 0 on a cut one, so the same array meets the same dot."""
-        return float(np.dot(self.g.weights, self.same_side * (2.0 * c)))
+    def phi(self) -> float:
+        """conductance_set(g, side)[0], bit for bit: the sums are exact,
+        so the division is its one rounding. Raises ConstantVectorError
+        on a zero-volume side, where r_obj is undefined."""
+        vol_min = min(self.vol_neg, self.g.degree_profile.vol_total - self.vol_neg)
+        if vol_min <= 0:
+            raise ConstantVectorError("ratio undefined: a side has zero volume")
+        return 0.5 * (self.cut_total - abs(self.imbalance)) / vol_min
 
 
 @dataclass(frozen=True)
@@ -188,10 +192,10 @@ class IterateState:
     Holds x with its extremes and norm = ||x||_inf, the zero-test
     tolerance t = ZERO_TOL * max(1, norm), the degree-weighted median from a
     single n_med call (or, equal to it, from the cut state's volumes),
-    the signed imbalance j0 = <d_delta, x>, and r, the value r_obj
-    returns at x. The vertex classes are built on first use, so an
-    iterate that is rejected never pays for them (nor raises where
-    classify would). cut is the CutState moved to x when x is binary
+    the signed imbalance j0 = <d_delta, x>, and r = r_obj(x) (phi of
+    the positive side on a binary x with a CutState). The vertex classes
+    are built on first use, so an iterate that is rejected never pays
+    for them (nor raises where classify would). cut is the CutState moved to x when x is binary
     and a CutState was given, else None.
     """
 
@@ -272,8 +276,8 @@ def iterate_state(g: DirectedGraph, x: np.ndarray, cut: CutState | None = None) 
 
     With a CutState of g (g.exact_sums must hold) and an x that takes
     exactly the values +/-c, the state moves to x, the median comes from
-    its side volumes instead of a sort and I+ from its arc mask instead
-    of two gathers over the arcs; the result is the same, bit for bit.
+    its side volumes instead of a sort, and r is CutState.phi: r_obj's
+    exact value there, conductance_set's bit for bit, in O(1).
     """
     x = np.asarray(x, dtype=float)
     degrees = g.degree_profile
@@ -282,16 +286,15 @@ def iterate_state(g: DirectedGraph, x: np.ndarray, cut: CutState | None = None) 
     if not x_max - x_min > NONCONSTANT_RTOL * max(1.0, norm):  # is_nonconstant(x)
         raise ConstantVectorError("cannot evaluate a constant vector")
     t = ZERO_TOL * max(1.0, norm)
+    j0, j = j_terms(g, x)
     if cut is not None and x_min == -x_max and x_max > t and np.abs(x).min() == x_max:
         cut.move_to(x > 0)
         median = cut.median(x, x_max)
-        i_sum = cut.i_plus(x_max)
+        r = cut.phi()
     else:
         cut = None
         median = n_med(degrees, x)
-        i_sum = i_plus(g, x)
-    j0, j = j_terms(g, x)
-    r = ratio(degrees, norm, i_sum, median.n_value, j)
+        r = ratio(degrees, norm, i_plus(g, x), median.n_value, j)
     return IterateState(x, x_min, x_max, norm, t, median, j0, r, cut)
 
 

@@ -35,4 +35,26 @@ def test_a_checkout_whose_reports_differ_fails(tmp_path):
     solver.write_text(text.replace('"init_kind": self.init_kind,', '"init_kind": "?",'))
     run = _ab_time(old, ROOT)
     assert run.returncode == 1, run.stderr
-    assert run.stdout.splitlines()[-1].startswith("DIGESTS DIFFER on 4 of 4 instances")
+    lines = run.stdout.splitlines()
+    assert lines[-1].startswith("DIGESTS DIFFER on 4 of 4 instances")
+    assert lines[-2] == "best_r on new: 0 lower, 4 equal, 0 higher"
+
+
+def test_a_checkout_with_a_higher_best_r_is_counted(tmp_path):
+    # a copy whose every report carries best_r + 1
+    old = tmp_path / "old"
+    shutil.copytree(ROOT / "src" / "dicond", old / "src" / "dicond",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    solver = old / "src" / "dicond" / "solver.py"
+    solver.write_text(solver.read_text() + (
+        "\n\n_dsi_solve = dsi_solve\n\n\n"
+        "def dsi_solve(g, cfg=None):\n"
+        "    rep = _dsi_solve(g, cfg)\n"
+        "    return replace(rep, best_r=rep.best_r + 1.0)\n"))
+    for args, counts in (((old, ROOT), "4 lower, 0 equal, 0 higher"),
+                         ((ROOT, old), "0 lower, 0 equal, 4 higher")):
+        run = _ab_time(*args)
+        assert run.returncode == 1, run.stderr
+        lines = run.stdout.splitlines()
+        assert lines[-2] == f"best_r on new: {counts}"
+        assert lines[-1].startswith("DIGESTS DIFFER on 4 of 4 instances")

@@ -1,6 +1,6 @@
-"""The binary fast path: CutState bookkeeping against full recounts, and
-iterate_state, its ratio and binary_step with a CutState against the
-general code."""
+"""The binary fast path: CutState bookkeeping against full recounts,
+iterate_state's ratio with a CutState against conductance_set, and
+binary_step against the general code."""
 
 from fractions import Fraction
 
@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dicond.solver
-from dicond import DsbmParams, SolverConfig, build_graph, canonical, dsbm, dsi_solve, largest_strong_component
-from dicond.functionals import i_plus, linf, n_med
-from dicond.solver import subproblem_argmin
+from dicond import (ConstantVectorError, DsbmParams, SolverConfig, build_graph, canonical, conductance_set, dsbm,
+                    dsi_solve, largest_strong_component)
+from dicond.functionals import linf, n_med
+from dicond.solver import dsi_run, subproblem_argmin
 from dicond.subgrad import CutState, binary_step, general_step, iterate_state
 
 WEIGHT_KINDS = {
@@ -77,7 +78,10 @@ def test_moves_equal_a_full_recount(seed, kind):
             tgt[b] += wab
         assert _same_bits(g.degree_profile.d - cut.cut, own) and _same_bits(cut.cut, across)
         assert _same_bits(cut.is_cut, side[pu] != side[pv])
-        assert _same_bits(cut.same_side, [side[a] == side[b] for a, b in zip(g.tails, g.heads)])
+        # the two cut scalars against a per-arc count of cut+ and cut-
+        cut_plus = sum(w for a, b, w in zip(g.tails, g.heads, g.weights) if side[a] and not side[b])
+        cut_minus = sum(w for a, b, w in zip(g.tails, g.heads, g.weights) if side[b] and not side[a])
+        assert (cut.cut_total, cut.imbalance) == (cut_plus + cut_minus, cut_plus - cut_minus)
         assert cut.vol_neg == g.degree_profile.d[~side].sum()
 
 
@@ -122,18 +126,28 @@ def test_only_a_single_flip_skips_the_recount(monkeypatch):
 
 
 def _check_binary_step(g, x, cut):
-    """binary_step at x with the state against the general chain without
-    it, bit for bit; returns (one tie vertex, J = 0, V_b empty)."""
+    """iterate_state and binary_step at x with the state against the exact
+    reference and the general code, bit for bit: r is conductance_set of
+    the positive side, every other field is the state's without the cut
+    state, and binary_step is general_step on the same state. Returns
+    the selected subgradient and (one tie vertex, J = 0, V_b empty)."""
     fast = iterate_state(g, x, cut)
     slow = iterate_state(g, x)
     assert fast.cut is cut and slow.cut is None
+    assert _same_bits(fast.r, conductance_set(g, x > 0)[0])
+    for name in ("x_min", "x_max", "norm", "t", "j0"):
+        assert _same_bits(getattr(fast, name), getattr(slow, name)), name
     # the state's median is n_med's, bit for bit
     ref = n_med(g.degree_profile, x)
     for name in ("alpha_low", "alpha_high", "n_value"):
         assert _same_bits(getattr(fast.median, name), getattr(ref, name))
-    assert _same_bits(fast.r, slow.r)
+    # r_obj's formula cancels vol c against I+ + J: it lies within a few
+    # ulps of vol_total / vol_min of the exact value
+    d = g.degree_profile.d
+    vol_min = min(d[x > 0].sum(), d[x < 0].sum())
+    assert abs(slow.r - fast.r) <= 8 * np.finfo(float).eps * g.degree_profile.vol_total / vol_min
     v_b, sel = binary_step(g, fast)
-    ref_v_b, ref_sel = general_step(g, slow)
+    ref_v_b, ref_sel = general_step(g, fast)
     assert _same_bits(v_b, ref_v_b) and v_b.dtype == ref_v_b.dtype
     assert (sel is None) == (ref_sel is None) == (v_b.size == 0)
     if sel is not None:
@@ -142,7 +156,7 @@ def _check_binary_step(g, x, cut):
             # tobytes tells -0.0 from 0.0
             assert _same_bits(getattr(sel, name), getattr(ref_sel, name)), name
     one_tie = np.count_nonzero(slow.classes.s_alpha) <= 1
-    return one_tie, abs(slow.j0) <= slow.t, v_b.size == 0
+    return sel, (one_tie, abs(slow.j0) <= slow.t, v_b.size == 0)
 
 
 @given(seed=st.integers(0, 2**32 - 1), kind=exact_kinds,
@@ -166,7 +180,7 @@ def test_binary_step_covers_one_tie_zero_imbalance_and_the_stop():
              (canonical("c3"), np.array([True, False, False])),  # a stop: V_b is empty
              (canonical("p2"), np.array([True, False])),  # J = 2
              (canonical("p3"), np.array([True, False, True])))  # a descent step
-    flags = np.array([_check_binary_step(g, np.where(side, c, -c), CutState(g))
+    flags = np.array([_check_binary_step(g, np.where(side, c, -c), CutState(g))[1]
                       for g, side in cases for c in (1.0, 0.5, 3.0, 1.0 / g.n)])
     # each of (one tie vertex, J = 0, V_b empty) holds in some case and fails in another
     assert flags.any(axis=0).all() and not flags.all(axis=0).any()
@@ -189,20 +203,15 @@ def test_nonbinary_iterates_do_not_move_the_state():
 @given(seed=st.integers(0, 2**32 - 1), kind=exact_kinds, uniform=st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_binary_ratio_and_subproblem_value_match_the_general_code(seed, kind, uniform):
-    # along single flips (the arc mask moves in O(deg)) and larger moves
-    # (it is recounted), at c = 1 and at the c = 1/n of a k = n step
+    # along single flips (the cut scalars move in O(1)) and larger moves
+    # (they are recounted), at c = 1 and at the c = 1/n of a k = n step
     g, rng = _graph(seed, kind)
     c = 1.0 / g.n if uniform else 1.0
     cut = CutState(g)
     for side in _moves(rng, g.n):
         if side.all() or not side.any():
             continue
-        x = np.where(side, c, -c)
-        fast = iterate_state(g, x, cut)
-        assert fast.cut is cut
-        assert _same_bits(cut.i_plus(c), i_plus(g, x))
-        assert _same_bits(fast.r, iterate_state(g, x).r)
-        _, sel = binary_step(g, fast)
+        sel, _ = _check_binary_step(g, np.where(side, c, -c), cut)
         if sel is None:
             continue
         # the subgradient itself (k <= n) and, scaled to ||s||_1 = 1/2,
@@ -288,14 +297,14 @@ def test_self_check_compares_the_state_on_a_dsbm_component(monkeypatch):
         dsi_solve(g, SolverConfig(seed=0, self_check=True))
 
 
-@pytest.mark.parametrize("arc", [0, -1])
-def test_self_check_catches_an_arc_mask_that_drifts(monkeypatch, arc):
+@pytest.mark.parametrize("name", ["cut_total", "imbalance"])
+def test_self_check_catches_a_cut_scalar_that_drifts(monkeypatch, name):
     g = _dsbm_component()
     move_to = CutState.move_to
 
     def drift(self, side):
         move_to(self, side)
-        self.same_side[arc] = ~self.same_side[arc]
+        setattr(self, name, getattr(self, name) + 1.0)
 
     monkeypatch.setattr(CutState, "move_to", drift)
     cut = CutState(g)
@@ -305,16 +314,27 @@ def test_self_check_catches_an_arc_mask_that_drifts(monkeypatch, arc):
         dsi_solve(g, SolverConfig(seed=0, self_check=True))
 
 
-def test_self_check_compares_the_binary_ratio_with_i_plus(monkeypatch):
+def test_self_check_compares_the_binary_ratio_with_conductance_set(monkeypatch):
     g = _dsbm_component()
-    # the mask passes its recount, but the sum read off it is one ulp off
-    arc_sum = CutState.i_plus
-    monkeypatch.setattr(CutState, "i_plus", lambda self, c: np.nextafter(arc_sum(self, c), np.inf))
-    with pytest.raises(AssertionError, match="i_plus"):
+    # the sums pass their recount, but the ratio read off them is one ulp off
+    phi = CutState.phi
+    monkeypatch.setattr(CutState, "phi", lambda self: np.nextafter(phi(self), np.inf))
+    with pytest.raises(AssertionError, match="conductance_set"):
         dsi_solve(g, SolverConfig(seed=0, self_check=True))
     # and the unchanged run passes every check
-    monkeypatch.setattr(CutState, "i_plus", arc_sum)
+    monkeypatch.setattr(CutState, "phi", phi)
     assert dsi_solve(g, SolverConfig(seed=0, self_check=True)).iterations > 0
+
+
+def test_a_binary_start_with_a_zero_volume_side_is_constant():
+    # vertices 3 and 4 are isolated: +1 on them alone leaves the positive
+    # side without volume, where the ratio is undefined
+    g = build_graph(5, [0, 1, 2], [1, 2, 0])
+    assert g.exact_sums
+    x = np.where(np.arange(5) >= 3, 1.0, -1.0)
+    for start in (x, -x, 0.5 * x):
+        with pytest.raises(ConstantVectorError):
+            dsi_run(g, start, SolverConfig())
 
 
 def test_self_check_compares_the_binary_step_with_the_general_chain(monkeypatch):

@@ -285,7 +285,6 @@ def test_every_cached_array_is_read_only():
     sub, core = positive_core(g)
     for graph in (g, sub, canonical("c3")):
         arrays = [graph.tails, graph.heads, graph.weights, *graph.pairs, *graph.pair_adjacency,
-                  *graph.arc_adjacency,
                   graph.arc_csr.data, graph.arc_csr.indices, graph.arc_csr.indptr,
                   graph.strong_labels[1], graph.weak_labels[1], positive_core(graph)[1]]
         degrees = graph.degree_profile
@@ -297,17 +296,6 @@ def test_every_cached_array_is_read_only():
                 a[0] = a[0]
     assert positive_core(g)[0] is sub and positive_core(sub)[0] is sub
     assert core.tolist() == [0, 1, 2]
-
-
-def test_arc_adjacency_lists_each_arc_at_both_ends():
-    rng = np.random.default_rng(7)
-    for n in (2, 5, 12):
-        g = build_graph(n, rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n))
-        indptr, arc_ids = g.arc_adjacency
-        for v in range(n):
-            want = [a for a in range(g.m) if v in (g.tails[a], g.heads[a])]
-            assert sorted(arc_ids[indptr[v]:indptr[v + 1]].tolist()) == want
-        assert indptr[-1] == 2 * g.m
 
 
 def test_largest_strong_component_examples(p3):

@@ -556,10 +556,10 @@ def test_configs_with_a_start_vector_compare_and_hash_by_value():
 # the digest does not, suspect the platform before the code.
 PINNED_REPORTS = {
     "c3": "e7ee23c1dcee4d458e48b521849a2d44c3496c0ecb6f80b51043e3270cd71de9",
-    "dsbm-lscc": "43a5fa8aa16363a1ee2ef45895eb70360e5c0b45643ab57cdbbcdabe3a26f05d",
+    "dsbm-lscc": "694d98fdd23912b0712d370ba5f2ae1c6fbbeb0edd315452c6945976578b041c",
     "rescue-flip": "d66c892c05e48c829a75fac45f6fc5b38b978a241abcdff31c0660de6538cae4",
     "rounding": "f1db9621ae9c93f33dd3368eca24242dd30aac53177ab88a2e52c47edb96121c",
-    "weighted": "8c6b912b6d66d12821426989f72b78a6f1dbd205ab2cfad590676e771a698b66",
+    "weighted": "eb5bf8efda1caded8b0888ac2e126aa99cf10904dcc242159c5e0a2a302a00fd",
     "wide": "9132a9242d6f9d4b517946de3b3d4f4505feadcdaf2e6af0a8b713f25bde6c56",
 }
 # (best_r, certificate, iterations, vertices of best_set)

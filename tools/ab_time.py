@@ -15,7 +15,9 @@ so neither side always runs first. Per round the script prints the
 speed ratio OLD/NEW of the summed instance time (what graphs_per_s
 reads) and of the median solve time (what solve_s_p50 reads); a ratio
 above 1 means NEW is faster. It exits with status 1 when any instance's
-no-timings report digest or sweep value differs between the two.
+no-timings report digest or sweep value differs between the two; it
+then first prints how many instances have a lower, equal or higher
+best_r on NEW.
 """
 
 import os
@@ -48,7 +50,7 @@ def load_checkout(root: Path, name: str):
 
 
 def process(pkg, inst, with_oracle: bool, digest):
-    """(total seconds, solve seconds, result key) of one instance."""
+    """(total seconds, solve seconds, result key, best_r) of one instance."""
     g = pkg.load_edge_list(inst.path)
     t0 = time.perf_counter()
     rep = pkg.dsi_solve(g, pkg.SolverConfig(seed=inst.solver_seed))
@@ -56,7 +58,7 @@ def process(pkg, inst, with_oracle: bool, digest):
     _, sweep_phi = pkg.baselines.spectral_sweep(g)
     oracle_phi = pkg.brute_conductance(g).phi_d_min if with_oracle else None
     t2 = time.perf_counter()
-    return t2 - t0, t1 - t0, (digest(rep), repr(sweep_phi), repr(oracle_phi))
+    return t2 - t0, t1 - t0, (digest(rep), repr(sweep_phi), repr(oracle_phi)), rep.best_r
 
 
 def main(argv=None) -> int:
@@ -87,18 +89,20 @@ def main(argv=None) -> int:
         for pkg in sides.values():  # warm up: first calls, lazy imports
             process(pkg, pool[0], workload.with_oracle, report_digest)
         mismatched = set()
+        best_r = {}  # instance -> (OLD, NEW); solves are deterministic
         total_ratios, solve_ratios = [], []
         for rnd in range(args.rounds):
             total = {"old": 0.0, "new": 0.0}
             solve = {"old": [], "new": []}
             for i, inst in enumerate(pool):
                 order = ("old", "new") if (rnd + i) % 2 == 0 else ("new", "old")
-                keys = {}
+                keys, r = {}, {}
                 for side in order:
-                    t_all, t_solve, keys[side] = process(sides[side], inst, workload.with_oracle,
-                                                         report_digest)
+                    t_all, t_solve, keys[side], r[side] = process(sides[side], inst, workload.with_oracle,
+                                                                  report_digest)
                     total[side] += t_all
                     solve[side].append(t_solve)
+                best_r[inst.path.name] = (r["old"], r["new"])
                 if keys["old"] != keys["new"]:
                     mismatched.add(inst.path.name)
             total_ratios.append(total["old"] / total["new"])
@@ -113,6 +117,9 @@ def main(argv=None) -> int:
           f"solve p50 {statistics.median(solve_ratios):.3f}x "
           f"(rounds {min(solve_ratios):.3f}-{max(solve_ratios):.3f})")
     if mismatched:
+        lower = sum(new < old for old, new in best_r.values())
+        higher = sum(new > old for old, new in best_r.values())
+        print(f"best_r on new: {lower} lower, {len(best_r) - lower - higher} equal, {higher} higher")
         print(f"DIGESTS DIFFER on {len(mismatched)} of {len(pool)} instances: {sorted(mismatched)}")
         return 1
     print(f"digests: all {len(pool)} instances identical")
