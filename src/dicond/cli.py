@@ -163,10 +163,10 @@ def _expand_values(text: str):
         if step <= 0:
             raise ValueError(f"bad progression step in {text!r}")
         vals = [float(p) for p in parts[: k - 2]]
-        v = a
-        while v <= end + 1e-12:
-            vals.append(round(v, 12))
-            v += step
+        i = 0
+        while a + i * step <= end + 1e-12:  # a + i*step, not a running sum, which drifts
+            vals.append(round(a + i * step, 12))
+            i += 1
         return vals
     return [float(p) for p in parts]
 

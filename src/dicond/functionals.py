@@ -41,43 +41,28 @@ def j_terms(g: DirectedGraph, x: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MedianResult:
-    """Weighted-median interval of x under degree weights, with the
-    minimal value n_value = min_c sum_i d_i |x_i - c|."""
+    """Lower degree-weighted median alpha_low of x (an attained data
+    value) and the minimal value n_value = min_c sum_i d_i |x_i - c|,
+    which alpha_low attains."""
 
     alpha_low: float
-    alpha_high: float
     n_value: float
 
 
 def n_med(degrees: DegreeProfile, x: np.ndarray) -> MedianResult:
-    """Degree-weighted median interval and deviation minimum.
+    """Lower degree-weighted median and the deviation minimum at it.
 
-    alpha_low is the lower weighted median (always an attained data
-    value); the interval is nondegenerate exactly when the cumulative
-    weight splits the total in half at alpha_low.
+    alpha_low is the smallest x_i whose cumulative weight in ascending
+    order reaches half the volume, less a 1e-12 relative tolerance.
     """
     w_total = degrees.vol_total
     if w_total <= 0:
         raise ValueError("median needs positive total volume")
     order = np.argsort(x, kind="stable")
-    xs = x[order]
     cw = np.cumsum(degrees.d[order])
-    half = 0.5 * w_total
-    eps = 1e-12 * w_total
-    k = int(np.searchsorted(cw, half - eps, side="left"))
-    alpha_low = float(xs[k])
-    # the interval extends iff the weight at or below alpha_low is exactly half
-    group_end = int(np.searchsorted(xs, alpha_low, side="right")) - 1
-    if cw[group_end] <= half + eps and group_end + 1 < xs.size:
-        alpha_high = float(xs[group_end + 1])
-    else:
-        alpha_high = alpha_low
-    return MedianResult(alpha_low, alpha_high, median_deviation(degrees, x, alpha_low))
-
-
-def median_deviation(degrees: DegreeProfile, x: np.ndarray, alpha: float) -> float:
-    """sum_i d_i |x_i - alpha|, the n_value of n_med at its alpha_low."""
-    return float(np.dot(degrees.d, np.abs(x - alpha)))
+    k = int(np.searchsorted(cw, 0.5 * w_total - 1e-12 * w_total, side="left"))
+    alpha_low = float(x[order[k]])
+    return MedianResult(alpha_low, float(np.dot(degrees.d, np.abs(x - alpha_low))))
 
 
 def r_obj(g: DirectedGraph, degrees: DegreeProfile, x: np.ndarray) -> float:

@@ -206,7 +206,7 @@ def _open_text(source):
     """Yield text lines from a path, bytes, or file-like source.
 
     Gzip content is detected by magic bytes and decompressed
-    transparently.
+    transparently; a leading UTF-8 byte-order mark is dropped.
     """
     if isinstance(source, bytes):
         data = source
@@ -216,10 +216,10 @@ def _open_text(source):
     else:
         data = source.read()
         if isinstance(data, str):
-            return data.splitlines()
+            return data.removeprefix("\ufeff").splitlines()
     if data[:2] == b"\x1f\x8b":
         data = gzip.decompress(data)
-    return data.decode("utf-8").splitlines()
+    return data.decode("utf-8-sig").splitlines()
 
 
 def load_edge_list(source) -> DirectedGraph:
@@ -262,7 +262,20 @@ def load_edge_list(source) -> DirectedGraph:
 def write_edge_list(g: DirectedGraph, path) -> None:
     """Write the canonical edge list (original labels, sorted arcs). A
     path ending in .gz is gzip-compressed with a zero header time, so a
-    rewrite gives the same bytes."""
+    rewrite gives the same bytes.
+
+    Raises ValueError, before the file is created, on a line that would
+    not read back: a written label that is empty, holds whitespace or
+    starts with a byte-order mark, or an arc tail label that starts a
+    comment.
+    """
+    for v in np.unique(np.concatenate((g.tails, g.heads))):
+        label = str(g.labels[v])
+        if label.split() != [label] or label.startswith("\ufeff"):
+            raise ValueError(f"label {label!r} is empty, holds whitespace or starts with a byte-order mark")
+    for t in np.unique(g.tails):
+        if str(g.labels[t]).startswith(COMMENT_PREFIXES):
+            raise ValueError(f"arc tail label {g.labels[t]!r} would read as a comment")
     if str(path).endswith(".gz"):
         fh = io.TextIOWrapper(gzip.GzipFile(path, "wb", mtime=0))
     else:

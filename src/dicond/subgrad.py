@@ -14,8 +14,8 @@ l1-ball subproblem carry few distinct values, so exact ties are the
 common case and must be detected robustly.
 
 The solver evaluates each iterate once, into an IterateState (extremes,
-tolerance, median, j0 with its sign and the one J = 0 test, ratio, the
-moved CutState and, on first use, the classes). The three steps of the
+tolerance, the lower median alpha, j0 with its sign and the one J = 0
+test, ratio, the moved CutState and, on first use, the classes). The three steps of the
 general chain, bounds, boundary_indicator and select_subgradient, take
 that state and read the degrees from the graph, so x, its tolerance,
 classes, ratio and cut sums always belong together; general_step runs
@@ -33,17 +33,18 @@ O(deg), other moves recount in O(m). It is used only on graphs whose
 sums are all exact (DirectedGraph.exact_sums: weights that are
 multiples of one 2^-k with a bounded total), where the updated sums,
 d - cut and every sum over the cut pairs equal the general code's bit
-for bit. There iterate_state reads the median off the side volumes and
-r off the cut sums: at x = +/-c on S, vol c - I+ - J = 4c min(cut+,
-cut-) and 2N = 4c min(vol S, vol S^c), so r = phi(S), which
-CutState.phi returns as conductance_set does, bit for bit. binary_step
-replaces the three steps with one pass: it returns general_step's V_b
-and subgradient on the same state without the O(m) pass over all
-pairs, the vertex classes or the interval arrays. Other graphs and
-non-binary iterates take r_obj's formula and general_step. The two
-steps differ only in the inputs that binary_step reads off the cut
-state; both compute b in _boundary, V_b in _stop_set and v, y and s in
-_assemble.
+for bit. There iterate_state reads alpha off one volume comparison
+(-c iff the negative side holds half the volume) and r off the cut
+sums: at x = +/-c on S, vol c - I+ - J = 4c min(cut+, cut-) and 2N =
+4c min(vol S, vol S^c), so r = phi(S), which CutState.phi returns as
+conductance_set does, bit for bit. binary_step replaces the three
+steps with one pass: it returns general_step's V_b and subgradient on
+the same state without the O(m) pass over all pairs, the vertex
+classes or the interval arrays. Other graphs and non-binary iterates
+take alpha and N from one n_med call, r_obj's formula and
+general_step. The two steps differ only in the inputs that binary_step
+reads off the cut state; both compute b in _boundary, V_b in _stop_set
+and v, y and s in _assemble.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstantVectorError
-from .functionals import NONCONSTANT_RTOL, MedianResult, i_plus, j_terms, linf, median_deviation, n_med, ratio
+from .functionals import NONCONSTANT_RTOL, i_plus, j_terms, linf, n_med, ratio
 from .graph import DegreeProfile, DirectedGraph
 
 ZERO_TOL = 1e-9
@@ -162,19 +163,6 @@ class CutState:
                 and (self.cut_total, self.imbalance, self.vol_neg)
                 == (fresh.cut_total, fresh.imbalance, fresh.vol_neg))
 
-    def median(self, x: np.ndarray, c: float) -> MedianResult:
-        """n_med at the x = +/-c of this side mask, from vol_neg alone:
-        the lower median is -c iff the negative side holds at least
-        half the volume, with the tolerance n_med uses."""
-        degrees = self.g.degree_profile
-        w_total = degrees.vol_total
-        half, eps = 0.5 * w_total, 1e-12 * w_total
-        if self.vol_neg >= half - eps:
-            low, high = -c, (c if self.vol_neg <= half + eps else -c)
-        else:
-            low = high = c
-        return MedianResult(low, high, median_deviation(degrees, x, low))
-
     def phi(self) -> float:
         """conductance_set(g, side)[0], bit for bit: the sums are exact,
         so the division is its one rounding. Raises ConstantVectorError
@@ -190,8 +178,8 @@ class IterateState:
     """One evaluation of an iterate x, shared by the steps of an iteration.
 
     Holds x with its extremes and norm = ||x||_inf, the zero-test
-    tolerance t = ZERO_TOL * max(1, norm), the degree-weighted median from a
-    single n_med call (or, equal to it, from the cut state's volumes),
+    tolerance t = ZERO_TOL * max(1, norm), the lower degree-weighted
+    median alpha (n_med's alpha_low, the one median value a step reads),
     the signed imbalance j0 = <d_delta, x>, and r = r_obj(x) (phi of
     the positive side on a binary x with a CutState). The vertex classes
     are built on first use, so an iterate that is rejected never pays
@@ -204,14 +192,14 @@ class IterateState:
     x_max: float
     norm: float
     t: float
-    median: MedianResult
+    alpha: float
     j0: float
     r: float
     cut: CutState | None = None
 
     @cached_property
     def classes(self) -> VertexClasses:
-        return _classes(self.x, self.x_max - self.x_min, self.norm, self.t, self.median.alpha_low)
+        return _classes(self.x, self.x_max - self.x_min, self.norm, self.t, self.alpha)
 
     @property
     def j_is_zero(self) -> bool:
@@ -270,14 +258,16 @@ def classify(degrees: DegreeProfile, x: np.ndarray) -> VertexClasses:
 
 
 def iterate_state(g: DirectedGraph, x: np.ndarray, cut: CutState | None = None) -> IterateState:
-    """Evaluate x once: extremes, tolerance, median, j0 and r; raises
-    ConstantVectorError where is_nonconstant(x) is False or r_obj would
-    raise.
+    """Evaluate x once: extremes, tolerance, median alpha, j0 and r;
+    raises ConstantVectorError where is_nonconstant(x) is False or r_obj
+    would raise.
 
     With a CutState of g (g.exact_sums must hold) and an x that takes
-    exactly the values +/-c, the state moves to x, the median comes from
-    its side volumes instead of a sort, and r is CutState.phi: r_obj's
-    exact value there, conductance_set's bit for bit, in O(1).
+    exactly the values +/-c, the state moves to x, alpha is -c iff the
+    negative side holds half the volume (n_med's test and tolerance, on
+    the exact vol_neg), and r is CutState.phi: r_obj's exact value
+    there, conductance_set's bit for bit, in O(1). Otherwise one n_med
+    call gives alpha and the N of r_obj's formula.
     """
     x = np.asarray(x, dtype=float)
     degrees = g.degree_profile
@@ -289,13 +279,15 @@ def iterate_state(g: DirectedGraph, x: np.ndarray, cut: CutState | None = None) 
     j0, j = j_terms(g, x)
     if cut is not None and x_min == -x_max and x_max > t and np.abs(x).min() == x_max:
         cut.move_to(x > 0)
-        median = cut.median(x, x_max)
+        w_total = degrees.vol_total
+        alpha = -x_max if cut.vol_neg >= 0.5 * w_total - 1e-12 * w_total else x_max
         r = cut.phi()
     else:
         cut = None
-        median = n_med(degrees, x)
-        r = ratio(degrees, norm, i_plus(g, x), median.n_value, j)
-    return IterateState(x, x_min, x_max, norm, t, median, j0, r, cut)
+        med = n_med(degrees, x)
+        alpha = med.alpha_low
+        r = ratio(degrees, norm, i_plus(g, x), med.n_value, j)
+    return IterateState(x, x_min, x_max, norm, t, alpha, j0, r, cut)
 
 
 def bounds(g: DirectedGraph, state: IterateState) -> SubgradientBounds:
@@ -511,7 +503,7 @@ def binary_step(g: DirectedGraph, state: IterateState) -> tuple[np.ndarray, Sele
     # when the tie set is the positive side, a_high when it is the
     # negative one); on a single tie vertex, A
     vol_pos = degrees.vol_total - cut.vol_neg
-    tie_pos = state.median.alpha_low > 0
+    tie_pos = state.alpha > 0
     in_a = side if tie_pos else ~side
     A, B = (cut.vol_neg - 0.0, vol_pos) if tie_pos else (0.0 - vol_pos, cut.vol_neg)
     if np.count_nonzero(in_a) >= 2:

@@ -145,6 +145,16 @@ def test_parse_grid():
             parse_grid(empty)
 
 
+def test_parse_grid_long_progressions_do_not_drift():
+    # the i-th value is a + i*step rounded, so the end is kept and no
+    # value carries the error of a running sum
+    for step, count in ((0.01, 10001), (0.1, 1001)):
+        etas = parse_grid(f"eta=0,{step},...,100")["eta"]
+        assert etas == [round(i * step, 12) for i in range(count)]
+        assert etas[-1] == 100.0
+    assert parse_grid("eta=1,0.5,0.55,...,0.7")["eta"] == [1.0, 0.5, 0.55, 0.6, 0.65, 0.7]
+
+
 @pytest.mark.parametrize("grid", [
     "names=x", "eta=0;seeds=2.5", "eta=0;n=7.9", "eta=0;seeds=0", "p=q=0.3;etas=0.3;n=6;seeds=1",
     "eta=0.3,0.35,...,0.1",

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dicond.solver
+import dicond.subgrad
 from dicond import (ConstantVectorError, DsbmParams, SolverConfig, build_graph, canonical, conductance_set, dsbm,
                     dsi_solve, largest_strong_component)
 from dicond.functionals import linf, n_med
@@ -135,12 +136,10 @@ def _check_binary_step(g, x, cut):
     slow = iterate_state(g, x)
     assert fast.cut is cut and slow.cut is None
     assert _same_bits(fast.r, conductance_set(g, x > 0)[0])
-    for name in ("x_min", "x_max", "norm", "t", "j0"):
+    for name in ("x_min", "x_max", "norm", "t", "alpha", "j0"):
         assert _same_bits(getattr(fast, name), getattr(slow, name)), name
     # the state's median is n_med's, bit for bit
-    ref = n_med(g.degree_profile, x)
-    for name in ("alpha_low", "alpha_high", "n_value"):
-        assert _same_bits(getattr(fast.median, name), getattr(ref, name))
+    assert _same_bits(fast.alpha, n_med(g.degree_profile, x).alpha_low)
     # r_obj's formula cancels vol c against I+ + J: it lies within a few
     # ulps of vol_total / vol_min of the exact value
     d = g.degree_profile.d
@@ -184,6 +183,25 @@ def test_binary_step_covers_one_tie_zero_imbalance_and_the_stop():
                       for g, side in cases for c in (1.0, 0.5, 3.0, 1.0 / g.n)])
     # each of (one tie vertex, J = 0, V_b empty) holds in some case and fails in another
     assert flags.any(axis=0).all() and not flags.all(axis=0).any()
+
+
+def test_binary_median_is_one_volume_comparison(monkeypatch):
+    # p3 has degrees (1, 2, 1), so vol_neg is below, at and above half
+    # the volume; p2's negative side holds exactly half
+    cases = [("p3", [1, 1, -1], 1.0), ("p3", [1, -1, 1], -1.0), ("p3", [-1, -1, 1], -1.0),
+             ("p2", [1, -1], -1.0)]
+    xs = [(canonical(name), c * np.array(signs, dtype=float), sign * c)
+          for name, signs, sign in cases for c in (1.0, 0.5, 3.0, 1.0 / 3.0)]
+    want = [n_med(g.degree_profile, x).alpha_low for g, x, _ in xs]
+
+    def no_sort(*args):
+        raise AssertionError("a binary iterate calls n_med")
+
+    monkeypatch.setattr(dicond.subgrad, "n_med", no_sort)
+    for (g, x, expected), alpha_low in zip(xs, want):
+        state = iterate_state(g, x, CutState(g))
+        assert state.cut is not None
+        assert _same_bits(state.alpha, alpha_low) and _same_bits(state.alpha, expected)
 
 
 def test_nonbinary_iterates_do_not_move_the_state():

@@ -18,6 +18,7 @@ from dicond import (
     largest_strong_component,
     load_edge_list,
     weak_components,
+    write_edge_list,
 )
 from dicond.baselines import graph_embedding
 from dicond.graph import induced_subgraph, positive_core, prefix_cut_profile, zero_cut
@@ -109,6 +110,43 @@ def test_load_gzip_transparent(tmp_path):
     with open(path, "rb") as fh:
         g2 = load_edge_list(fh)
     assert g2.m == 2
+
+
+def test_load_ignores_a_leading_byte_order_mark(tmp_path):
+    data = b"\xef\xbb\xbf1 2\n2 1\n"
+    path = tmp_path / "bom.el"
+    path.write_bytes(data)
+    for source in (data, str(path), io.BytesIO(data), io.StringIO(data.decode("utf-8")), gzip.compress(data)):
+        g = load_edge_list(source)
+        assert (g.n, g.m, g.labels) == (2, 2, ("1", "2"))
+        assert largest_strong_component(g)[0].n == 2
+
+
+def test_write_edge_list_round_trips_a_head_label_that_starts_a_comment(tmp_path):
+    g = load_edge_list(b"1 #2\n1 %3 0.5\n")
+    assert g.labels == ("1", "#2", "%3") and g.m == 2
+    path = tmp_path / "g.el"
+    write_edge_list(g, path)
+    assert path.read_text() == "1 #2 1.0\n1 %3 0.5\n"
+    back = load_edge_list(str(path))
+    assert back.labels == g.labels and back.weights.tolist() == g.weights.tolist()
+
+
+@pytest.mark.parametrize("labels, match", [
+    (["#a", "b"], "comment"),
+    (["%a", "b"], "comment"),
+    (["", "b"], "whitespace"),
+    (["a b", "c"], "whitespace"),
+    (["a", "b\tc"], "whitespace"),
+    (["a", "b\nc"], "whitespace"),
+    (["\ufeffa", "b"], "byte-order mark"),
+])
+def test_write_edge_list_refuses_lines_that_do_not_read_back(tmp_path, labels, match):
+    g = build_graph(2, [0, 1], [1, 0], labels=labels)
+    path = tmp_path / "g.el"
+    with pytest.raises(ValueError, match=match):
+        write_edge_list(g, path)
+    assert not path.exists()
 
 
 def test_degrees_p2(p2):
