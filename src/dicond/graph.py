@@ -28,7 +28,9 @@ COMMENT_PREFIXES = ("#", "%")
 class DegreeProfile:
     """Per-vertex weighted degrees of a digraph.
 
-    d = d_out + d_in, d_delta = d_out - d_in, vol_total = sum(d).
+    d = d_out + d_in, d_delta = d_out - d_in, vol_total = sum(d). The
+    negated and absolute arrays that the DSI steps read every iterate
+    are built once, read-only, on first use.
     """
 
     d_out: np.ndarray
@@ -36,6 +38,22 @@ class DegreeProfile:
     d: np.ndarray
     d_delta: np.ndarray
     vol_total: float
+
+    @cached_property
+    def neg_d(self) -> np.ndarray:
+        return _frozen(-self.d)[0]
+
+    @cached_property
+    def abs_d_delta(self) -> np.ndarray:
+        return _frozen(np.abs(self.d_delta))[0]
+
+    @cached_property
+    def neg_d_delta(self) -> np.ndarray:
+        return _frozen(-self.d_delta)[0]
+
+    def signed_d_delta(self, sign: float) -> np.ndarray:
+        """sign * d_delta for sign = +/-1, bit for bit, without a pass."""
+        return self.d_delta if sign > 0 else self.neg_d_delta
 
 
 @dataclass(frozen=True)
@@ -158,10 +176,12 @@ def build_graph(n, tails, heads, weights=None, labels=None) -> DirectedGraph:
 
     Drops self-loops (counted) and zero-weight arcs, aggregates parallel
     arcs by weight sum, and sorts arcs by (tail, head); the arc arrays
-    are new and read-only, as every cache derived from them is. Raises
-    ValueError for an endpoint outside [0, n), for a weight that is
-    negative, NaN or infinite, and for weights whose volume 2·Σw
-    overflows float64.
+    are new and read-only, as every cache derived from them is. Each
+    label is kept as its str. Raises ValueError for an endpoint outside
+    [0, n), for a weight that is negative, NaN or infinite, for weights
+    whose volume 2·Σw overflows float64, and for labels that are not n
+    distinct strings (two equal labels would write arcs that read back
+    as self-loops).
     """
     if n <= 0:
         raise EmptyGraphError("graph has no vertices")
@@ -194,9 +214,13 @@ def build_graph(n, tails, heads, weights=None, labels=None) -> DirectedGraph:
     if labels is None:
         labels = tuple(str(i) for i in range(n))
     else:
-        labels = tuple(labels)
+        labels = tuple(map(str, labels))
         if len(labels) != n:
             raise ValueError("label count does not match vertex count")
+        if len(set(labels)) != n:
+            seen: set[str] = set()
+            repeated = next(lab for lab in labels if lab in seen or seen.add(lab))
+            raise ValueError(f"vertex label {repeated!r} is repeated (labels are compared as strings)")
     return DirectedGraph(
         n, *_frozen(uniq // n, uniq % n, agg), labels=labels, self_loops_dropped=n_loops
     )

@@ -21,7 +21,7 @@ from .baselines import graph_embedding, sweep_cut
 from .errors import ConstantVectorError, EmptyGraphError, check_int, check_vector
 from .functionals import is_nonconstant, linf, q_r
 from .graph import DirectedGraph, conductance_set, cut_values, lift_core, positive_core, zero_cut
-from .subgrad import CutState, binary_step, general_step, iterate_state
+from .subgrad import CutState, IterateState, binary_state, binary_step, general_step, iterate_state
 
 CERT_BOUNDARY = "stop-by-V_b-empty"
 CERT_NO_DESCENT = "stop-by-no-descent"
@@ -128,15 +128,15 @@ def subproblem_argmin(s: np.ndarray) -> tuple[np.ndarray, float]:
     """
     s = np.asarray(s, dtype=float)
     n = s.size
-    sgn = np.where(s >= 0, 1.0, -1.0)
+    signed = s + 0.0  # -0.0 turns into +0.0, so its sign is Sign(s) with Sign(0) = +1
     abs_s = np.abs(s)
     k = n
-    x = sgn / n
+    x = np.copysign(1.0 / n, signed)  # sign(s) / n
     # no sort is needed when the top n-1 partial sum A_{n-1} =
     # ||s||_1 - n min|s| is at most 1, as then k = n. The margin covers
     # the rounding gap between the sorted and unsorted sums.
     total = abs_s.sum()
-    if total - n * abs_s.min() > 1.0 - 1e-9 * total:
+    if total - n * abs_s[abs_s.argmin()] > 1.0 - 1e-9 * total:
         order = np.argsort(-abs_s, kind="stable")
         a = abs_s[order]
         partial = np.cumsum(a) - np.arange(1, n + 1) * np.append(a[1:], 0.0)  # A_m, nondecreasing
@@ -147,7 +147,7 @@ def subproblem_argmin(s: np.ndarray) -> tuple[np.ndarray, float]:
             k = int(np.argmax(partial > 1.0)) + 1
             z = np.zeros(n)
             z[order[:k]] = 1.0
-            x = sgn * z / k
+            x = np.copysign(z / k, signed)
     return x, float(1.0 / k - np.dot(x, s))  # ||x||_inf is exactly 1/k
 
 
@@ -225,16 +225,22 @@ def _precheck_report(g, mask, t0, note) -> SolveReport:
     )
 
 
+def _self_check_binary(g, state: IterateState) -> None:
+    """cfg.self_check on a binary iterate: the cut signs and sums equal a
+    full recount, and r is conductance_set of the positive side, bit for
+    bit."""
+    if not (np.array_equal(state.cut.side, state.x > 0) and state.cut.matches_recount()):
+        raise AssertionError("maintained cut sums differ from a full recount")
+    if np.float64(conductance_set(g, state.cut.side)[0]).tobytes() != np.float64(state.r).tobytes():
+        raise AssertionError("binary ratio differs from conductance_set of its side")
+
+
 def _self_check(g, state, v_b, sel) -> None:
-    """cfg.self_check on one step: on a binary iterate the cut sums
-    equal a full recount, r conductance_set of the positive side, and
-    V_b and s the general chain's, bit for bit; a selected subgradient
-    is tight, <x, s> = Q_r(x)."""
+    """cfg.self_check on one step: a binary iterate passes
+    _self_check_binary, and its V_b and s are the general chain's, bit
+    for bit; a selected subgradient is tight, <x, s> = Q_r(x)."""
     if state.cut is not None:
-        if not (np.array_equal(state.cut.side, state.x > 0) and state.cut.matches_recount()):
-            raise AssertionError("maintained cut sums differ from a full recount")
-        if np.float64(conductance_set(g, state.cut.side)[0]).tobytes() != np.float64(state.r).tobytes():
-            raise AssertionError("binary ratio differs from conductance_set of its side")
+        _self_check_binary(g, state)
         ref_v_b, ref = general_step(g, state)
         # both steps return a subgradient exactly when V_b is not empty
         if v_b.tobytes() != ref_v_b.tobytes() or (sel is not None and sel.s.tobytes() != ref.s.tobytes()):
@@ -247,6 +253,32 @@ def _self_check(g, state, v_b, sel) -> None:
             raise AssertionError(f"subgradient tightness violated: gap={gap:.3e}")
 
 
+_STATE_FIELDS = ("x", "x_min", "x_max", "norm", "t", "alpha", "j0", "r")
+
+
+def _self_check_fused(g, state: IterateState) -> None:
+    """cfg.self_check on a state that binary_state built from a
+    subproblem minimizer: it passes _self_check_binary, and it is
+    iterate_state's (which moves its CutState nowhere), field by field,
+    bit for bit."""
+    _self_check_binary(g, state)
+    ref = iterate_state(g, state.x, state.cut)
+    same = all(np.asarray(getattr(state, f)).tobytes() == np.asarray(getattr(ref, f)).tobytes()
+               for f in _STATE_FIELDS)
+    if not (same and ref.cut is state.cut):
+        raise AssertionError("fused binary state differs from iterate_state")
+
+
+def _self_check_finish(g, x_star, best_set, best_phi) -> None:
+    """cfg.self_check on a run's shortcut finish: best_set is the
+    distinct-value sweep cut of x_star and best_phi its conductance_set,
+    bit for bit."""
+    ref = sweep_cut(g, x_star, distinct_only=True)
+    if not (np.array_equal(ref, best_set)
+            and np.float64(conductance_set(g, ref)[0]).tobytes() == np.float64(best_phi).tobytes()):
+        raise AssertionError("binary finish differs from sweep_cut and conductance_set")
+
+
 def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     """One solver run from the initial vector x1.
 
@@ -257,38 +289,44 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     subgradient. Each iteration proposes one move: the subproblem
     minimizer; at an empty V_b, the sweep-cut rounding of a non-binary
     iterate or the best flip of a binary one (the boundary test can miss
-    it), stopping with an empty V_b when no flip descends. One
-    iterate_state evaluates the move and one rule accepts it, a ratio
-    below the best by more than eps_dec. A rounding stays the current
-    iterate either way; any other move that does not descend or is
-    constant stops the run with no descent. The best iterate is rounded
-    by the distinct-value sweep cut, best_r is conductance_set of that
-    set, and is_flip_local_opt is the O(m + n) single-flip test of
+    it), stopping with an empty V_b when no flip descends. One state
+    evaluation covers the move and one rule accepts it, a ratio below
+    the best by more than eps_dec. A rounding stays the current iterate
+    either way; any other move that does not descend or is constant
+    stops the run with no descent. The best iterate is rounded by the
+    distinct-value sweep cut, best_r is conductance_set of that set, and
+    is_flip_local_opt is the O(m + n) single-flip test of
     flip_conductances, the predicate that verify_local_opt checks with
     one conductance_set per vertex.
 
     When g.exact_sums holds, the run keeps one CutState: each iterate
-    that takes exactly two values +/-c moves its cut sums, in O(deg)
-    when a single vertex flips and by an O(m) recount otherwise. Its
-    ratio is phi of its positive side (CutState.phi), and its step is
-    binary_step, one pass over the cut sums instead of the O(m) pass
-    over all pairs and the three general steps. With cfg.self_check
-    every such iterate asserts that its state equals a recount, its
-    ratio conductance_set and its step general_step, bit for bit. Other
-    iterates and other graphs take r_obj's formula and general_step. A
-    start vector that is not n finite values raises ValueError, as in
-    dsi_solve.
+    that takes exactly two values +/-c moves its cut sums and signs, in
+    O(deg) when a single vertex flips and by an O(m) recount otherwise.
+    Its ratio is phi of its positive side (CutState.phi), and its step
+    is binary_step, one pass over the cut sums instead of the O(m) pass
+    over all pairs and the three general steps. A subproblem minimizer
+    that keeps all n coordinates is sign(s) / n, and binary_state
+    evaluates it directly on the side s >= 0 with c = 1 / n, without
+    scanning it. When the best iterate is binary, its positive side is
+    the sweep cut and its r that side's conductance_set, so the finish
+    reads both off it; when the run stops at it on an empty V_b, the
+    flip conductances that certified the stop give is_flip_local_opt.
+    With cfg.self_check every binary iterate asserts that its state
+    equals a recount, its ratio conductance_set and its step
+    general_step, a fused state iterate_state, and the binary finish
+    sweep_cut and conductance_set, bit for bit. Other iterates and other
+    graphs take r_obj's formula and general_step. A start vector that is
+    not n finite values raises ValueError, as in dsi_solve.
     """
     t0 = time.perf_counter()
     x = check_vector("initial vector", x1, g.n)
     if not is_nonconstant(x):
         raise ConstantVectorError("initial vector must be nonconstant")
     cut = CutState(g) if g.exact_sums else None
-    state = iterate_state(g, x / linf(x), cut)
+    state = best = iterate_state(g, x / linf(x), cut)
     eps_dec = 1e-10 * max(1.0, state.r)
 
     trace = [state.r]
-    r_star, x_star = state.r, state.x.copy()
     certificate = CERT_MAX_ITERS
     iterations = 0
 
@@ -297,43 +335,57 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
         if cfg.self_check:
             _self_check(g, state, v_b, sel)
         rounding = sel is None and bool(state.classes.s_less.any())
+        fused = False
         if sel is not None:
             x_next, _ = subproblem_argmin(sel.s)
+            fused = cut is not None and np.count_nonzero(x_next) == g.n  # k = n
         elif rounding:
             x_next = np.where(sweep_cut(g, state.x, distinct_only=True), 1.0, -1.0)
         else:
             phis = flip_conductances(g, state.x > 0)
             best_i = int(np.argmin(phis))
-            if not phis[best_i] < r_star - eps_dec:
+            if not phis[best_i] < best.r - eps_dec:
                 certificate = CERT_BOUNDARY
                 break
             x_next = np.where(state.x > 0, 1.0, -1.0)
             x_next[best_i] = -x_next[best_i]
         iterations += 1
         try:
-            nxt = iterate_state(g, x_next, cut)
+            if fused:
+                nxt = binary_state(g, x_next, sel.s >= 0, 1.0 / g.n, cut)
+            else:
+                nxt = iterate_state(g, x_next, cut)
         except ConstantVectorError:
             certificate = CERT_NO_DESCENT
             break
-        if nxt.r < r_star - eps_dec:
-            r_star, x_star = nxt.r, x_next
+        if fused and cfg.self_check:
+            _self_check_fused(g, nxt)
+        if nxt.r < best.r - eps_dec:
+            best = nxt
             trace.append(nxt.r)
         elif not rounding:
             certificate = CERT_NO_DESCENT
             break
         state = nxt
 
-    best_set = sweep_cut(g, x_star, distinct_only=True)
-    best_phi = conductance_set(g, best_set)[0]
+    if best.cut is None:
+        best_set = sweep_cut(g, best.x, distinct_only=True)
+        best_phi = conductance_set(g, best_set)[0]
+    else:  # binary: r is phi of the positive side, conductance_set's bits
+        best_set, best_phi = best.x > 0, best.r
+        if cfg.self_check:
+            _self_check_finish(g, best.x, best_set, best_phi)
+    if not (certificate == CERT_BOUNDARY and state is best and best.cut is not None):
+        phis = flip_conductances(g, best_set)  # else the stop's flips ran on best_set
     return SolveReport(
         best_r=best_phi,
-        best_x=x_star,
+        best_x=best.x,
         best_set=best_set,
         best_set_labels=_sorted_labels(g, best_set),
         r_trace=tuple(trace),
         iterations=iterations,
         certificate=certificate,
-        is_flip_local_opt=bool(flip_conductances(g, best_set).min() >= best_phi - 1e-12),
+        is_flip_local_opt=bool(phis.min() >= best_phi - 1e-12),
         wall_time=time.perf_counter() - t0,
     )
 

@@ -28,23 +28,33 @@ sides, the pair terms are p_i = sigma_i * own_i and q_i = cut_i, where
 cut_i is the symmetric weight from i across the cut and own_i = d_i -
 cut_i the weight to its own side, the zero pairs are the cut pairs, and
 the median and A, B follow from the two side volumes. A CutState keeps
-the cut sums, cut+ + cut- and cut+ - cut-: a single flip moves them in
-O(deg), other moves recount in O(m). It is used only on graphs whose
-sums are all exact (DirectedGraph.exact_sums: weights that are
-multiples of one 2^-k with a bounded total), where the updated sums,
-d - cut and every sum over the cut pairs equal the general code's bit
-for bit. There iterate_state reads alpha off one volume comparison
-(-c iff the negative side holds half the volume) and r off the cut
-sums: at x = +/-c on S, vol c - I+ - J = 4c min(cut+, cut-) and 2N =
-4c min(vol S, vol S^c), so r = phi(S), which CutState.phi returns as
-conductance_set does, bit for bit. binary_step replaces the three
-steps with one pass: it returns general_step's V_b and subgradient on
-the same state without the O(m) pass over all pairs, the vertex
-classes or the interval arrays. Other graphs and non-binary iterates
-take alpha and N from one n_med call, r_obj's formula and
-general_step. The two steps differ only in the inputs that binary_step
-reads off the cut state; both compute b in _boundary, V_b in _stop_set
-and v, y and s in _assemble.
+the cut sums, cut+ + cut- and cut+ - cut-, and the sign arrays chi and
+sigma = -chi: a single flip moves them in O(deg), other moves recount
+in O(m). It is used only on graphs whose sums are all exact
+(DirectedGraph.exact_sums: weights that are multiples of one 2^-k with
+a bounded total), where the updated sums, d - cut and every sum over
+the cut pairs equal the general code's bit for bit. There
+binary_state, which iterate_state calls on a binary x and dsi_run calls
+directly on a subproblem minimizer sign(s) / n, reads alpha off one
+volume comparison (-c iff the negative side holds half the volume) and
+r off the cut sums: at x = +/-c on S, vol c - I+ - J = 4c min(cut+,
+cut-) and 2N = 4c min(vol S, vol S^c), so r = phi(S), which
+CutState.phi returns as conductance_set does, bit for bit. binary_step
+replaces the three steps with one pass: it returns general_step's V_b
+and subgradient on the same state without the O(m) pass over all
+pairs, the vertex classes or the interval arrays. Other graphs and
+non-binary iterates take alpha and N from one n_med call, r_obj's
+formula and general_step. The two steps differ only in the inputs that
+binary_step reads off the cut state; both compute b in _boundary, V_b
+in _stop_set and v, y and s in _assemble.
+
+A binary iteration (its step, subproblem and state) runs about 70
+numpy calls on arrays of n or |cut| entries, so the code makes few. Every float operation
+keeps its order, since V_b, the lead of each cut pair and k = n follow
+the last bits of b and s. Extremes are read by arg-reductions
+(a[a.argmax()]), |b| is computed once per step (BoundaryIndicator.abs_b),
+the tie set is counted once, and -d, |d_delta| and -d_delta are cached
+on the DegreeProfile.
 """
 
 from __future__ import annotations
@@ -100,16 +110,22 @@ class SubgradientBounds:
 
 
 class CutState:
-    """Cut sums of a binary iterate; a single flip moves them in O(deg).
+    """Cut sums and signs of a binary iterate; a single flip moves them
+    in O(deg).
 
-    side is the mask of the positive side S, cut[i] the symmetric weight
-    from i across the cut, is_cut flags the cut pairs of g.pairs,
-    cut_total = cut+ + cut-, imbalance = d_delta summed over S = cut+ -
-    cut-, and vol_neg the volume of the negative side. The weight from i
-    to its own side is d[i] - cut[i], because d = d_out + d_in sums the
-    pair weights at each vertex. A move that flips one vertex updates
-    its pairs in O(deg); any other move recounts in O(m). g.exact_sums
-    must hold: then every update, and d - cut, equals a full recount.
+    side is the mask of the positive side S, chi the sign array of the
+    DSI steps (-1 on S, +1 off it) and sigma = -chi, cut[i] the
+    symmetric weight from i across the cut, is_cut flags the cut pairs
+    of g.pairs, cut_total = cut+ + cut-, imbalance = d_delta summed
+    over S = cut+ - cut-, and vol_neg the volume of the negative side.
+    The weight from i to its own side is d[i] - cut[i], because d =
+    d_out + d_in sums the pair weights at each vertex. A move that
+    flips one vertex negates its entry of chi and sigma and updates its
+    pairs in O(deg); any other move recounts in O(m). g.exact_sums must
+    hold: then every update, and d - cut, equals a full recount. ends
+    holds the two ends (u, v) of each pair as one (P, 2) array, and the
+    pair weights are kept in g.pair_adjacency order, so a flip slices
+    its weights instead of gathering them.
     """
 
     def __init__(self, g: DirectedGraph):
@@ -117,10 +133,14 @@ class CutState:
             raise ValueError("CutState needs a graph whose sums are exact (g.exact_sums)")
         self.g = g
         self.side: np.ndarray | None = None
+        pu, pv, w_sym = g.pairs
+        self.ends = np.stack((pu, pv), axis=1)
+        self._adj_w = w_sym.take(g.pair_adjacency[2])
 
     def move_to(self, side: np.ndarray) -> None:
         """Move to the positive-side mask side: one flipped vertex moves
-        its pairs, neighbours and sums in O(deg), any other move recounts."""
+        its signs, pairs, neighbours and sums in O(deg), any other move
+        recounts."""
         flipped = None if self.side is None else (side != self.side).nonzero()[0]
         if flipped is None or flipped.size > 1:
             self._recount(side)
@@ -131,9 +151,10 @@ class CutState:
         indptr, nbr, pair_ids = g.pair_adjacency
         at = slice(indptr[v], indptr[v + 1])
         e = pair_ids[at]  # the neighbours nbr[at] are distinct
-        w = g.pairs[2][e]
-        dw = np.where(self.is_cut[e], -w, w)  # change of the cut weight
-        self.is_cut[e] = ~self.is_cut[e]
+        w = self._adj_w[at]
+        was_cut = self.is_cut[e]
+        dw = np.where(was_cut, -w, w)  # change of the cut weight
+        self.is_cut[e] = ~was_cut
         self.cut[nbr[at]] += dw
         d, d_delta = g.degree_profile.d, g.degree_profile.d_delta
         self.cut_total += float(d[v] - 2.0 * self.cut[v])
@@ -141,11 +162,15 @@ class CutState:
         self.imbalance += float(d_delta[v] if side[v] else -d_delta[v])
         self.vol_neg += float(-d[v] if side[v] else d[v])
         self.side[v] = side[v]
+        self.chi[v] = -self.chi[v]
+        self.sigma[v] = -self.sigma[v]
 
     def _recount(self, side: np.ndarray) -> None:
         g = self.g
         pu, pv, w_sym = g.pairs
         self.side = side.copy()
+        self.chi = np.where(side, -1.0, 1.0)
+        self.sigma = -self.chi
         self.is_cut = side[pu] != side[pv]
         w_cut = w_sym * self.is_cut
         self.cut = np.bincount(pu, weights=w_cut, minlength=g.n)
@@ -155,11 +180,12 @@ class CutState:
         self.vol_neg = float(g.degree_profile.d[~side].sum())
 
     def matches_recount(self) -> bool:
-        """True iff the maintained sums equal a full recount bit for bit."""
+        """True iff the maintained signs and sums equal a full recount bit
+        for bit."""
         fresh = CutState(self.g)
         fresh._recount(self.side)
-        return (self.is_cut.tobytes() == fresh.is_cut.tobytes()
-                and self.cut.tobytes() == fresh.cut.tobytes()
+        return (all(getattr(self, name).tobytes() == getattr(fresh, name).tobytes()
+                    for name in ("chi", "sigma", "is_cut", "cut"))
                 and (self.cut_total, self.imbalance, self.vol_neg)
                 == (fresh.cut_total, fresh.imbalance, fresh.vol_neg))
 
@@ -183,8 +209,8 @@ class IterateState:
     the signed imbalance j0 = <d_delta, x>, and r = r_obj(x) (phi of
     the positive side on a binary x with a CutState). The vertex classes
     are built on first use, so an iterate that is rejected never pays
-    for them (nor raises where classify would). cut is the CutState moved to x when x is binary
-    and a CutState was given, else None.
+    for them (nor raises where classify would). cut is the CutState
+    moved to x when binary_state built the state, else None.
     """
 
     x: np.ndarray
@@ -218,14 +244,19 @@ class BoundaryIndicator:
 
     v_b collects the maximizers of {b_i * chi_i > 0}; emptiness certifies
     that no coordinate admits a descent-forcing boundary subgradient.
-    Where the selection step needs an order of vertices by |b|, it
-    compares |b| directly.
+    Where the selection step needs an order of vertices by |b| (the lead
+    of a zero pair, the tie j*), it compares abs_b, built once on first
+    use.
     """
 
     b: np.ndarray
     chi: np.ndarray
     a_sel: np.ndarray
     v_b: np.ndarray
+
+    @cached_property
+    def abs_b(self) -> np.ndarray:
+        return np.abs(self.b)
 
 
 @dataclass(frozen=True)
@@ -263,31 +294,45 @@ def iterate_state(g: DirectedGraph, x: np.ndarray, cut: CutState | None = None) 
     would raise.
 
     With a CutState of g (g.exact_sums must hold) and an x that takes
-    exactly the values +/-c, the state moves to x, alpha is -c iff the
-    negative side holds half the volume (n_med's test and tolerance, on
-    the exact vol_neg), and r is CutState.phi: r_obj's exact value
-    there, conductance_set's bit for bit, in O(1). Otherwise one n_med
-    call gives alpha and the N of r_obj's formula.
+    exactly the values +/-c, binary_state builds the state on the side
+    x > 0. Otherwise one n_med call gives alpha and the N of r_obj's
+    formula. Each extreme is read by an arg-reduction, a[a.argmax()].
     """
     x = np.asarray(x, dtype=float)
-    degrees = g.degree_profile
-    x_min, x_max = float(x.min()), float(x.max())
+    x_min, x_max = float(x[x.argmin()]), float(x[x.argmax()])
     norm = max(x_max, -x_min)  # = ||x||_inf
     if not x_max - x_min > NONCONSTANT_RTOL * max(1.0, norm):  # is_nonconstant(x)
         raise ConstantVectorError("cannot evaluate a constant vector")
     t = ZERO_TOL * max(1.0, norm)
+    if cut is not None and x_min == -x_max and x_max > t:
+        abs_x = np.abs(x)
+        if abs_x[abs_x.argmin()] == x_max:
+            return binary_state(g, x, x > 0, x_max, cut)
     j0, j = j_terms(g, x)
-    if cut is not None and x_min == -x_max and x_max > t and np.abs(x).min() == x_max:
-        cut.move_to(x > 0)
-        w_total = degrees.vol_total
-        alpha = -x_max if cut.vol_neg >= 0.5 * w_total - 1e-12 * w_total else x_max
-        r = cut.phi()
-    else:
-        cut = None
-        med = n_med(degrees, x)
-        alpha = med.alpha_low
-        r = ratio(degrees, norm, i_plus(g, x), med.n_value, j)
-    return IterateState(x, x_min, x_max, norm, t, alpha, j0, r, cut)
+    med = n_med(g.degree_profile, x)
+    r = ratio(g.degree_profile, norm, i_plus(g, x), med.n_value, j)
+    return IterateState(x, x_min, x_max, norm, t, med.alpha_low, j0, r)
+
+
+def binary_state(g: DirectedGraph, x: np.ndarray, side: np.ndarray, c: float, cut: CutState) -> IterateState:
+    """The IterateState of an x that is +c on side and -c off it, with
+    c > ZERO_TOL * max(1, c) and g.exact_sums: iterate_state's, bit for
+    bit, without a scan of x.
+
+    cut moves to side; alpha is -c iff the negative side holds half the
+    volume (n_med's test and tolerance, on the exact vol_neg), j0 is
+    <d_delta, x>, and r is CutState.phi: r_obj's exact value there,
+    conductance_set's bit for bit, in O(1). Raises ConstantVectorError
+    when a side has zero volume (an empty side included). dsi_run calls
+    it directly on a subproblem minimizer that keeps all n coordinates,
+    sign(s) / n, whose side is s >= 0 and c = 1 / n.
+    """
+    cut.move_to(side)
+    degrees = g.degree_profile
+    w_total = degrees.vol_total
+    alpha = -c if cut.vol_neg >= 0.5 * w_total - 1e-12 * w_total else c
+    j0 = float(np.dot(degrees.d_delta, x))
+    return IterateState(x, -c, c, c, ZERO_TOL * max(1.0, c), alpha, j0, cut.phi(), cut)
 
 
 def bounds(g: DirectedGraph, state: IterateState) -> SubgradientBounds:
@@ -378,17 +423,18 @@ def _boundary(g: DirectedGraph, state: IterateState, p: np.ndarray, q: np.ndarra
     """b = p + imbalance + 2 r a_sel + chi q: the chi-signed extremes of
     the arc and imbalance terms plus the selected median-term endpoint.
     The imbalance term is chi |d_delta| at J = 0, else Sign(j0) d_delta."""
-    d_delta = g.degree_profile.d_delta
-    imb = chi * np.abs(d_delta) if state.j_is_zero else state.j_sign * d_delta
+    degrees = g.degree_profile
+    imb = chi * degrees.abs_d_delta if state.j_is_zero else degrees.signed_d_delta(state.j_sign)
     return p + imb + 2.0 * state.r * a_sel + chi * q
 
 
 def _stop_set(b: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """V_b = argmax{b_i chi_i : b_i chi_i > 0} in ascending id order,
-    with the zero test relative to max |b| = max |b chi|, as |chi| = 1."""
+    with the zero test relative to max |b| = max |b chi|, as |chi| = 1.
+    The extremes are read by arg-reductions, prod[prod.argmax()]."""
     prod = b * chi
-    top = float(prod.max())
-    eps = ZERO_TOL * max(1.0, top, -float(prod.min()))
+    top = float(prod[prod.argmax()])
+    eps = ZERO_TOL * max(1.0, top, -float(prod[prod.argmin()]))
     if not top > eps:
         return np.empty(0, dtype=np.int64)
     keep = prod >= top - eps
@@ -415,25 +461,30 @@ def select_subgradient(
 
     u = bnds.p.copy()
     zu, zv, zw = bnds.zero_pairs
-    zval = indicator.chi[_lead(zu, zv, indicator.b, i_star)]
+    in_a = state.classes.s_alpha
+    zval = indicator.chi[_lead(np.column_stack((zu, zv)), indicator, i_star)]
     np.add.at(u, zu, zw * zval)
     np.add.at(u, zv, zw * zval)
-    return _assemble(g, state, indicator, i_star, u, state.classes.s_alpha, bnds.A, bnds.B)
+    return _assemble(g, state, indicator, i_star, u, in_a, np.count_nonzero(in_a) >= 2, bnds.A, bnds.B)
 
 
-def _lead(zu: np.ndarray, zv: np.ndarray, b: np.ndarray, i_star: int) -> np.ndarray:
-    """The lead end of each zero pair (zu, zv), whose chi signs the pair
-    at both ends: i* on pairs touching i*, else the end with the larger
-    |b|, and zv (the later id, as pairs have zu < zv) on a tie."""
-    abs_b = np.abs(b)
+def _lead(ends: np.ndarray, ind: BoundaryIndicator, i_star: int) -> np.ndarray:
+    """The lead end of each zero pair, a row (u, v) of ends with u < v,
+    whose chi signs the pair at both ends: i* on pairs touching i*, else
+    the end with the larger |b|, and v (the later id) on a tie."""
+    abs_b = ind.abs_b
+    b_star = abs_b[i_star]
     abs_b[i_star] = np.inf
-    return np.where(abs_b.take(zu) > abs_b.take(zv), zu, zv)
+    ab = abs_b.take(ends)  # both ends in one gather
+    abs_b[i_star] = b_star
+    return np.where(ab[:, 0] > ab[:, 1], ends[:, 0], ends[:, 1])
 
 
 def _assemble(g: DirectedGraph, state: IterateState, ind: BoundaryIndicator, i_star: int,
-              u: np.ndarray, in_a: np.ndarray, A: float, B: float) -> SelectedSubgradient:
+              u: np.ndarray, in_a: np.ndarray, many_ties: bool, A: float, B: float) -> SelectedSubgradient:
     """s = (u + y + 2 r v) / vol from the signed arc term u at the pivot
-    i*, the median tie set in_a and its aggregates A and B.
+    i*, the median tie set in_a (many_ties: it holds two or more
+    vertices) and its aggregates A and B.
 
     v is a_sel (A on a single tie). On two or more ties it keeps a_sel
     at j*: i* if i* ties, else the tie with the largest |b| (the largest
@@ -444,11 +495,11 @@ def _assemble(g: DirectedGraph, state: IterateState, ind: BoundaryIndicator, i_s
     degrees = g.degree_profile
     d, d_delta = degrees.d, degrees.d_delta
     v = ind.a_sel
-    if np.count_nonzero(in_a) >= 2:
+    if many_ties:
         if in_a[i_star]:
             j_star = i_star
         else:  # -1 is below every |b|; the reversed argmax is the last maximum
-            ab = np.where(in_a, np.abs(ind.b), -1.0)
+            ab = np.where(in_a, ind.abs_b, -1.0)
             j_star = g.n - 1 - int(np.argmax(ab[::-1]))
         denom = B - d[j_star]
         scale = (A - v[j_star]) / denom if denom > 0 else 0.0
@@ -459,7 +510,7 @@ def _assemble(g: DirectedGraph, state: IterateState, ind: BoundaryIndicator, i_s
         sign = ind.chi[i_star] * (1.0 if d_delta[i_star] >= 0 else -1.0)
     else:
         sign = state.j_sign
-    y = sign * d_delta
+    y = degrees.signed_d_delta(sign)
     s = (u + y + 2.0 * state.r * v) / degrees.vol_total
     return SelectedSubgradient(s=s, u=u, v=v, y=y, i_star=i_star)
 
@@ -481,22 +532,21 @@ def binary_step(g: DirectedGraph, state: IterateState) -> tuple[np.ndarray, Sele
 
     state.cut must be set: x takes exactly the values +/-c with c > t,
     and g.exact_sums holds. Only the inputs come from the cut state: the
-    classes are the sides (no vertex is interior), chi is -1 on the
-    positive side and +1 on the other, the median tie set is the side
-    that holds alpha, A and B are side volumes, the pair terms are
-    p = +/-own with own = d - cut and q = cut, and the zero pairs are
-    the cut pairs, signed per vertex with bincount instead of np.add.at
-    (the same bits, as every such sum is exact). b, V_b and the
-    assembly of v, y and s are the general chain's shared code.
+    classes are the sides (no vertex is interior), chi is the state's
+    sign array (-1 on the positive side, +1 on the other), the median
+    tie set is the side that holds alpha, A and B are side volumes, the
+    pair terms are p = sigma * own with own = d - cut and q = cut, and
+    the zero pairs are the cut pairs, signed per vertex with bincount
+    instead of np.add.at (the same bits, as every such sum is exact).
+    b, V_b and the assembly of v, y and s are the general chain's shared
+    code.
     """
     cut = state.cut
     degrees = g.degree_profile
     d = degrees.d
-    side = cut.side
-    own = d - cut.cut
-    # 0.0 - own, not -own: the general code gives +0.0 where own is 0
-    p = np.where(side, own, 0.0 - own)
-    chi = np.where(side, -1.0, 1.0)
+    side, chi = cut.side, cut.chi
+    p = cut.sigma * (d - cut.cut)
+    p += 0.0  # the general code gives +0.0, not -0.0, where own is 0
 
     # median term: off the tie set a_sel = d * Sign(x - alpha); on a tie
     # set of two or more, the endpoint the general chain selects (a_low
@@ -506,25 +556,25 @@ def binary_step(g: DirectedGraph, state: IterateState) -> tuple[np.ndarray, Sele
     tie_pos = state.alpha > 0
     in_a = side if tie_pos else ~side
     A, B = (cut.vol_neg - 0.0, vol_pos) if tie_pos else (0.0 - vol_pos, cut.vol_neg)
-    if np.count_nonzero(in_a) >= 2:
-        tie = np.maximum(A - B + d, -d) if tie_pos else np.minimum(A + B - d, d)
+    many_ties = np.count_nonzero(in_a) >= 2
+    if many_ties:
+        tie = np.maximum(A - B + d, degrees.neg_d) if tie_pos else np.minimum(A + B - d, d)
     else:
         tie = A
-    a_sel = np.where(side, tie, -d) if tie_pos else np.where(side, d, tie)
+    a_sel = np.where(side, tie, degrees.neg_d) if tie_pos else np.where(side, d, tie)
 
     b = _boundary(g, state, p, cut.cut, chi, a_sel)
     v_b = _stop_set(b, chi)
     if v_b.size == 0:
         return v_b, None
     i_star = int(v_b[0])
+    ind = BoundaryIndicator(b=b, chi=chi, a_sel=a_sel, v_b=v_b)
 
     # each cut pair adds chi(lead) * w at both ends (_lead); its ends have
     # opposite chi, so vertex i gains chi_i * (2 lead_i - cut_i), lead_i
     # the weight of the cut pairs it leads
-    pu, pv, w_sym = g.pairs
     iz = cut.is_cut.nonzero()[0]
-    lead = _lead(pu.take(iz), pv.take(iz), b, i_star)
-    lead_w = np.bincount(lead, weights=w_sym.take(iz), minlength=g.n)
+    lead = _lead(cut.ends.take(iz, axis=0), ind, i_star)
+    lead_w = np.bincount(lead, weights=g.pairs[2].take(iz), minlength=g.n)
     u = p + chi * (2.0 * lead_w - cut.cut)
-    ind = BoundaryIndicator(b=b, chi=chi, a_sel=a_sel, v_b=v_b)
-    return v_b, _assemble(g, state, ind, i_star, u, in_a, A, B)
+    return v_b, _assemble(g, state, ind, i_star, u, in_a, many_ties, A, B)

@@ -1,5 +1,6 @@
 """tools/ab_time.py: two checkouts timed in one process, reports compared."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -23,6 +24,21 @@ def test_a_checkout_against_itself_reports_identical_digests():
     assert [line.split(":")[0] for line in lines[1:3]] == ["round 1", "round 2"]
     assert "speed" in lines[1] and "solve p50" in lines[1]
     assert lines[-1] == "digests: all 4 instances identical"
+    assert re.fullmatch(r"median speed \S+x \(rounds \S+, new faster in [0-2] of 2\); "
+                        r"solve p50 \S+x \(rounds \S+, new faster in [0-2] of 2\)", lines[-2])
+
+
+def test_the_summary_counts_the_rounds_that_new_won(monkeypatch):
+    # importing the script pins the BLAS thread variables; the test
+    # restores them
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(TOOLS))
+    from ab_time import summary
+
+    # a tie (1.0) counts for neither side
+    assert summary([1.2, 0.9, 1.0, 1.1]) == "1.050x (rounds 0.900-1.200, new faster in 2 of 4)"
+    assert summary([0.8]) == "0.800x (rounds 0.800-0.800, new faster in 0 of 1)"
 
 
 def test_a_checkout_whose_reports_differ_fails(tmp_path):

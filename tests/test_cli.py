@@ -61,6 +61,18 @@ def test_weights_whose_volume_overflows_are_data_errors(tmp_path, capsys):
         assert "overflows" in capsys.readouterr().err
 
 
+def test_repeated_labels_are_a_data_error(tmp_path, monkeypatch, capsys):
+    # an edge list cannot repeat a label, so a loader that builds such a
+    # graph stands in for one: build_graph's ValueError exits 3
+    import dicond.cli
+    from dicond import build_graph
+
+    monkeypatch.setattr(dicond.cli, "load_edge_list",
+                        lambda path: build_graph(2, [0, 1], [1, 0], labels=[1, "1"]))
+    assert main(["solve", str(tmp_path / "g.el")]) == 3
+    assert "repeated" in capsys.readouterr().err
+
+
 def test_usage_error():
     assert main([]) == 2
     assert main(["solve"]) == 2

@@ -2,6 +2,7 @@
 iterate_state's ratio with a CutState against conductance_set, and
 binary_step against the general code."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,9 @@ import dicond.subgrad
 from dicond import (ConstantVectorError, DsbmParams, SolverConfig, build_graph, canonical, conductance_set, dsbm,
                     dsi_solve, largest_strong_component)
 from dicond.functionals import linf, n_med
-from dicond.solver import dsi_run, subproblem_argmin
-from dicond.subgrad import CutState, binary_step, general_step, iterate_state
+from dicond.baselines import sweep_cut
+from dicond.solver import dsi_run, flip_conductances, subproblem_argmin
+from dicond.subgrad import CutState, binary_state, binary_step, general_step, iterate_state
 
 WEIGHT_KINDS = {
     "unit": lambda rng, m: np.ones(m),
@@ -124,6 +126,45 @@ def test_only_a_single_flip_skips_the_recount(monkeypatch):
     cut.move_to(side)  # two vertices: recount
     assert recounts() == 2 and cut.matches_recount()
     assert _same_bits(cut.side, side)
+
+
+def _fused_x(side, uniform):
+    """The binary iterate on side: the subproblem minimizer sign(s) / n
+    of an s with ||s||_1 = 1/2 (so k = n), whose -0.0 entry counts as
+    positive, or x = +/-1. Returns (x, the side that dsi_run passes, c)."""
+    n = side.size
+    if not uniform:
+        return np.where(side, 1.0, -1.0), side, 1.0
+    s = np.where(side, 0.5 / n, -0.5 / n)
+    if side.any():
+        s[side.argmax()] = -0.0  # Sign(-0.0) = +1
+    x, _ = subproblem_argmin(s)
+    return x, s >= 0, 1.0 / n
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=exact_kinds, uniform=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_fused_state_and_signs_match_iterate_state_and_a_fresh_where(seed, kind, uniform):
+    # along single flips (chi and sigma move in O(1)) and larger moves
+    # (they are recounted), at c = 1 and at the c = 1/n of a k = n step
+    g, rng = _graph(seed, kind)
+    fused_cut, ref_cut = CutState(g), CutState(g)
+    for side in _moves(rng, g.n):
+        x, s_side, c = _fused_x(side, uniform)
+        assert _same_bits(s_side, side) and _same_bits(np.abs(x), np.full(g.n, c))
+        if side.all() or not side.any():  # a constant x
+            for call in (lambda: binary_state(g, x, s_side, c, fused_cut), lambda: iterate_state(g, x, ref_cut)):
+                with pytest.raises(ConstantVectorError):
+                    call()
+            continue
+        fused = binary_state(g, x, s_side, c, fused_cut)
+        ref = iterate_state(g, x, ref_cut)
+        assert fused.cut is fused_cut and ref.cut is ref_cut
+        for name in ("x", "x_min", "x_max", "norm", "t", "alpha", "j0", "r"):
+            assert _same_bits(getattr(fused, name), getattr(ref, name)), name
+        assert fused_cut.matches_recount()
+        assert _same_bits(fused_cut.chi, np.where(side, -1.0, 1.0))
+        assert _same_bits(fused_cut.sigma, np.where(side, 1.0, -1.0))
 
 
 def _check_binary_step(g, x, cut):
@@ -376,3 +417,67 @@ def test_self_check_compares_the_binary_step_with_the_general_chain(monkeypatch)
     monkeypatch.setattr(dicond.solver, "binary_step", perturbed)
     with pytest.raises(AssertionError, match="general chain"):
         dsi_solve(g, SolverConfig(seed=0, self_check=True))
+
+
+def test_self_check_catches_a_sign_that_drifts(monkeypatch):
+    g = _dsbm_component()
+    move_to = CutState.move_to
+
+    def drift(self, side):
+        move_to(self, side)
+        self.sigma[0] = -self.sigma[0]
+
+    monkeypatch.setattr(CutState, "move_to", drift)
+    cut = CutState(g)
+    cut.move_to(np.arange(g.n) % 2 == 0)
+    assert not cut.matches_recount()
+    with pytest.raises(AssertionError, match="full recount"):
+        dsi_solve(g, SolverConfig(seed=0, self_check=True))
+
+
+def test_subproblem_steps_that_keep_every_coordinate_skip_iterate_state(monkeypatch):
+    g = _dsbm_component()
+    calls = {"iterate_state": 0, "binary_state": 0}
+    for name in calls:
+        real = getattr(dicond.solver, name)
+        monkeypatch.setattr(dicond.solver, name,
+                            lambda *a, real=real, name=name: (calls.__setitem__(name, calls[name] + 1), real(*a))[1])
+    rep = dsi_run(g, np.where(np.arange(g.n) % 3 == 0, 1.0, -1.0), SolverConfig())
+    # the start and any k < n step, flip or rounding take iterate_state
+    assert calls["binary_state"] > 0 and calls["iterate_state"] >= 1
+    assert calls["binary_state"] + calls["iterate_state"] == rep.iterations + 1
+
+
+def test_self_check_compares_a_fused_state_with_iterate_state(monkeypatch):
+    g = _dsbm_component()
+    fused = dicond.solver.binary_state
+
+    def nudged(*args):
+        state = fused(*args)
+        return dataclasses.replace(state, j0=np.nextafter(state.j0, np.inf))
+
+    monkeypatch.setattr(dicond.solver, "binary_state", nudged)
+    with pytest.raises(AssertionError, match="fused binary state differs from iterate_state"):
+        dsi_solve(g, SolverConfig(seed=0, self_check=True))
+
+
+def test_a_binary_best_skips_the_sweep_and_its_conductance(monkeypatch):
+    g = _dsbm_component()
+    x = np.where(np.arange(g.n) % 3 == 0, 1.0, -1.0)
+    ref = dsi_run(g, x, SolverConfig())
+    calls = []
+    for name in ("sweep_cut", "conductance_set"):
+        real = getattr(dicond.solver, name)
+        monkeypatch.setattr(dicond.solver, name,
+                            lambda *a, real=real, name=name, **kw: (calls.append(name), real(*a, **kw))[1])
+    rep = dsi_run(g, x, SolverConfig())
+    assert calls == [] and rep.certificate == dicond.solver.CERT_BOUNDARY
+    assert _same_bits(rep.best_set, sweep_cut(g, rep.best_x, distinct_only=True))
+    assert _same_bits(rep.best_r, conductance_set(g, rep.best_set)[0])
+    assert rep.is_flip_local_opt == bool(flip_conductances(g, rep.best_set).min() >= rep.best_r - 1e-12)
+    assert rep.to_dict(with_timings=False) == ref.to_dict(with_timings=False)
+
+    # under self_check the finish is compared with sweep_cut and conductance_set
+    monkeypatch.setattr(dicond.solver, "sweep_cut", lambda g, v, distinct_only=False: v < 0)
+    with pytest.raises(AssertionError, match="binary finish differs"):
+        dsi_run(g, x, SolverConfig(self_check=True))

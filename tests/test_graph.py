@@ -15,6 +15,7 @@ from dicond import (
     canonical,
     conductance_set,
     cut_values,
+    dsi_solve,
     largest_strong_component,
     load_edge_list,
     weak_components,
@@ -147,6 +148,22 @@ def test_write_edge_list_refuses_lines_that_do_not_read_back(tmp_path, labels, m
     with pytest.raises(ValueError, match=match):
         write_edge_list(g, path)
     assert not path.exists()
+
+
+def test_labels_are_kept_as_strings_and_a_solve_reads_them():
+    # integer labels once made dsi_solve raise AttributeError ('int'
+    # object has no attribute 'isdecimal') while sorting the best set
+    g = build_graph(3, [0, 1, 2], [1, 2, 0], labels=[10, 20, 30])
+    assert g.labels == ("10", "20", "30")
+    rep = dsi_solve(g)
+    assert set(rep.best_set_labels) <= set(g.labels) and len(rep.best_set_labels) == int(rep.best_set.sum())
+
+
+@pytest.mark.parametrize("labels", [["a", "a"], [1, "1"], ["x", "y", "x"]])
+def test_repeated_labels_are_refused(labels):
+    # two equal labels once wrote arcs that reloaded as self-loops
+    with pytest.raises(ValueError, match="repeated"):
+        build_graph(len(labels), [0, 1], [1, 0], labels=labels)
 
 
 def test_degrees_p2(p2):

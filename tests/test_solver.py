@@ -182,11 +182,14 @@ def test_dsi_run_takes_a_rescue_flip_at_a_blind_spot(monkeypatch):
     assert general_step(g, iterate_state(g, x))[0].size == 0
     sweeps = _count_calls(monkeypatch, "flip_conductances")
     rep = dsi_run(g, x, SolverConfig(self_check=True))
-    # the sweep that flips, the one that certifies the stop, and the
-    # final is_flip_local_opt test
-    assert len(sweeps) == 3
+    # the sweep that flips and the one that certifies the stop; the run
+    # stops at its best iterate, so the final is_flip_local_opt test
+    # reuses the second sweep's conductances
+    assert len(sweeps) == 2
     assert rep.r_trace == (0.2, 0.0) and rep.iterations == 1
     assert rep.certificate == CERT_BOUNDARY
+    fresh = dicond.solver.flip_conductances(g, rep.best_set)
+    assert rep.is_flip_local_opt == bool(fresh.min() >= rep.best_r - 1e-12)
     _assert_descent(g, rep)
 
 

@@ -14,7 +14,9 @@ checkouts alternates from instance to instance and from round to round,
 so neither side always runs first. Per round the script prints the
 speed ratio OLD/NEW of the summed instance time (what graphs_per_s
 reads) and of the median solve time (what solve_s_p50 reads); a ratio
-above 1 means NEW is faster. It exits with status 1 when any instance's
+above 1 means NEW is faster. The summary line gives each ratio's median
+and range over the rounds and in how many rounds NEW was faster (a
+ratio above 1; a tie counts for neither side). It exits with status 1 when any instance's
 no-timings report digest or sweep value differs between the two; it
 then first prints how many instances have a lower, equal or higher
 best_r on NEW.
@@ -59,6 +61,13 @@ def process(pkg, inst, with_oracle: bool, digest):
     oracle_phi = pkg.brute_conductance(g).phi_d_min if with_oracle else None
     t2 = time.perf_counter()
     return t2 - t0, t1 - t0, (digest(rep), repr(sweep_phi), repr(oracle_phi)), rep.best_r
+
+
+def summary(ratios) -> str:
+    """Median, range and win count of per-round OLD/NEW speed ratios."""
+    wins = sum(r > 1.0 for r in ratios)
+    return (f"{statistics.median(ratios):.3f}x (rounds {min(ratios):.3f}-{max(ratios):.3f}, "
+            f"new faster in {wins} of {len(ratios)})")
 
 
 def main(argv=None) -> int:
@@ -112,10 +121,7 @@ def main(argv=None) -> int:
                   f"speed {total_ratios[-1]:.3f}x; solve p50 {1e3 * p50['old']:.3f} ms -> "
                   f"{1e3 * p50['new']:.3f} ms, {solve_ratios[-1]:.3f}x")
 
-    print(f"median speed {statistics.median(total_ratios):.3f}x "
-          f"(rounds {min(total_ratios):.3f}-{max(total_ratios):.3f}); "
-          f"solve p50 {statistics.median(solve_ratios):.3f}x "
-          f"(rounds {min(solve_ratios):.3f}-{max(solve_ratios):.3f})")
+    print(f"median speed {summary(total_ratios)}; solve p50 {summary(solve_ratios)}")
     if mismatched:
         lower = sum(new < old for old, new in best_r.values())
         higher = sum(new > old for old, new in best_r.values())
