@@ -245,18 +245,14 @@ class BoundaryIndicator:
     v_b collects the maximizers of {b_i * chi_i > 0}; emptiness certifies
     that no coordinate admits a descent-forcing boundary subgradient.
     Where the selection step needs an order of vertices by |b| (the lead
-    of a zero pair, the tie j*), it compares abs_b, built once on first
-    use.
+    of a zero pair, the tie j*), it compares abs_b = |b|, computed once.
     """
 
     b: np.ndarray
     chi: np.ndarray
     a_sel: np.ndarray
     v_b: np.ndarray
-
-    @cached_property
-    def abs_b(self) -> np.ndarray:
-        return np.abs(self.b)
+    abs_b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -415,7 +411,7 @@ def boundary_indicator(
     drift = base + 2.0 * r * a_sel
     chi = np.where(classes.s_less, _sign(drift), np.where(classes.s_minus, 1.0, -1.0))
     b = _boundary(g, state, p, bnds.q, chi, a_sel)
-    return BoundaryIndicator(b=b, chi=chi, a_sel=a_sel, v_b=_stop_set(b, chi))
+    return BoundaryIndicator(b=b, chi=chi, a_sel=a_sel, v_b=_stop_set(b, chi), abs_b=np.abs(b))
 
 
 def _boundary(g: DirectedGraph, state: IterateState, p: np.ndarray, q: np.ndarray,
@@ -568,7 +564,7 @@ def binary_step(g: DirectedGraph, state: IterateState) -> tuple[np.ndarray, Sele
     if v_b.size == 0:
         return v_b, None
     i_star = int(v_b[0])
-    ind = BoundaryIndicator(b=b, chi=chi, a_sel=a_sel, v_b=v_b)
+    ind = BoundaryIndicator(b=b, chi=chi, a_sel=a_sel, v_b=v_b, abs_b=np.abs(b))
 
     # each cut pair adds chi(lead) * w at both ends (_lead); its ends have
     # opposite chi, so vertex i gains chi_i * (2 lead_i - cut_i), lead_i
