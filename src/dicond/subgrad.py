@@ -470,7 +470,7 @@ def _lead(ends: np.ndarray, ind: BoundaryIndicator, i_star: int) -> np.ndarray:
     the end with the larger |b|, and v (the later id) on a tie."""
     abs_b = ind.abs_b
     b_star = abs_b[i_star]
-    abs_b[i_star] = np.inf
+    abs_b[i_star] = np.inf  # i* leads; restored after the gather
     ab = abs_b.take(ends)  # both ends in one gather
     abs_b[i_star] = b_star
     return np.where(ab[:, 0] > ab[:, 1], ends[:, 0], ends[:, 1])
