@@ -375,8 +375,10 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
         best_set, best_phi = best.x > 0, best.r
         if cfg.self_check:
             _self_check_finish(g, best.x, best_set, best_phi)
+    # a stop on an empty V_b at a binary best iterate has just run the
+    # flip test on best_set
     if not (certificate == CERT_BOUNDARY and state is best and best.cut is not None):
-        phis = flip_conductances(g, best_set)  # else the stop's flips ran on best_set
+        phis = flip_conductances(g, best_set)
     return SolveReport(
         best_r=best_phi,
         best_x=best.x,
