@@ -12,6 +12,7 @@ import gzip
 import io
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -218,8 +219,7 @@ def build_graph(n, tails, heads, weights=None, labels=None) -> DirectedGraph:
         if len(labels) != n:
             raise ValueError("label count does not match vertex count")
         if len(set(labels)) != n:
-            seen: set[str] = set()
-            repeated = next(lab for lab in labels if lab in seen or seen.add(lab))
+            repeated = next(lab for lab, count in Counter(labels).items() if count > 1)
             raise ValueError(f"vertex label {repeated!r} is repeated (labels are compared as strings)")
     return DirectedGraph(
         n, *_frozen(uniq // n, uniq % n, agg), labels=labels, self_loops_dropped=n_loops

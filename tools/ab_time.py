@@ -16,10 +16,10 @@ speed ratio OLD/NEW of the summed instance time (what graphs_per_s
 reads) and of the median solve time (what solve_s_p50 reads); a ratio
 above 1 means NEW is faster. The summary line gives each ratio's median
 and range over the rounds and in how many rounds NEW was faster (a
-ratio above 1; a tie counts for neither side). It exits with status 1 when any instance's
-no-timings report digest or sweep value differs between the two; it
-then first prints how many instances have a lower, equal or higher
-best_r on NEW.
+ratio above 1; a tie counts for neither side). It exits with status 1
+when any instance's no-timings report digest or sweep value differs
+between the two; it then first prints how many instances have a lower,
+equal or higher best_r on NEW.
 """
 
 import os
