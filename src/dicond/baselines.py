@@ -2,10 +2,11 @@
 
 The embedding is the second eigenvector of the normalized Laplacian of
 the symmetrized weights, computed by ARPACK's implicitly restarted
-Lanczos method (scipy's eigsh) on a shifted, deflated operator; the
-sweep cut scores every prefix of a vertex ordering from one cumulative
-cut profile. Together they serve as the comparison baseline and as
-solver initialization. The sweep cut is also the package's only
+Lanczos method (scipy's eigsh) on a shifted, deflated operator whose
+product is one pass over the graph's pair CSR; the sweep cut scores
+every prefix of a vertex ordering from one cumulative cut profile.
+Together they serve as the comparison baseline and as solver
+initialization. The sweep cut is also the package's only
 threshold scan: the solver rounds its iterates to a set with it. Note
 the comparison methods reported elsewhere for this problem use a
 different (nonlinear heat-kernel) embedding; this one is a declared
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConstantVectorError, DegenerateSubsetError, DicondError, EmptyGraphError, check_vector
@@ -36,6 +38,50 @@ class EmbeddingResult:
     iterations: int
 
 
+class _EmbeddingOperator(LinearOperator):
+    """(1.5 I + D^{-1/2} W_sym D^{-1/2}) x with v0 = sqrt(d)/|sqrt(d)|
+    projected out, counting its products. The spectrum lies in [0.5,
+    2.5], so the target is the top eigenvalue and sits above the 0 left
+    at v0, even on graphs where lambda_2 of the unshifted operator is
+    negative.
+
+    W_sym is applied as one product with a 2n-row CSR over
+    g.pair_adjacency: row 2i holds vertex i's pairs (i, v > i) ordered
+    by v, row 2i+1 its pairs (u < i, i) ordered by u, so the CSR's
+    columns and data are pair_adjacency's own arrays. Each row sums in
+    the order of np.bincount over g.pairs, so the two rows of a vertex
+    add up to the bincount sums bit for bit. The product is scipy's CSR
+    kernel, called directly: building a csr_array costs more than the
+    ~10 products of a small graph's embedding save. matvec is the step
+    itself, without LinearOperator.matvec's shape checks; eigsh passes
+    it length-n vectors only.
+    """
+
+    def __init__(self, g: DirectedGraph):
+        super().__init__(dtype=np.float64, shape=(g.n, g.n))
+        n = g.n
+        indptr, nbr, _, pair_w = g.pair_adjacency
+        rows = np.empty(2 * n + 1, dtype=indptr.dtype)
+        rows[0::2] = indptr
+        rows[1::2] = indptr[:-1] + np.bincount(g.pairs[0], minlength=n)  # i's pairs (i, v > i)
+        self.pair_csr = (2 * n, n, rows, nbr, pair_w)
+        d = g.degree_profile.d
+        self.inv_sqrt = 1.0 / np.sqrt(d)
+        self.v0 = np.sqrt(d)
+        self.v0 /= np.linalg.norm(self.v0)
+        self.products = 0
+
+    def matvec(self, x):
+        self.products += 1
+        halves = np.zeros(self.pair_csr[0])
+        csr_matvec(*self.pair_csr, x * self.inv_sqrt, halves)  # adds into halves
+        y = 1.5 * x + (halves[0::2] + halves[1::2]) * self.inv_sqrt
+        y -= np.dot(self.v0, y) * self.v0
+        return y
+
+    _matvec = matvec
+
+
 def spectral_embedding(g: DirectedGraph) -> EmbeddingResult:
     """Second eigenvector of the symmetrized normalized Laplacian: the
     top eigenvector of the shifted operator with the known leading
@@ -45,39 +91,23 @@ def spectral_embedding(g: DirectedGraph) -> EmbeddingResult:
         raise DicondError("embedding needs at least 2 vertices")
     if g.strong_labels[0] != 1 and g.weak_labels[0] != 1:
         raise DicondError("embedding needs a connected graph")
-    d = g.degree_profile.d
-    n = g.n
-    pu, pv, w = g.pairs
-    inv_sqrt = 1.0 / np.sqrt(d)
-    v0 = np.sqrt(d)
-    v0 /= np.linalg.norm(v0)
-    products = 0
+    return _top_eigenvector(_EmbeddingOperator(g))
 
-    def step(x):
-        # (1.5 I + D^{-1/2} W_sym D^{-1/2}) x with v0 projected out; the
-        # spectrum lies in [0.5, 2.5], so the target is the top
-        # eigenvalue and sits above the 0 left at v0, even on graphs
-        # where lambda_2 of the unshifted operator is negative
-        nonlocal products
-        products += 1
-        z = x * inv_sqrt
-        acc = np.bincount(pu, weights=w * z[pv], minlength=n)
-        acc += np.bincount(pv, weights=w * z[pu], minlength=n)
-        y = 1.5 * x + acc * inv_sqrt
-        y -= np.dot(v0, y) * v0
-        return y
 
-    start = np.random.default_rng(12345).standard_normal(n)
-    start -= np.dot(v0, start) * v0
-    _, vecs = eigsh(LinearOperator((n, n), matvec=step, dtype=float), k=1, which="LA",
-                    v0=start, tol=1e-10)
+def _top_eigenvector(op: _EmbeddingOperator) -> EmbeddingResult:
+    """eigsh's top eigenvector of op to tolerance 1e-10, from a seeded
+    start vector orthogonal to op.v0, with its residual and op's product
+    count; the sign puts the largest-magnitude entry positive."""
+    start = np.random.default_rng(12345).standard_normal(op.shape[0])
+    start -= np.dot(op.v0, start) * op.v0
+    _, vecs = eigsh(op, k=1, which="LA", v0=start, tol=1e-10)
     x = vecs[:, 0]
-    y = step(x)
+    y = op.matvec(x)
     residual = float(np.linalg.norm(y - np.dot(x, y) * x))
     pivot = int(np.argmax(np.abs(x)))
     if x[pivot] < 0:
         x = -x
-    return EmbeddingResult(vector=x, residual=residual, iterations=products)
+    return EmbeddingResult(vector=x, residual=residual, iterations=op.products)
 
 
 def graph_embedding(g: DirectedGraph) -> EmbeddingResult:

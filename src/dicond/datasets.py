@@ -49,7 +49,9 @@ def _sha256(path: Path) -> str:
 
 def fetch(name: str, registry_path=None, force: bool = False) -> Path:
     """Download (or reuse from cache) the named dataset; returns the
-    local path. Local and file:// URLs are copied, not downloaded."""
+    local path. Local and file:// URLs are copied, not downloaded. The
+    copy goes to a .part file that replaces the cached file only once
+    its checksum holds; on any failure it is deleted."""
     reg = load_registry(registry_path)
     if name not in reg:
         known = ", ".join(sorted(reg)) or "none"
@@ -63,12 +65,16 @@ def fetch(name: str, registry_path=None, force: bool = False) -> Path:
         return dest
     dest.parent.mkdir(parents=True, exist_ok=True)
     tmp = dest.with_suffix(dest.suffix + ".part")
-    if url.startswith(("http://", "https://", "file://")):
-        with urllib.request.urlopen(url) as resp, open(tmp, "wb") as out:
-            shutil.copyfileobj(resp, out)
-    else:
-        shutil.copyfile(url, tmp)
-    _verify(tmp, entry, name)
+    try:
+        if url.startswith(("http://", "https://", "file://")):
+            with urllib.request.urlopen(url) as resp, open(tmp, "wb") as out:
+                shutil.copyfileobj(resp, out)
+        else:
+            shutil.copyfile(url, tmp)
+        _verify(tmp, entry, name)
+    except BaseException:
+        tmp.unlink(missing_ok=True)  # a failed copy or checksum leaves no partial file
+        raise
     tmp.replace(dest)
     return dest
 

@@ -67,7 +67,8 @@ class DirectedGraph:
     read-only:
 
     - degree_profile, the weighted degrees;
-    - pairs and pair_adjacency, the symmetrized pairs and their CSR;
+    - pairs and pair_adjacency, the symmetrized pairs and their CSR,
+      which CutState and the spectral embedding's operator share;
     - exact_sums, whether float64 sums of the weights are exact;
     - arc_csr, the 0/1 adjacency matrix;
     - strong_labels and weak_labels, the component count and labels;
@@ -106,15 +107,18 @@ class DirectedGraph:
         return _frozen(uniq // self.n, uniq % self.n, w_sym)
 
     @cached_property
-    def pair_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR over ``pairs``: (indptr, neighbour, pair id), where the
-        pairs of vertex i are entries indptr[i]:indptr[i+1]."""
-        pu, pv, _ = self.pairs
+    def pair_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """CSR over ``pairs``: (indptr, neighbour, pair id, pair weight),
+        where the pairs of vertex i are entries indptr[i]:indptr[i+1]:
+        first its pairs (i, v > i) ordered by v, then its pairs (u < i, i)
+        ordered by u."""
+        pu, pv, w_sym = self.pairs
         ends = np.concatenate([pu, pv])
         order = np.argsort(ends, kind="stable")
-        ids = np.arange(pu.size)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=self.n))])
-        return _frozen(indptr, np.concatenate([pv, pu])[order], np.concatenate([ids, ids])[order])
+        ids = order % max(pu.size, 1)  # entry k of ends is an end of pair k mod P
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=self.n), out=indptr[1:])
+        return _frozen(indptr, np.concatenate([pv, pu])[order], ids, w_sym.take(ids))
 
     @cached_property
     def exact_sums(self) -> bool:

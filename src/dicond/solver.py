@@ -279,7 +279,7 @@ def _self_check_finish(g, x_star, best_set, best_phi) -> None:
         raise AssertionError("binary finish differs from sweep_cut and conductance_set")
 
 
-def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
+def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig, *, labels: bool = True) -> SolveReport:
     """One solver run from the initial vector x1.
 
     The bare iteration, with no precheck, runs until a stop certificate
@@ -316,7 +316,9 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     general_step, a fused state iterate_state, and the binary finish
     sweep_cut and conductance_set, bit for bit. Other iterates and other
     graphs take r_obj's formula and general_step. A start vector that is
-    not n finite values raises ValueError, as in dsi_solve.
+    not n finite values raises ValueError, as in dsi_solve. best_set's
+    labels are sorted into best_set_labels unless labels is False, which
+    leaves them empty for dsi_solve: it labels only the set it returns.
     """
     t0 = time.perf_counter()
     x = check_vector("initial vector", x1, g.n)
@@ -383,7 +385,7 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
         best_r=best_phi,
         best_x=best.x,
         best_set=best_set,
-        best_set_labels=_sorted_labels(g, best_set),
+        best_set_labels=_sorted_labels(g, best_set) if labels else (),
         r_trace=tuple(trace),
         iterations=iterations,
         certificate=certificate,
@@ -489,7 +491,7 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
 
     reports = []
     for idx, (kind, x1) in enumerate(inits):
-        rep = dsi_run(sub, x1, cfg)
+        rep = dsi_run(sub, x1, cfg, labels=False)
         reports.append(replace(rep, init_kind=kind, restart_index=idx))
     best = min(reports, key=lambda rep: (rep.best_r, rep.iterations, rep.restart_index))
     mask = lift_core(g, best.best_set, False)

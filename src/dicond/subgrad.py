@@ -123,9 +123,9 @@ class CutState:
     flips one vertex negates its entry of chi and sigma and updates its
     pairs in O(deg); any other move recounts in O(m). g.exact_sums must
     hold: then every update, and d - cut, equals a full recount. ends
-    holds the two ends (u, v) of each pair as one (P, 2) array, and the
-    pair weights are kept in g.pair_adjacency order, so a flip slices
-    its weights instead of gathering them.
+    holds the two ends (u, v) of each pair as one (P, 2) array, and a
+    flip slices its pair weights out of g.pair_adjacency instead of
+    gathering them.
     """
 
     def __init__(self, g: DirectedGraph):
@@ -133,9 +133,8 @@ class CutState:
             raise ValueError("CutState needs a graph whose sums are exact (g.exact_sums)")
         self.g = g
         self.side: np.ndarray | None = None
-        pu, pv, w_sym = g.pairs
+        pu, pv, _ = g.pairs
         self.ends = np.stack((pu, pv), axis=1)
-        self._adj_w = w_sym.take(g.pair_adjacency[2])
 
     def move_to(self, side: np.ndarray) -> None:
         """Move to the positive-side mask side: one flipped vertex moves
@@ -148,10 +147,10 @@ class CutState:
         if flipped.size == 0:
             return
         g, v = self.g, int(flipped[0])
-        indptr, nbr, pair_ids = g.pair_adjacency
+        indptr, nbr, pair_ids, pair_w = g.pair_adjacency
         at = slice(indptr[v], indptr[v + 1])
         e = pair_ids[at]  # the neighbours nbr[at] are distinct
-        w = self._adj_w[at]
+        w = pair_w[at]
         was_cut = self.is_cut[e]
         dw = np.where(was_cut, -w, w)  # change of the cut weight
         self.is_cut[e] = ~was_cut

@@ -12,7 +12,9 @@ the one-sided conductances, and the numerators dominate the Lovasz
 extension of the cut. brute_binary_r_min shares the oracle's subset
 enumerator, so both exhaustive minima walk the same subsets. The
 component labelling from a COO-built arc matrix is the construction
-that the graph's cached arc CSR replaced.
+that the graph's cached arc CSR replaced, and the two-bincount
+embedding operator is the product that the embedding's pair CSR
+replaced.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import LinearOperator
 
+from dicond.baselines import EmbeddingResult, _EmbeddingOperator, _top_eigenvector
 from dicond.errors import ConstantVectorError, DegenerateSubsetError, GraphTooLargeError
 from dicond.functionals import i_plus, j_terms, linf, n_med
 from dicond.graph import DegreeProfile, DirectedGraph, induced_subgraph, weak_components
@@ -184,3 +188,31 @@ def coo_component_labels(g: DirectedGraph, connection: str) -> tuple[int, np.nda
     built through COO; connection is "weak" or "strong"."""
     adj = csr_matrix((np.ones(g.m), (g.tails, g.heads)), shape=(g.n, g.n))
     return connected_components(adj, directed=True, connection=connection)
+
+
+class BincountEmbeddingOperator(_EmbeddingOperator):
+    """The embedding operator with its W_sym product as two np.bincount
+    passes over g.pairs, called through LinearOperator.matvec's shape
+    checks."""
+
+    matvec = LinearOperator.matvec
+
+    def __init__(self, g: DirectedGraph):
+        super().__init__(g)
+        self.pairs, self.n = g.pairs, g.n
+
+    def _matvec(self, x):
+        self.products += 1
+        pu, pv, w = self.pairs
+        z = x * self.inv_sqrt
+        acc = np.bincount(pu, weights=w * z[pv], minlength=self.n)
+        acc += np.bincount(pv, weights=w * z[pu], minlength=self.n)
+        y = 1.5 * x + acc * self.inv_sqrt
+        y -= np.dot(self.v0, y) * self.v0
+        return y
+
+
+def bincount_embedding(g: DirectedGraph) -> EmbeddingResult:
+    """spectral_embedding(g) by the same eigsh call on the
+    two-bincount operator."""
+    return _top_eigenvector(BincountEmbeddingOperator(g))

@@ -22,10 +22,13 @@ def test_a_checkout_against_itself_reports_identical_digests():
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[1:3]] == ["round 1", "round 2"]
-    assert "speed" in lines[1] and "solve p50" in lines[1]
+    for line in lines[1:3]:
+        assert re.fullmatch(r"round [12]: total \S+ s -> \S+ s, speed \S+x; "
+                            r"solve p50 \S+ ms -> \S+ ms, \S+x; sweep p50 \S+ ms -> \S+ ms, \S+x", line)
     assert lines[-1] == "digests: all 4 instances identical"
     assert re.fullmatch(r"median speed \S+x \(rounds \S+, new faster in [0-2] of 2\); "
-                        r"solve p50 \S+x \(rounds \S+, new faster in [0-2] of 2\)", lines[-2])
+                        r"solve p50 \S+x \(rounds \S+, new faster in [0-2] of 2\); "
+                        r"sweep p50 \S+x \(rounds \S+, new faster in [0-2] of 2\)", lines[-2])
 
 
 def test_the_summary_counts_the_rounds_that_new_won(monkeypatch):

@@ -10,9 +10,10 @@ from dicond import (ConstantVectorError, DsbmParams, SolverConfig, build_graph, 
                     dsbm, dsi_solve, largest_strong_component, spectral_embedding, sweep_cut)
 from dicond.baselines import spectral_sweep
 from dicond.errors import DicondError, EmptyGraphError
-from dicond.graph import prefix_cut_profile
+from dicond.graph import positive_core, prefix_cut_profile
 
 from conftest import random_digraph, report_probe
+from reference import bincount_embedding
 
 
 def bidirected_path(n):
@@ -97,6 +98,32 @@ def test_spectral_embedding_matches_dense_eigh(b2):
             assert abs(float(x @ vecs[:, -2])) >= 1 - 1e-8, name
         assert emb.iterations > 0, name
         assert np.array_equal(spectral_embedding(g).vector, x), name
+
+
+def _bincount_reference_graphs(c3):
+    yield "c3", c3
+    for name, g in _dense_reference_graphs(c3):
+        if name in ("bidirected K8", "star", "wide weights"):
+            yield name, g
+    for eta in (0.05, 0.10, 0.15, 0.20, 0.25, 0.30):  # the report probe's DSBM components
+        for seed in range(5):
+            g, _ = dsbm(DsbmParams(n=200, p=0.02, q=0.02, eta=eta, seed=seed))
+            yield f"dsbm-{eta:.2f}-{seed}", largest_strong_component(g)[0]
+    # a core with its isolated vertices 0 and 5 set aside
+    g = build_graph(7, [1, 2, 3, 4, 2, 6], [2, 3, 4, 1, 6, 2], [1.0, 2.0, 0.5, 1.0, 3.0, 1.0])
+    sub, core = positive_core(g)
+    assert core.tolist() == [1, 2, 3, 4, 6]
+    yield "core", sub
+
+
+def test_spectral_embedding_matches_the_bincount_operator_bit_for_bit(c3):
+    # the pair CSR sums each vertex's pairs in np.bincount's order, so
+    # every product, and so eigsh's whole run, repeats exactly
+    for name, g in _bincount_reference_graphs(c3):
+        emb, ref = spectral_embedding(g), bincount_embedding(g)
+        assert emb.vector.tobytes() == ref.vector.tobytes(), name
+        assert repr(emb.residual) == repr(ref.residual), name
+        assert emb.iterations == ref.iterations, name
 
 
 def test_spectral_rejects_disconnected():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import dicond.datasets
 from dicond.cli import build_parser, main, parse_grid
 from dicond.solver import SolverConfig
 
@@ -132,10 +133,28 @@ def test_fetch_local_registry(tmp_path, capsys, monkeypatch):
     assert fetched.read_text() == "1 2\n2 1\n"
     # cached reuse
     assert main(["fetch", "tiny", "--registry", str(reg)]) == 0
-    # checksum mismatch is a data error
+    # checksum mismatch is a data error, and it leaves nothing in the cache
     assert main(["fetch", "bad", "--registry", str(reg)]) == 3
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["tiny.el"]
     # unknown dataset
     assert main(["fetch", "who", "--registry", str(reg)]) == 3
+
+
+def test_fetch_deletes_the_part_file_when_the_copy_fails(tmp_path, monkeypatch):
+    data = tmp_path / "tiny.el"
+    data.write_text("1 2\n2 1\n")
+    reg = tmp_path / "registry.json"
+    reg.write_text(json.dumps({"tiny": {"url": data.as_uri()}}))
+    monkeypatch.setenv("DICOND_CACHE_DIR", str(tmp_path / "cache"))
+
+    def copy_then_fail(src, dst):
+        dst.write(src.read(3))
+        raise OSError("connection reset")
+
+    monkeypatch.setattr(dicond.datasets.shutil, "copyfileobj", copy_then_fail)
+    with pytest.raises(OSError, match="connection reset"):
+        dicond.datasets.fetch("tiny", reg)
+    assert list((tmp_path / "cache").iterdir()) == []
 
 
 def test_parse_grid():

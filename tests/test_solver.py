@@ -150,6 +150,25 @@ def test_dsi_run_p3_trace(p3):
     assert rep.is_flip_local_opt
 
 
+def test_a_solve_sorts_only_the_labels_it_returns(monkeypatch):
+    # a 6-cycle with a heavy chord; labels out of their sorted order
+    g = build_graph(6, [0, 1, 2, 3, 4, 5, 0], [1, 2, 3, 4, 5, 0, 3], [1, 1, 1, 1, 1, 1, 4],
+                    labels=["10", "9", "b", "a", "2", "x"])
+    x1 = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    rep = dsi_run(g, x1, SolverConfig())
+    natural = sorted((g.labels[i] for i in np.flatnonzero(rep.best_set)),
+                     key=lambda s: (0, int(s)) if s.isdecimal() else (1, s))
+    assert list(rep.best_set_labels) == natural
+    assert dsi_run(g, x1, SolverConfig(), labels=False).best_set_labels == ()
+
+    calls = []
+    sort = dicond.solver._sorted_labels
+    monkeypatch.setattr(dicond.solver, "_sorted_labels", lambda g, mask: calls.append(1) or sort(g, mask))
+    solved = dsi_solve(g, SolverConfig(restarts=8))
+    assert len(calls) == 1
+    assert solved.best_set_labels == sort(g, solved.best_set)
+
+
 def test_dsi_run_c3_immediate_stop(c3):
     rep = dsi_run(c3, np.array([1.0, -1.0, -1.0]), SolverConfig())
     assert rep.certificate == CERT_BOUNDARY

@@ -13,13 +13,16 @@ sweep and, on workloads that run it, the oracle. The order of the two
 checkouts alternates from instance to instance and from round to round,
 so neither side always runs first. Per round the script prints the
 speed ratio OLD/NEW of the summed instance time (what graphs_per_s
-reads) and of the median solve time (what solve_s_p50 reads); a ratio
-above 1 means NEW is faster. The summary line gives each ratio's median
-and range over the rounds and in how many rounds NEW was faster (a
-ratio above 1; a tie counts for neither side). It exits with status 1
-when any instance's no-timings report digest or sweep value differs
-between the two; it then first prints how many instances have a lower,
-equal or higher best_r on NEW.
+reads), of the median solve time (what solve_s_p50 reads) and of the
+median spectral sweep time, each median beside its ratio; a ratio above
+1 means NEW is faster. The sweep is timed apart because on a workload
+whose solves stop at the precheck, its embedding is most of an
+instance. The summary line gives each ratio's median and range over the
+rounds and in how many rounds NEW was faster (a ratio above 1; a tie
+counts for neither side). It exits with status 1 when any instance's
+no-timings report digest or sweep value differs between the two; it
+then first prints how many instances have a lower, equal or higher
+best_r on NEW.
 """
 
 import os
@@ -52,15 +55,18 @@ def load_checkout(root: Path, name: str):
 
 
 def process(pkg, inst, with_oracle: bool, digest):
-    """(total seconds, solve seconds, result key, best_r) of one instance."""
+    """(total seconds, {"solve": seconds, "sweep": seconds}, result key,
+    best_r) of one instance."""
     g = pkg.load_edge_list(inst.path)
     t0 = time.perf_counter()
     rep = pkg.dsi_solve(g, pkg.SolverConfig(seed=inst.solver_seed))
     t1 = time.perf_counter()
     _, sweep_phi = pkg.baselines.spectral_sweep(g)
-    oracle_phi = pkg.brute_conductance(g).phi_d_min if with_oracle else None
     t2 = time.perf_counter()
-    return t2 - t0, t1 - t0, (digest(rep), repr(sweep_phi), repr(oracle_phi)), rep.best_r
+    oracle_phi = pkg.brute_conductance(g).phi_d_min if with_oracle else None
+    t3 = time.perf_counter()
+    return (t3 - t0, {"solve": t1 - t0, "sweep": t2 - t1}, (digest(rep), repr(sweep_phi), repr(oracle_phi)),
+            rep.best_r)
 
 
 def summary(ratios) -> str:
@@ -99,29 +105,34 @@ def main(argv=None) -> int:
             process(pkg, pool[0], workload.with_oracle, report_digest)
         mismatched = set()
         best_r = {}  # instance -> (OLD, NEW); solves are deterministic
-        total_ratios, solve_ratios = [], []
+        total_ratios = []
+        p50_ratios = {"solve": [], "sweep": []}
         for rnd in range(args.rounds):
             total = {"old": 0.0, "new": 0.0}
-            solve = {"old": [], "new": []}
+            parts = {part: {"old": [], "new": []} for part in p50_ratios}
             for i, inst in enumerate(pool):
                 order = ("old", "new") if (rnd + i) % 2 == 0 else ("new", "old")
                 keys, r = {}, {}
                 for side in order:
-                    t_all, t_solve, keys[side], r[side] = process(sides[side], inst, workload.with_oracle,
+                    t_all, t_parts, keys[side], r[side] = process(sides[side], inst, workload.with_oracle,
                                                                   report_digest)
                     total[side] += t_all
-                    solve[side].append(t_solve)
+                    for part, t in t_parts.items():
+                        parts[part][side].append(t)
                 best_r[inst.path.name] = (r["old"], r["new"])
                 if keys["old"] != keys["new"]:
                     mismatched.add(inst.path.name)
             total_ratios.append(total["old"] / total["new"])
-            p50 = {side: statistics.median(ts) for side, ts in solve.items()}
-            solve_ratios.append(p50["old"] / p50["new"])
-            print(f"round {rnd + 1}: total {total['old']:.3f} s -> {total['new']:.3f} s, "
-                  f"speed {total_ratios[-1]:.3f}x; solve p50 {1e3 * p50['old']:.3f} ms -> "
-                  f"{1e3 * p50['new']:.3f} ms, {solve_ratios[-1]:.3f}x")
+            line = (f"round {rnd + 1}: total {total['old']:.3f} s -> {total['new']:.3f} s, "
+                    f"speed {total_ratios[-1]:.3f}x")
+            for part, ratios in p50_ratios.items():
+                p50 = {side: statistics.median(ts) for side, ts in parts[part].items()}
+                ratios.append(p50["old"] / p50["new"])
+                line += f"; {part} p50 {1e3 * p50['old']:.3f} ms -> {1e3 * p50['new']:.3f} ms, {ratios[-1]:.3f}x"
+            print(line)
 
-    print(f"median speed {summary(total_ratios)}; solve p50 {summary(solve_ratios)}")
+    print(f"median speed {summary(total_ratios)}; "
+          + "; ".join(f"{part} p50 {summary(ratios)}" for part, ratios in p50_ratios.items()))
     if mismatched:
         lower = sum(new < old for old, new in best_r.values())
         higher = sum(new > old for old, new in best_r.values())
