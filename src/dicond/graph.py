@@ -17,8 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse._sparsetools import csr_tocsc
+from scipy.sparse.csgraph._traversal import (
+    _connected_components_directed,
+    _connected_components_undirected,
+)
 
 from .errors import DegenerateSubsetError, EdgeListParseError, EmptyGraphError
 
@@ -70,7 +73,7 @@ class DirectedGraph:
     - pairs and pair_adjacency, the symmetrized pairs and their CSR,
       which CutState and the spectral embedding's operator share;
     - exact_sums, whether float64 sums of the weights are exact;
-    - arc_csr, the 0/1 adjacency matrix;
+    - arc_index, the int32 CSR of the arcs that both labellings read;
     - strong_labels and weak_labels, the component count and labels;
     - positive_core's subgraph, which the precheck, solve and sweep share;
     - the spectral embedding of baselines.graph_embedding.
@@ -136,28 +139,31 @@ class DirectedGraph:
         return k <= 52 and 2.0 * float(w.sum()) < 2.0 ** (53 - k)
 
     @cached_property
-    def arc_csr(self) -> csr_matrix:
-        """0/1 adjacency matrix, row = tail; built directly in CSR form,
-        as the arcs are sorted by (tail, head) and distinct."""
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(self.tails, minlength=self.n))])
-        adj = csr_matrix((np.ones(self.m), self.heads, indptr), shape=(self.n, self.n))
-        _frozen(adj.data, adj.indices, adj.indptr)
-        return adj
+    def arc_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """int32 CSR of the arcs, (indptr, heads): the arcs are sorted by
+        (tail, head) and distinct, so row i is vertex i's heads in order."""
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.tails, minlength=self.n), out=indptr[1:])
+        return _frozen(indptr, self.heads.astype(np.int32))
 
     @cached_property
     def strong_labels(self) -> tuple[int, np.ndarray]:
         """Number of strongly connected components and the component
-        label of every vertex."""
-        count, labels = connected_components(self.arc_csr, directed=True, connection="strong")
-        _frozen(labels)
-        return count, labels
+        label of every vertex, by Pearce's algorithm."""
+        indptr, heads = self.arc_index
+        return _component_labels(self.n, _connected_components_directed, heads, indptr)
 
     @cached_property
     def weak_labels(self) -> tuple[int, np.ndarray]:
-        """Number of weakly connected components and each vertex's label."""
-        count, labels = connected_components(self.arc_csr, directed=True, connection="weak")
-        _frozen(labels)
-        return count, labels
+        """Number of weakly connected components and each vertex's label,
+        from a search over the arcs and their transpose."""
+        indptr, heads = self.arc_index
+        t_indptr, t_tails = np.empty_like(indptr), np.empty_like(heads)
+        # the transposed CSR: row j holds the tails of j's in-arcs, in order; its data is discarded
+        csr_tocsc(self.n, self.n, indptr, heads, heads, t_indptr, t_tails, np.empty_like(heads))
+        return _component_labels(
+            self.n, _connected_components_undirected, heads, indptr, t_tails, t_indptr
+        )
 
     @cached_property
     def _core(self) -> tuple[DirectedGraph | None, np.ndarray]:
@@ -174,6 +180,14 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def _component_labels(n: int, kernel, *csr: np.ndarray) -> tuple[int, np.ndarray]:
+    """Component count and read-only int32 labels from one of scipy's
+    csgraph kernels, called as scipy's public labelling calls it."""
+    labels = np.full(n, -1, dtype=np.int32)
+    count = kernel(*csr, labels)
+    return count, _frozen(labels)[0]
 
 
 def build_graph(n, tails, heads, weights=None, labels=None) -> DirectedGraph:

@@ -184,8 +184,10 @@ def largest_weak_component(g: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]
 
 
 def coo_component_labels(g: DirectedGraph, connection: str) -> tuple[int, np.ndarray]:
-    """Number of components and each vertex's label, from an arc matrix
-    built through COO; connection is "weak" or "strong"."""
+    """Number of components and each vertex's label from scipy's public
+    connected_components on an arc matrix built through COO; connection
+    is "weak" or "strong". The graph's own labels call the private
+    kernels behind it, so this is what catches them drifting."""
     adj = csr_matrix((np.ones(g.m), (g.tails, g.heads)), shape=(g.n, g.n))
     return connected_components(adj, directed=True, connection=connection)
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse._base
+import scipy.sparse.csgraph
 
 import dicond.baselines
 import dicond.graph
@@ -254,10 +256,12 @@ def test_a_solve_and_a_sweep_of_one_graph_share_one_embedding(monkeypatch, isola
 def test_a_solve_and_a_sweep_label_the_positive_core_once(monkeypatch, strongly_connected,
                                                           isolated, passes):
     calls = []
-    label = dicond.graph.connected_components
-    monkeypatch.setattr(dicond.graph, "connected_components",
-                        lambda adj, **kw: calls.append((adj.shape[0], kw["connection"]))
-                        or label(adj, **kw))
+    for connection, kernel in (("strong", "_connected_components_directed"),
+                               ("weak", "_connected_components_undirected")):
+        def counted(*csr, connection=connection, label=getattr(dicond.graph, kernel)):
+            calls.append((csr[-1].size, connection))  # the labels array, one entry a vertex
+            return label(*csr)
+        monkeypatch.setattr(dicond.graph, kernel, counted)
     rng = np.random.default_rng(7)
     n = 30
     # a chain through all n vertices plus forward arcs: weakly but not
@@ -272,3 +276,18 @@ def test_a_solve_and_a_sweep_label_the_positive_core_once(monkeypatch, strongly_
     assert (report.certificate == "stop-by-precheck") != strongly_connected
     assert not mask[n:].any() and not report.best_set[n:].any()
     assert report.best_x[n:].tolist() == [-1.0] * isolated
+
+
+def test_a_precheck_solve_and_a_disconnected_sweep_build_no_scipy_sparse_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.sparse matrix or connected_components used")
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", refuse)
+    monkeypatch.setattr(scipy.sparse._base._spbase, "__init__", refuse)  # every sparse format
+    chain = build_graph(4, [0, 1, 2, 3], [1, 2, 3, 1])  # weakly but not strongly connected
+    assert dsi_solve(chain).certificate == "stop-by-precheck"
+    # two directed triangles and the isolated vertex 6: weakly disconnected
+    two = build_graph(7, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3])
+    assert dsi_solve(two).certificate == "stop-by-precheck"
+    mask, phi = spectral_sweep(two)
+    assert mask.tolist() == [True] * 3 + [False] * 4 and phi == 0.0

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from dicond import (
     DegenerateSubsetError,
+    DsbmParams,
     EdgeListParseError,
     EmptyGraphError,
     build_graph,
     canonical,
     conductance_set,
     cut_values,
+    dsbm,
     dsi_solve,
     largest_strong_component,
     load_edge_list,
@@ -322,12 +324,23 @@ def _same_labels(got, want):
     return got[0] == want[0] and got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
 
 
+_DSBM = dsbm(DsbmParams(n=200, p=0.02, q=0.02, eta=0.1, seed=3))[0]  # 46 strong components
+_LSCC = largest_strong_component(_DSBM)[0]
+
+
 @given(g=digraphs_with_loops())
 @example(g=build_graph(4, [0, 1, 2, 3], [1, 0, 2, 3]))  # loops at 2 and 3 leave them isolated
 @example(g=build_graph(3, [0, 1, 2], [1, 2, 0]))
+@example(g=_DSBM)
+@example(g=_LSCC)
+@example(g=build_graph(2 * _DSBM.n, np.concatenate([_DSBM.tails, _DSBM.tails + _DSBM.n]),
+                       np.concatenate([_DSBM.heads, _DSBM.heads + _DSBM.n])))  # two weak components
+@example(g=build_graph(5, range(5), range(5)))  # every arc a self-loop: no arc left
+@example(g=build_graph(2 * _LSCC.n + 1, 2 * _LSCC.tails + 1, 2 * _LSCC.heads + 1))  # even ids isolated
 @settings(max_examples=200, deadline=None)
 def test_component_labels_equal_the_coo_built_labels(g):
     strong, weak = coo_component_labels(g, "strong"), coo_component_labels(g, "weak")
+    assert strong[1].dtype == weak[1].dtype == np.int32
     # weak first, then strong first
     assert _same_labels(g.weak_labels, weak) and _same_labels(g.strong_labels, strong)
     fresh = replace(g)
@@ -340,7 +353,7 @@ def test_every_cached_array_is_read_only():
     sub, core = positive_core(g)
     for graph in (g, sub, canonical("c3")):
         arrays = [graph.tails, graph.heads, graph.weights, *graph.pairs, *graph.pair_adjacency,
-                  graph.arc_csr.data, graph.arc_csr.indices, graph.arc_csr.indptr,
+                  *graph.arc_index,
                   graph.strong_labels[1], graph.weak_labels[1], positive_core(graph)[1]]
         degrees = graph.degree_profile
         arrays += [degrees.d_out, degrees.d_in, degrees.d, degrees.d_delta]
@@ -349,6 +362,7 @@ def test_every_cached_array_is_read_only():
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]
+        assert all(a.dtype == np.int32 for a in graph.arc_index)
     assert positive_core(g)[0] is sub and positive_core(sub)[0] is sub
     assert core.tolist() == [0, 1, 2]
 
