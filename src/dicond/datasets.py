@@ -31,11 +31,17 @@ def cache_dir() -> Path:
 
 
 def load_registry(path=None) -> dict:
+    """The registry at path (default: the packaged one); DicondError
+    unless every entry has a string url and, if any, a string sha256."""
     reg_path = Path(path) if path else DEFAULT_REGISTRY
     with open(reg_path) as fh:
         reg = json.load(fh)
     if not isinstance(reg, dict):
         raise DicondError("registry must be a JSON object of name -> entry")
+    for name, entry in reg.items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("url"), str)
+                and isinstance(entry.get("sha256", ""), str)):
+            raise DicondError(f"registry entry {name!r} needs a string url and, if any, a string sha256")
     return reg
 
 

@@ -226,21 +226,24 @@ def _precheck_report(g, mask, t0, note) -> SolveReport:
 
 
 def _self_check_binary(g, state: IterateState) -> None:
-    """cfg.self_check on a binary iterate: the cut signs and sums equal a
-    full recount, and r is conductance_set of the positive side, bit for
-    bit."""
+    """cfg.self_check on a binary state as it is built: the cut signs and
+    sums equal a full recount, r is conductance_set of the positive
+    side, and every other field is iterate_state's, bit for bit."""
     if not (np.array_equal(state.cut.side, state.x > 0) and state.cut.matches_recount()):
         raise AssertionError("maintained cut sums differ from a full recount")
     if np.float64(conductance_set(g, state.cut.side)[0]).tobytes() != np.float64(state.r).tobytes():
         raise AssertionError("binary ratio differs from conductance_set of its side")
+    ref = iterate_state(g, state.x)
+    if not all(np.float64(getattr(state, f)).tobytes() == np.float64(getattr(ref, f)).tobytes()
+               for f in ("x_min", "x_max", "norm", "t", "alpha", "j0")):
+        raise AssertionError("binary state differs from iterate_state")
 
 
 def _self_check(g, state, v_b, sel) -> None:
-    """cfg.self_check on one step: a binary iterate passes
-    _self_check_binary, and its V_b and s are the general chain's, bit
-    for bit; a selected subgradient is tight, <x, s> = Q_r(x)."""
+    """cfg.self_check on one step: a binary iterate's V_b and s are the
+    general chain's, bit for bit; a selected subgradient is tight,
+    <x, s> = Q_r(x)."""
     if state.cut is not None:
-        _self_check_binary(g, state)
         ref_v_b, ref = general_step(g, state)
         # both steps return a subgradient exactly when V_b is not empty
         if v_b.tobytes() != ref_v_b.tobytes() or (sel is not None and sel.s.tobytes() != ref.s.tobytes()):
@@ -251,22 +254,6 @@ def _self_check(g, state, v_b, sel) -> None:
         # shift the identity by O(t); exact-tie iterates sit at ~1e-15
         if gap > 1e-10 + 8.0 * state.t:
             raise AssertionError(f"subgradient tightness violated: gap={gap:.3e}")
-
-
-_STATE_FIELDS = ("x", "x_min", "x_max", "norm", "t", "alpha", "j0", "r")
-
-
-def _self_check_fused(g, state: IterateState) -> None:
-    """cfg.self_check on a state that binary_state built from a
-    subproblem minimizer: it passes _self_check_binary, and it is
-    iterate_state's (which moves its CutState nowhere), field by field,
-    bit for bit."""
-    _self_check_binary(g, state)
-    ref = iterate_state(g, state.x, state.cut)
-    same = all(np.asarray(getattr(state, f)).tobytes() == np.asarray(getattr(ref, f)).tobytes()
-               for f in _STATE_FIELDS)
-    if not (same and ref.cut is state.cut):
-        raise AssertionError("fused binary state differs from iterate_state")
 
 
 def _self_check_finish(g, x_star, best_set, best_phi) -> None:
@@ -299,33 +286,44 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig, *, labels: bool
     flip_conductances, the predicate that verify_local_opt checks with
     one conductance_set per vertex.
 
-    When g.exact_sums holds, the run keeps one CutState: each iterate
-    that takes exactly two values +/-c moves its cut sums and signs, in
-    O(deg) when a single vertex flips and by an O(m) recount otherwise.
-    Its ratio is phi of its positive side (CutState.phi), and its step
-    is binary_step, one pass over the cut sums instead of the O(m) pass
-    over all pairs and the three general steps. A subproblem minimizer
-    that keeps all n coordinates is sign(s) / n, and binary_state
-    evaluates it directly on the side s >= 0 with c = 1 / n, without
-    scanning it. When the best iterate is binary, its positive side is
+    When g.exact_sums holds, the run keeps one CutState, and each move
+    names its form: a flip or a rounding sets a side with c = 1, a
+    subproblem minimizer that keeps all n coordinates is sign(s) / n on
+    the side s >= 0, and the start x / ||x||_inf is binary iff every
+    |x_i| is 1. binary_state evaluates a binary move without a scan of
+    x: its cut sums move in O(deg) on a single flip and by an O(m)
+    recount otherwise, r is phi of the positive side (CutState.phi),
+    and the step is binary_step, one pass over the cut sums. Every other
+    iterate takes iterate_state (r_obj's formula) and general_step.
+    When the best iterate is binary, its positive side is
     the sweep cut and its r that side's conductance_set, so the finish
     reads both off it; when the run stops at it on an empty V_b, the
     flip conductances that certified the stop give is_flip_local_opt.
-    With cfg.self_check every binary iterate asserts that its state
-    equals a recount, its ratio conductance_set and its step
-    general_step, a fused state iterate_state, and the binary finish
-    sweep_cut and conductance_set, bit for bit. Other iterates and other
-    graphs take r_obj's formula and general_step. A start vector that is
-    not n finite values raises ValueError, as in dsi_solve. best_set's
-    labels are sorted into best_set_labels unless labels is False, which
-    leaves them empty for dsi_solve: it labels only the set it returns.
+    With cfg.self_check each binary state asserts, when it is built,
+    that its cut sums equal a recount, its r conductance_set and its
+    other fields iterate_state's; each binary step, general_step; and
+    the binary finish, sweep_cut and conductance_set, bit for bit. A
+    start vector that is not n finite values raises ValueError, as in
+    dsi_solve. best_set's labels are sorted into best_set_labels unless
+    labels is False, which leaves them empty for dsi_solve: it labels
+    only the set it returns.
     """
     t0 = time.perf_counter()
     x = check_vector("initial vector", x1, g.n)
     if not is_nonconstant(x):
         raise ConstantVectorError("initial vector must be nonconstant")
     cut = CutState(g) if g.exact_sums else None
-    state = best = iterate_state(g, x / linf(x), cut)
+
+    def evaluate(x, side, c):
+        if cut is None or side is None:
+            return iterate_state(g, x)
+        state = binary_state(g, x, side, c, cut)
+        if cfg.self_check:
+            _self_check_binary(g, state)
+        return state
+
+    x = x / linf(x)
+    state = best = evaluate(x, x > 0 if (np.abs(x) == 1.0).all() else None, 1.0)
     eps_dec = 1e-10 * max(1.0, state.r)
 
     trace = [state.r]
@@ -337,31 +335,29 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig, *, labels: bool
         if cfg.self_check:
             _self_check(g, state, v_b, sel)
         rounding = sel is None and bool(state.classes.s_less.any())
-        fused = False
+        side, c = None, 1.0  # the side and c of a binary move
         if sel is not None:
             x_next, _ = subproblem_argmin(sel.s)
-            fused = cut is not None and np.count_nonzero(x_next) == g.n  # k = n
+            if cut is not None and np.count_nonzero(x_next) == g.n:  # k = n: sign(s) / n
+                side, c = sel.s >= 0, 1.0 / g.n
         elif rounding:
-            x_next = np.where(sweep_cut(g, state.x, distinct_only=True), 1.0, -1.0)
+            side = sweep_cut(g, state.x, distinct_only=True)
+            x_next = np.where(side, 1.0, -1.0)
         else:
-            phis = flip_conductances(g, state.x > 0)
+            side = state.x > 0
+            phis = flip_conductances(g, side)
             best_i = int(np.argmin(phis))
             if not phis[best_i] < best.r - eps_dec:
                 certificate = CERT_BOUNDARY
                 break
-            x_next = np.where(state.x > 0, 1.0, -1.0)
-            x_next[best_i] = -x_next[best_i]
+            side[best_i] = not side[best_i]
+            x_next = np.where(side, 1.0, -1.0)
         iterations += 1
         try:
-            if fused:
-                nxt = binary_state(g, x_next, sel.s >= 0, 1.0 / g.n, cut)
-            else:
-                nxt = iterate_state(g, x_next, cut)
+            nxt = evaluate(x_next, side, c)
         except ConstantVectorError:
             certificate = CERT_NO_DESCENT
             break
-        if fused and cfg.self_check:
-            _self_check_fused(g, nxt)
         if nxt.r < best.r - eps_dec:
             best = nxt
             trace.append(nxt.r)

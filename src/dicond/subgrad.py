@@ -15,9 +15,9 @@ common case and must be detected robustly.
 
 The solver evaluates each iterate once, into an IterateState (extremes,
 tolerance, the lower median alpha, j0 with its sign and the one J = 0
-test, ratio, the moved CutState and, on first use, the classes). The three steps of the
-general chain, bounds, boundary_indicator and select_subgradient, take
-that state and read the degrees from the graph, so x, its tolerance,
+test, ratio, a binary state's CutState and, on first use, the classes).
+The three steps of the general chain, bounds, boundary_indicator and
+select_subgradient, take that state and read the degrees from the graph, so x, its tolerance,
 classes, ratio and cut sums always belong together; general_step runs
 them in turn.
 
@@ -33,20 +33,19 @@ sigma = -chi: a single flip moves them in O(deg), other moves recount
 in O(m). It is used only on graphs whose sums are all exact
 (DirectedGraph.exact_sums: weights that are multiples of one 2^-k with
 a bounded total), where the updated sums, d - cut and every sum over
-the cut pairs equal the general code's bit for bit. There
-binary_state, which iterate_state calls on a binary x and dsi_run calls
-directly on a subproblem minimizer sign(s) / n, reads alpha off one
-volume comparison (-c iff the negative side holds half the volume) and
-r off the cut sums: at x = +/-c on S, vol c - I+ - J = 4c min(cut+,
-cut-) and 2N = 4c min(vol S, vol S^c), so r = phi(S), which
-CutState.phi returns as conductance_set does, bit for bit. binary_step
-replaces the three steps with one pass: it returns general_step's V_b
-and subgradient on the same state without the O(m) pass over all
-pairs, the vertex classes or the interval arrays. Other graphs and
-non-binary iterates take alpha and N from one n_med call, r_obj's
-formula and general_step. The two steps differ only in the inputs that
-binary_step reads off the cut state; both compute b in _boundary, V_b
-in _stop_set and v, y and s in _assemble.
+the cut pairs equal the general code's bit for bit. There dsi_run
+evaluates each binary move with binary_state, on the side and c that
+the move names; it reads alpha off one volume comparison (-c iff the
+negative side holds half the volume) and r off the cut sums: at x =
++/-c on S, vol c - I+ - J = 4c min(cut+, cut-) and 2N = 4c min(vol S,
+vol S^c), so r = phi(S), which CutState.phi returns as conductance_set
+does, bit for bit. binary_step replaces the three steps with one pass:
+it returns general_step's V_b and subgradient on the same state without
+the O(m) pass over all pairs, the vertex classes or the interval
+arrays. Other graphs and non-binary iterates take alpha and N from one
+n_med call, r_obj's formula and general_step. The two steps differ only
+in the inputs that binary_step reads off the cut state; both compute b
+in _boundary, V_b in _stop_set and v, y and s in _assemble.
 
 A binary iteration (its step, subproblem and state) runs about 70
 numpy calls on arrays of n or |cut| entries, so the code makes few. Every float operation
@@ -208,8 +207,9 @@ class IterateState:
     the signed imbalance j0 = <d_delta, x>, and r = r_obj(x) (phi of
     the positive side on a binary x with a CutState). The vertex classes
     are built on first use, so an iterate that is rejected never pays
-    for them (nor raises where classify would). cut is the CutState
-    moved to x when binary_state built the state, else None.
+    for them (nor raises where classify would). cut marks a binary
+    state (binary_state built it) and is read only for the current
+    state, as later moves move it on; the finish reads best.x > 0.
     """
 
     x: np.ndarray
@@ -283,44 +283,38 @@ def classify(degrees: DegreeProfile, x: np.ndarray) -> VertexClasses:
     return _classes(x, spread, hi, ZERO_TOL * max(1.0, hi), n_med(degrees, x).alpha_low)
 
 
-def iterate_state(g: DirectedGraph, x: np.ndarray, cut: CutState | None = None) -> IterateState:
+def iterate_state(g: DirectedGraph, x: np.ndarray) -> IterateState:
     """Evaluate x once: extremes, tolerance, median alpha, j0 and r;
     raises ConstantVectorError where is_nonconstant(x) is False or r_obj
     would raise.
 
-    With a CutState of g (g.exact_sums must hold) and an x that takes
-    exactly the values +/-c, binary_state builds the state on the side
-    x > 0. Otherwise one n_med call gives alpha and the N of r_obj's
-    formula. Each extreme is read by an arg-reduction, a[a.argmax()].
+    One n_med call gives alpha and the N of r_obj's formula, and each
+    extreme is read by an arg-reduction, a[a.argmax()]. The state has
+    no CutState: dsi_run evaluates binary moves with binary_state.
     """
     x = np.asarray(x, dtype=float)
     x_min, x_max = float(x[x.argmin()]), float(x[x.argmax()])
     norm = max(x_max, -x_min)  # = ||x||_inf
     if not x_max - x_min > NONCONSTANT_RTOL * max(1.0, norm):  # is_nonconstant(x)
         raise ConstantVectorError("cannot evaluate a constant vector")
-    t = ZERO_TOL * max(1.0, norm)
-    if cut is not None and x_min == -x_max and x_max > t:
-        abs_x = np.abs(x)
-        if abs_x[abs_x.argmin()] == x_max:
-            return binary_state(g, x, x > 0, x_max, cut)
     j0, j = j_terms(g, x)
     med = n_med(g.degree_profile, x)
     r = ratio(g.degree_profile, norm, i_plus(g, x), med.n_value, j)
-    return IterateState(x, x_min, x_max, norm, t, med.alpha_low, j0, r)
+    return IterateState(x, x_min, x_max, norm, ZERO_TOL * max(1.0, norm), med.alpha_low, j0, r)
 
 
 def binary_state(g: DirectedGraph, x: np.ndarray, side: np.ndarray, c: float, cut: CutState) -> IterateState:
     """The IterateState of an x that is +c on side and -c off it, with
-    c > ZERO_TOL * max(1, c) and g.exact_sums: iterate_state's, bit for
-    bit, without a scan of x.
+    c > ZERO_TOL * max(1, c) and g.exact_sums, without a scan of x:
+    iterate_state's, bit for bit, in every field but r.
 
     cut moves to side; alpha is -c iff the negative side holds half the
     volume (n_med's test and tolerance, on the exact vol_neg), j0 is
     <d_delta, x>, and r is CutState.phi: r_obj's exact value there,
-    conductance_set's bit for bit, in O(1). Raises ConstantVectorError
-    when a side has zero volume (an empty side included). dsi_run calls
-    it directly on a subproblem minimizer that keeps all n coordinates,
-    sign(s) / n, whose side is s >= 0 and c = 1 / n.
+    conductance_set's bit for bit, in O(1) (r_obj's formula can differ
+    in the last bits). Raises ConstantVectorError when a side has zero
+    volume (an empty side included). dsi_run, which alone calls it,
+    names the side and c of each binary move.
     """
     cut.move_to(side)
     degrees = g.degree_profile

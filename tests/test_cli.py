@@ -140,6 +140,21 @@ def test_fetch_local_registry(tmp_path, capsys, monkeypatch):
     assert main(["fetch", "who", "--registry", str(reg)]) == 3
 
 
+@pytest.mark.parametrize("entry", [
+    {"sha256": "0" * 64},  # no url
+    "file:///tiny.el",  # not an object
+    {"url": ["file:///tiny.el"]},  # a url that is not a string
+    {"url": "file:///tiny.el", "sha256": 0},  # a sha256 that is not a string
+])
+def test_fetch_refuses_a_malformed_registry_entry(tmp_path, capsys, monkeypatch, entry):
+    reg = tmp_path / "registry.json"
+    reg.write_text(json.dumps({"tiny": entry}))
+    monkeypatch.setenv("DICOND_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["fetch", "tiny", "--registry", str(reg)]) == 3
+    assert "registry entry 'tiny'" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+
+
 def test_fetch_deletes_the_part_file_when_the_copy_fails(tmp_path, monkeypatch):
     data = tmp_path / "tiny.el"
     data.write_text("1 2\n2 1\n")

@@ -1,8 +1,10 @@
 """The binary fast path: CutState bookkeeping against full recounts,
-iterate_state's ratio with a CutState against conductance_set, and
-binary_step against the general code."""
+binary_state against conductance_set and the general iterate_state,
+binary_step against the general code, and dsi_run's choice of the
+evaluation for each move."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -153,27 +155,32 @@ def test_fused_state_and_signs_match_iterate_state_and_a_fresh_where(seed, kind,
         x, s_side, c = _fused_x(side, uniform)
         assert _same_bits(s_side, side) and _same_bits(np.abs(x), np.full(g.n, c))
         if side.all() or not side.any():  # a constant x
-            for call in (lambda: binary_state(g, x, s_side, c, fused_cut), lambda: iterate_state(g, x, ref_cut)):
+            for call in (lambda: binary_state(g, x, s_side, c, fused_cut),
+                         lambda: binary_state(g, x, x > 0, c, ref_cut), lambda: iterate_state(g, x)):
                 with pytest.raises(ConstantVectorError):
                     call()
             continue
         fused = binary_state(g, x, s_side, c, fused_cut)
-        ref = iterate_state(g, x, ref_cut)
-        assert fused.cut is fused_cut and ref.cut is ref_cut
+        ref = binary_state(g, x, x > 0, c, ref_cut)
+        general = iterate_state(g, x)
+        assert fused.cut is fused_cut and ref.cut is ref_cut and general.cut is None
         for name in ("x", "x_min", "x_max", "norm", "t", "alpha", "j0", "r"):
             assert _same_bits(getattr(fused, name), getattr(ref, name)), name
+            if name != "r":  # r_obj's formula can differ from phi in the last bits
+                assert _same_bits(getattr(fused, name), getattr(general, name)), name
         assert fused_cut.matches_recount()
         assert _same_bits(fused_cut.chi, np.where(side, -1.0, 1.0))
         assert _same_bits(fused_cut.sigma, np.where(side, 1.0, -1.0))
 
 
 def _check_binary_step(g, x, cut):
-    """iterate_state and binary_step at x with the state against the exact
-    reference and the general code, bit for bit: r is conductance_set of
-    the positive side, every other field is the state's without the cut
-    state, and binary_step is general_step on the same state. Returns
-    the selected subgradient and (one tie vertex, J = 0, V_b empty)."""
-    fast = iterate_state(g, x, cut)
+    """binary_state and binary_step at the +/-c iterate x against the
+    exact reference and the general code, bit for bit: r is
+    conductance_set of the positive side, every other field is
+    iterate_state's, and binary_step is general_step on the same state.
+    Returns the selected subgradient and (one tie vertex, J = 0, V_b
+    empty)."""
+    fast = binary_state(g, x, x > 0, float(x.max()), cut)
     slow = iterate_state(g, x)
     assert fast.cut is cut and slow.cut is None
     assert _same_bits(fast.r, conductance_set(g, x > 0)[0])
@@ -231,16 +238,16 @@ def test_binary_median_is_one_volume_comparison(monkeypatch):
     # the volume; p2's negative side holds exactly half
     cases = [("p3", [1, 1, -1], 1.0), ("p3", [1, -1, 1], -1.0), ("p3", [-1, -1, 1], -1.0),
              ("p2", [1, -1], -1.0)]
-    xs = [(canonical(name), c * np.array(signs, dtype=float), sign * c)
+    xs = [(canonical(name), c * np.array(signs, dtype=float), c, sign * c)
           for name, signs, sign in cases for c in (1.0, 0.5, 3.0, 1.0 / 3.0)]
-    want = [n_med(g.degree_profile, x).alpha_low for g, x, _ in xs]
+    want = [n_med(g.degree_profile, x).alpha_low for g, x, _, _ in xs]
 
     def no_sort(*args):
         raise AssertionError("a binary iterate calls n_med")
 
     monkeypatch.setattr(dicond.subgrad, "n_med", no_sort)
-    for (g, x, expected), alpha_low in zip(xs, want):
-        state = iterate_state(g, x, CutState(g))
+    for (g, x, c, expected), alpha_low in zip(xs, want):
+        state = binary_state(g, x, x > 0, c, CutState(g))
         assert state.cut is not None
         assert _same_bits(state.alpha, alpha_low) and _same_bits(state.alpha, expected)
 
@@ -251,12 +258,51 @@ def test_nonbinary_iterates_do_not_move_the_state():
     side = rng.random(g.n) < 0.5
     side[:2] = (True, False)
     x = np.where(side, 1.0, -1.0)
-    assert iterate_state(g, x, cut).cut is cut
+    assert binary_state(g, x, x > 0, 1.0, cut).cut is cut
     x3 = np.where(~side, 1.0, -1.0)
     x3[0] = 0.5  # three values
     for y in (x3, np.where(~side, 2.0, -1.0)):  # two values, not +/-c
-        assert iterate_state(g, y, cut).cut is None
+        assert iterate_state(g, y).cut is None
     assert _same_bits(cut.side, side)
+
+
+def _record_evaluations(monkeypatch):
+    """dsi_run's calls of iterate_state and binary_state, in order: a list
+    that each call appends (name, a copy of x) to."""
+    evals = []
+    for name in ("iterate_state", "binary_state"):
+        real = getattr(dicond.solver, name)
+
+        def recorded(g, x, *rest, real=real, name=name):
+            evals.append((name, np.array(x)))
+            return real(g, x, *rest)
+
+        monkeypatch.setattr(dicond.solver, name, recorded)
+    return evals
+
+
+def _is_binary(x):
+    """x takes exactly the two values +/-c, c > 0."""
+    return bool(x.min() < 0 < x.max() and (np.abs(x) == x.max()).all())
+
+
+def test_a_start_vector_is_binary_iff_every_entry_is_plus_or_minus_its_norm(monkeypatch):
+    # the start-vector cases of the test above: the normalized start of a
+    # +/-3 vector takes binary_state, a three-valued one and a (2, -1) one
+    # take iterate_state
+    g, rng = _graph(5, "integer", n=12)
+    side = rng.random(g.n) < 0.5
+    side[:2] = (True, False)
+    x3 = np.where(~side, 1.0, -1.0)
+    x3[0] = 0.5
+    for start, route in ((np.where(side, 3.0, -3.0), "binary_state"), (x3, "iterate_state"),
+                         (np.where(~side, 2.0, -1.0), "iterate_state")):
+        assert _is_binary(start) == (route == "binary_state")
+        with monkeypatch.context() as m:
+            evals = _record_evaluations(m)
+            dsi_run(g, start, SolverConfig(max_iters=1))
+        name, x = evals[0]
+        assert name == route and _same_bits(x, start / np.abs(start).max())
 
 
 @given(seed=st.integers(0, 2**32 - 1), kind=exact_kinds, uniform=st.booleans())
@@ -437,15 +483,37 @@ def test_self_check_catches_a_sign_that_drifts(monkeypatch):
 
 def test_subproblem_steps_that_keep_every_coordinate_skip_iterate_state(monkeypatch):
     g = _dsbm_component()
-    calls = {"iterate_state": 0, "binary_state": 0}
-    for name in calls:
-        real = getattr(dicond.solver, name)
-        monkeypatch.setattr(dicond.solver, name,
-                            lambda *a, real=real, name=name: (calls.__setitem__(name, calls[name] + 1), real(*a))[1])
-    rep = dsi_run(g, np.where(np.arange(g.n) % 3 == 0, 1.0, -1.0), SolverConfig())
-    # the start and any k < n step, flip or rounding take iterate_state
+    evals = _record_evaluations(monkeypatch)
+    # a (1, -1/2) start is not binary, so it takes iterate_state, as do
+    # the k < n steps; a +/-1 start would take binary_state
+    rep = dsi_run(g, np.where(np.arange(g.n) % 3 == 0, 1.0, -0.5), SolverConfig())
+    calls = Counter(name for name, _ in evals)
     assert calls["binary_state"] > 0 and calls["iterate_state"] >= 1
     assert calls["binary_state"] + calls["iterate_state"] == rep.iterations + 1
+
+
+# a +/-1 start where V_b is empty and a rescue flip descends, and a
+# non-binary start where V_b is empty and the move is the sweep-cut
+# rounding (test_solver's blind-spot and rounding runs)
+FLIP_RUN = (build_graph(4, [0, 0, 0, 1, 1, 2], [1, 2, 3, 0, 2, 1]), np.array([-1.0, 1.0, 1.0, -1.0]))
+ROUNDING_RUN = (build_graph(4, [0, 1, 2, 2, 3, 3], [3, 0, 0, 1, 1, 2], [1.0, 2.0, 2.0, 1.0, 3.0, 1.0]),
+                np.array([-1.0, 1.0, -1.0, 0.0]))
+
+
+def test_iterate_state_evaluates_only_the_non_binary_states(monkeypatch):
+    # flips, roundings and +/-1 starts are binary moves: each takes
+    # binary_state, and only the states that are not +/-c take
+    # iterate_state
+    comp = _dsbm_component()
+    for g, start in ((comp, np.where(np.arange(comp.n) % 3 == 0, 1.0, -1.0)), (comp, np.cos(np.arange(comp.n))),
+                     FLIP_RUN, ROUNDING_RUN):
+        with monkeypatch.context() as m:
+            evals = _record_evaluations(m)
+            dsi_run(g, start, SolverConfig())
+        binary = sum(_is_binary(x) for _, x in evals)
+        calls = Counter(name for name, _ in evals)
+        assert binary > 0 and calls["iterate_state"] == len(evals) - binary
+        assert calls["binary_state"] == binary
 
 
 def test_self_check_compares_a_fused_state_with_iterate_state(monkeypatch):
@@ -457,8 +525,31 @@ def test_self_check_compares_a_fused_state_with_iterate_state(monkeypatch):
         return dataclasses.replace(state, j0=np.nextafter(state.j0, np.inf))
 
     monkeypatch.setattr(dicond.solver, "binary_state", nudged)
-    with pytest.raises(AssertionError, match="fused binary state differs from iterate_state"):
+    with pytest.raises(AssertionError, match="binary state differs from iterate_state"):
         dsi_solve(g, SolverConfig(seed=0, self_check=True))
+
+
+@pytest.mark.parametrize("move", ["start", "flip", "rounding"])
+def test_self_check_compares_flip_rounding_and_start_states_with_iterate_state(monkeypatch, move):
+    # the c = 1 states are the +/-1 starts (a solve's sweep seed), the
+    # flips and the roundings; the flip run's +/-1 start is left alone
+    real = dicond.solver.binary_state
+    seen = []
+
+    def nudged(g, x, side, c, cut):
+        state = real(g, x, side, c, cut)
+        seen.append(c)
+        if c != 1.0 or (move == "flip" and len(seen) == 1):
+            return state
+        return dataclasses.replace(state, alpha=np.nextafter(state.alpha, np.inf))
+
+    monkeypatch.setattr(dicond.solver, "binary_state", nudged)
+    with pytest.raises(AssertionError, match="binary state differs from iterate_state"):
+        if move == "start":
+            dsi_solve(_dsbm_component(), SolverConfig(seed=0, self_check=True))
+        else:
+            dsi_run(*(FLIP_RUN if move == "flip" else ROUNDING_RUN), SolverConfig(self_check=True))
+    assert seen[-1] == 1.0
 
 
 def test_a_binary_best_skips_the_sweep_and_its_conductance(monkeypatch):

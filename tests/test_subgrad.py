@@ -16,7 +16,7 @@ from dicond import (
 )
 from dicond.functionals import i_plus, is_nonconstant
 from dicond.solver import flip_conductances, subproblem_argmin
-from dicond.subgrad import CutState, VertexClasses, binary_step, general_step, iterate_state
+from dicond.subgrad import CutState, VertexClasses, binary_state, binary_step, general_step, iterate_state
 
 from conftest import all_pair_state_digraphs, pair_state_digraphs, random_digraph, sign_vectors
 
@@ -377,7 +377,7 @@ def test_known_boundary_blind_spot():
 def _both_steps(g, x):
     """The general chain and the binary step at the binary iterate x;
     both assemble v, y and s in the same shared code."""
-    return general_step(g, iterate_state(g, x)), binary_step(g, iterate_state(g, x, CutState(g)))
+    return general_step(g, iterate_state(g, x)), binary_step(g, binary_state(g, x, x > 0, 1.0, CutState(g)))
 
 
 def test_assembly_signs_y_by_chi_where_the_pivot_has_no_imbalance():
