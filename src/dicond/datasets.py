@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 import urllib.request
 from pathlib import Path
@@ -32,16 +33,18 @@ def cache_dir() -> Path:
 
 def load_registry(path=None) -> dict:
     """The registry at path (default: the packaged one); DicondError
-    unless every entry has a string url and, if any, a string sha256."""
+    unless every entry has a string url and, if any, a sha256 of 64 hex
+    digits."""
     reg_path = Path(path) if path else DEFAULT_REGISTRY
     with open(reg_path) as fh:
         reg = json.load(fh)
     if not isinstance(reg, dict):
         raise DicondError("registry must be a JSON object of name -> entry")
     for name, entry in reg.items():
-        if not (isinstance(entry, dict) and isinstance(entry.get("url"), str)
-                and isinstance(entry.get("sha256", ""), str)):
-            raise DicondError(f"registry entry {name!r} needs a string url and, if any, a string sha256")
+        sha = entry.get("sha256", "0" * 64) if isinstance(entry, dict) else None
+        if not (isinstance(sha, str) and re.fullmatch(r"[0-9a-fA-F]{64}", sha)
+                and isinstance(entry.get("url"), str)):
+            raise DicondError(f"registry entry {name!r} needs a string url and, if any, a sha256 of 64 hex digits")
     return reg
 
 
@@ -86,8 +89,7 @@ def fetch(name: str, registry_path=None, force: bool = False) -> Path:
 
 
 def _verify(path: Path, entry: dict, name: str) -> None:
-    want = entry.get("sha256")
-    if want:
-        got = _sha256(path)
+    if "sha256" in entry:
+        got, want = _sha256(path), entry["sha256"].lower()
         if got != want:
             raise DicondError(f"checksum mismatch for {name}: {got} != {want}")

@@ -1,8 +1,11 @@
 """Exhaustive ground truth for small digraphs.
 
 Enumerates one representative per complementary subset pair (vertex 0 is
-pinned to the complement side) in vectorized chunks, giving exact minima
-of the directed conductance and its one-sided variants.
+pinned to the complement side) in vectorized chunks. As cut+ of a
+complement is cut- of the set, the exact minima of phi_d, phi_plus and
+phi_minus share one value and differ only in their argmins. Tie rule:
+each argmin is the smallest (value, key) pair, where a set's key is its
+membership vector as a binary number, vertex 0 most significant.
 """
 
 from __future__ import annotations
@@ -28,26 +31,24 @@ class OracleResult:
     subsets_enumerated: int
 
 
-class _LexMin:
-    """Running (value, lexicographically-smallest membership vector)."""
+def _keys(member: np.ndarray) -> np.ndarray:
+    """The key of each membership row."""
+    return member @ (1 << np.arange(member.shape[1] - 1, -1, -1, dtype=np.int64))
 
-    def __init__(self):
-        self.value = np.inf
-        self.mask = None
 
-    def offer(self, values, masks):
-        if values.size == 0:
-            return
-        lo = float(values.min())
-        if lo > self.value:
-            return
-        tied = masks[values == lo]
-        if lo == self.value and self.mask is not None:
-            tied = np.vstack([self.mask, tied])
-        # keys ordered as the membership vectors, vertex 0 most significant
-        keys = tied.astype(np.int64) @ (1 << np.arange(tied.shape[1] - 1, -1, -1, dtype=np.int64))
-        self.value = lo
-        self.mask = tied[int(np.argmin(keys))].copy()
+def _mask(key: int, n: int) -> np.ndarray:
+    """The membership vector of a key."""
+    return (key >> np.arange(n - 1, -1, -1)) & 1 == 1
+
+
+def _smallest(best, values: np.ndarray, keys: np.ndarray):
+    """The smallest (value, key) pair among best (None before the first
+    pair) and zip(values, keys): the module's tie rule."""
+    if values.size == 0:
+        return best
+    lo = values.min()
+    pair = (float(lo), int(keys[values == lo].min()))
+    return pair if best is None else min(best, pair)
 
 
 def _subsets(n: int, limit: int):
@@ -67,37 +68,30 @@ def _subsets(n: int, limit: int):
 
 def brute_conductance(g: DirectedGraph, limit: int = 24) -> OracleResult:
     """Exact minima of phi_d, phi_plus, phi_minus over all nonempty
-    proper subsets, skipping zero-volume sides."""
+    proper subsets, skipping zero-volume sides: one value, and three
+    argmins by the tie rule (argmin_d never holds vertex 0)."""
     d = g.degree_profile.d
     vol_total = g.degree_profile.vol_total
     w = g.weights
+    full = (1 << g.n) - 1
 
-    best_d, best_p, best_m = _LexMin(), _LexMin(), _LexMin()
+    best_d = best_p = best_m = None
     for member in _subsets(g.n, limit):
         t_in = member[:, g.tails]
         h_in = member[:, g.heads]
         vol_s = member @ d
         mv = np.minimum(vol_s, vol_total - vol_s)
         valid = mv > 0
-        reps = member[valid]
+        keys = _keys(member[valid])
         phi_p = ((t_in & ~h_in) @ w)[valid] / mv[valid]
         phi_m = ((~t_in & h_in) @ w)[valid] / mv[valid]
-        best_d.offer(np.minimum(phi_p, phi_m), reps)
-        # phi_plus over all subsets = phi_plus on reps plus phi_minus on
-        # their complements (cut+ of the complement is cut- of the set)
-        best_p.offer(phi_p, reps)
-        best_p.offer(phi_m, ~reps)
-        best_m.offer(phi_m, reps)
-        best_m.offer(phi_p, ~reps)
+        best_d = _smallest(best_d, np.minimum(phi_p, phi_m), keys)
+        # a complement's phi_plus is its representative's phi_minus
+        best_p = _smallest(_smallest(best_p, phi_p, keys), phi_m, full - keys)
+        best_m = _smallest(_smallest(best_m, phi_m, keys), phi_p, full - keys)
 
-    if best_d.mask is None:
+    if best_d is None:
         raise DegenerateSubsetError("every subset has a zero-volume side")
-    return OracleResult(
-        phi_d_min=best_d.value,
-        phi_plus_min=best_p.value,
-        phi_minus_min=best_m.value,
-        argmin_d=best_d.mask,
-        argmin_plus=best_p.mask,
-        argmin_minus=best_m.mask,
-        subsets_enumerated=(1 << (g.n - 1)) - 1,
-    )
+    value = best_d[0]  # best_p and best_m hold the same value
+    masks = [_mask(key, g.n) for _, key in (best_d, best_p, best_m)]
+    return OracleResult(value, value, value, *masks, subsets_enumerated=(1 << (g.n - 1)) - 1)

@@ -10,7 +10,8 @@ still check the package against the paper's identities: the ratio's
 minimum equals the exhaustive conductance, the one-sided ratios match
 the one-sided conductances, and the numerators dominate the Lovasz
 extension of the cut. brute_binary_r_min shares the oracle's subset
-enumerator, so both exhaustive minima walk the same subsets. The
+enumerator and its tie rule (dicond.oracle._smallest over _keys), so
+both exhaustive minima walk the same subsets and break ties alike. The
 component labelling from a COO-built arc matrix is the construction
 that the graph's cached arc CSR replaced, and the two-bincount
 embedding operator is the product that the embedding's pair CSR
@@ -31,7 +32,7 @@ from dicond.baselines import EmbeddingResult, _EmbeddingOperator, _top_eigenvect
 from dicond.errors import ConstantVectorError, DegenerateSubsetError, GraphTooLargeError
 from dicond.functionals import i_plus, j_terms, linf, n_med
 from dicond.graph import DegreeProfile, DirectedGraph, induced_subgraph, weak_components
-from dicond.oracle import _LexMin, _subsets
+from dicond.oracle import _keys, _mask, _smallest, _subsets
 
 
 def i_diff(g: DirectedGraph, x: np.ndarray) -> float:
@@ -158,7 +159,7 @@ def brute_binary_r_min(
     vectors (evaluated through the continuous formula, not the cut
     definition, so the two enumerations cross-check each other)."""
     vol_total = degrees.vol_total
-    best = _LexMin()
+    best = None
     for member in _subsets(g.n, limit):
         same_side = member[:, g.tails] == member[:, g.heads]
         i_plus = 2.0 * (same_side @ g.weights)
@@ -167,11 +168,11 @@ def brute_binary_r_min(
         n_val = 2.0 * np.minimum(vol_s, vol_total - vol_s)
         valid = n_val > 0
         r = (vol_total - i_plus[valid] - j[valid]) / (2.0 * n_val[valid])
-        best.offer(r, member[valid])
+        best = _smallest(best, r, _keys(member[valid]))
 
-    if best.mask is None:
+    if best is None:
         raise DegenerateSubsetError("every sign vector has zero median deviation")
-    return best.value, best.mask
+    return best[0], _mask(best[1], g.n)
 
 
 def largest_weak_component(g: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]:

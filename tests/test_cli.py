@@ -145,6 +145,8 @@ def test_fetch_local_registry(tmp_path, capsys, monkeypatch):
     "file:///tiny.el",  # not an object
     {"url": ["file:///tiny.el"]},  # a url that is not a string
     {"url": "file:///tiny.el", "sha256": 0},  # a sha256 that is not a string
+    {"url": "file:///tiny.el", "sha256": ""},  # an empty sha256
+    {"url": "file:///tiny.el", "sha256": "xyz"},  # a sha256 that is not 64 hex digits
 ])
 def test_fetch_refuses_a_malformed_registry_entry(tmp_path, capsys, monkeypatch, entry):
     reg = tmp_path / "registry.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dicond import (
+    DegenerateSubsetError,
     GraphTooLargeError,
     brute_conductance,
     build_graph,
@@ -45,6 +46,8 @@ def test_min_formula_identity():
         g = random_digraph(rng, int(rng.integers(2, 10)), weighted=bool(rng.integers(2)))
         res = brute_conductance(g)
         assert res.phi_d_min == min(res.phi_plus_min, res.phi_minus_min)
+        # cut+ of a complement is cut- of the set, so the minima coincide
+        assert res.phi_d_min == res.phi_plus_min == res.phi_minus_min
 
 
 def test_size_limit():
@@ -116,3 +119,63 @@ def test_chunked_enumeration_consistency(monkeypatch):
             assert getattr(big, field).tolist() == getattr(small, field).tolist()
         assert r_big == r_small
         assert arg_big.tolist() == arg_small.tolist()
+
+
+def scan_minima(g):
+    """(values, masks) of phi_d, phi_plus and phi_minus by one
+    conductance_set call per nonempty proper subset. The subsets run in
+    lexicographic order of their membership vectors, vertex 0 first, so
+    the first set to attain a minimum is the lexicographically smallest."""
+    values, masks = [np.inf] * 3, [None] * 3
+    for key in range(1, (1 << g.n) - 1):
+        mask = np.array([(key >> (g.n - 1 - i)) & 1 for i in range(g.n)], dtype=bool)
+        try:
+            phis = conductance_set(g, mask)
+        except DegenerateSubsetError:
+            continue
+        for k, phi in enumerate(phis):
+            if phi < values[k]:
+                values[k], masks[k] = phi, mask
+    return values, masks
+
+
+def assert_matches_scan(g):
+    res = brute_conductance(g)
+    values, masks = scan_minima(g)
+    assert [res.phi_d_min, res.phi_plus_min, res.phi_minus_min] == values
+    assert [res.argmin_d.tolist(), res.argmin_plus.tolist(), res.argmin_minus.tolist()] == [
+        m.tolist() for m in masks
+    ]
+
+
+def test_oracle_matches_a_per_subset_scan():
+    # exact weights, so the oracle's matmul sums and conductance_set's
+    # masked sums agree bit for bit; the last graphs have isolated
+    # vertices, whose zero-volume sides both skip
+    rng = np.random.default_rng(46)
+    graphs = [random_digraph(rng, int(rng.integers(2, 9)), weighted=bool(rng.integers(2))) for _ in range(60)]
+    graphs += [build_graph(4, [0, 1], [1, 0]), build_graph(5, [1, 2, 3], [2, 3, 1], [0.5, 2.0, 1.5])]
+    for g in graphs:
+        assert_matches_scan(g)
+
+
+def test_tie_rule_across_chunks(monkeypatch):
+    # the dicycle's four pairs of contiguous halves tie at 1/8, and
+    # 17-row chunks put the tied sets in different chunks
+    import dicond.oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, "CHUNK", 17)
+    assert_matches_scan(canonical("dicycle", 8))
+
+
+def test_phi_plus_argmin_may_hold_vertex_0():
+    # the reversed p2 (1 -> 0): {0} has no out-arc, so its phi_plus is 0,
+    # while {1} has phi_plus 1; the argmin is a complement of a
+    # representative
+    g = build_graph(2, [1], [0])
+    res = brute_conductance(g)
+    assert res.phi_plus_min == 0.0
+    assert res.argmin_plus.tolist() == [True, False]
+    assert res.argmin_minus.tolist() == [False, True]
+    assert res.argmin_d.tolist() == [False, True]
+    assert_matches_scan(g)

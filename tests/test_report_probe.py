@@ -28,3 +28,21 @@ def test_no_probe_solve_is_above_its_sweep():
     lines = [json.loads(line) for line in (TOOLS / "probe.jsonl").read_text().splitlines()]
     above = [doc["name"] for doc in lines if not doc["best_r"] <= doc["sweep_phi"]]
     assert not above, f"best_r > sweep_phi in {above}"
+
+
+def test_no_probe_solve_is_below_the_oracle():
+    # the probe records the exhaustive minimum on graphs with n <= 12.
+    # On exact-sums graphs the oracle's matmul sums and conductance_set's
+    # masked sums are both exact, so the bound holds exactly; elsewhere
+    # the two round differently, by a few ulps
+    probe = report_probe()
+    lines = [json.loads(line) for line in (TOOLS / "probe.jsonl").read_text().splitlines()]
+    checked = [doc for doc in lines if "oracle_phi" in doc]
+    assert len(checked) == sum(doc["n"] <= 12 for doc in lines) > 0
+    below = []
+    for doc in checked:
+        g = probe.random_case(int(doc["name"].removeprefix("random-")))
+        slack = 0.0 if g.exact_sums else 1e-12 * doc["best_r"]
+        if not doc["oracle_phi"] <= doc["best_r"] + slack:
+            below.append(doc["name"])
+    assert not below, f"best_r < oracle_phi in {below}"

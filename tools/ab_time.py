@@ -19,10 +19,12 @@ median spectral sweep time, each median beside its ratio; a ratio above
 whose solves stop at the precheck, its embedding is most of an
 instance. The summary line gives each ratio's median and range over the
 rounds and in how many rounds NEW was faster (a ratio above 1; a tie
-counts for neither side). It exits with status 1 when any instance's
-no-timings report digest or sweep value differs between the two; it
-then first prints how many instances have a lower, equal or higher
-best_r on NEW.
+counts for neither side). The checkout named second (NEW) reads about
+3% slower even when the two checkouts are identical, so read any ratio
+beside a control run of the parent against a copy of itself. It exits
+with status 1 when any instance's no-timings report digest or sweep
+value differs between the two; it then first prints how many instances
+have a lower, equal or higher best_r on NEW.
 """
 
 import os

@@ -34,8 +34,9 @@ the file again.
   seed % 3 != 1 append 1 + (seed // 3) % 3 isolated vertices.
 
 Each line holds the case name, n, best_r, the spectral sweep baseline's
-phi, the certificate, the winning restart's init kind, the iteration
-count and the digest.
+phi, on graphs with n <= 12 the exhaustive oracle's phi_d_min
+(oracle_phi), the certificate, the winning restart's init kind, the
+iteration count and the digest.
 """
 
 from __future__ import annotations
@@ -45,7 +46,15 @@ import json
 
 import numpy as np
 
-from dicond import DsbmParams, SolverConfig, build_graph, dsbm, dsi_solve, largest_strong_component
+from dicond import (
+    DsbmParams,
+    SolverConfig,
+    brute_conductance,
+    build_graph,
+    dsbm,
+    dsi_solve,
+    largest_strong_component,
+)
 from dicond.baselines import spectral_sweep
 
 
@@ -88,16 +97,12 @@ def probe_lines():
     for name, g, seed in cases():
         rep = dsi_solve(g, SolverConfig(seed=seed))
         doc = json.dumps(rep.to_dict(with_timings=False), sort_keys=True)
-        yield json.dumps({
-            "name": name,
-            "n": g.n,
-            "best_r": rep.best_r,
-            "sweep_phi": spectral_sweep(g)[1],
-            "certificate": rep.certificate,
-            "init_kind": rep.init_kind,
-            "iterations": rep.iterations,
-            "digest": hashlib.sha256(doc.encode()).hexdigest(),
-        })
+        line = {"name": name, "n": g.n, "best_r": rep.best_r, "sweep_phi": spectral_sweep(g)[1]}
+        if g.n <= 12:
+            line["oracle_phi"] = brute_conductance(g).phi_d_min
+        line.update(certificate=rep.certificate, init_kind=rep.init_kind, iterations=rep.iterations,
+                    digest=hashlib.sha256(doc.encode()).hexdigest())
+        yield json.dumps(line)
 
 
 def main() -> None:
