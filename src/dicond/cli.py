@@ -101,9 +101,9 @@ def cmd_oracle(args) -> int:
         "phi_d_min": res.phi_d_min,
         "phi_plus_min": res.phi_plus_min,
         "phi_minus_min": res.phi_minus_min,
-        "argmin_d": _sorted_labels(g, res.argmin_d),
-        "argmin_plus": _sorted_labels(g, res.argmin_plus),
-        "argmin_minus": _sorted_labels(g, res.argmin_minus),
+        "argmin_d": _sorted_labels(g.labels, res.argmin_d),
+        "argmin_plus": _sorted_labels(g.labels, res.argmin_plus),
+        "argmin_minus": _sorted_labels(g.labels, res.argmin_minus),
         "subsets_enumerated": res.subsets_enumerated,
         "n": g.n,
         "m": g.m,
@@ -116,7 +116,7 @@ def cmd_sweep(args) -> int:
     write_manifest = _claim_files(args, [args.graph], [args.out], {})
     g = load_edge_list(args.graph)
     mask, phi = spectral_sweep(g)
-    doc = {"phi": phi, "set": _sorted_labels(g, mask), "n": g.n, "m": g.m}
+    doc = {"phi": phi, "set": _sorted_labels(g.labels, mask), "n": g.n, "m": g.m}
     _emit(doc, args.out, write_manifest)
     return EXIT_OK
 

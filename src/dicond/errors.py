@@ -44,8 +44,12 @@ def check_int(name: str, value, low: int) -> None:
 
 
 def check_vector(name: str, x, n: int) -> np.ndarray:
-    """x as a float array; raise ValueError unless it is n finite values."""
+    """x as a float array; raise ValueError unless it is n finite values,
+    naming the wrong shape or the first value that is not finite."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (n,) or not np.isfinite(x).all():
+    if x.shape != (n,):
         raise ValueError(f"{name} needs n = {n} finite values; got shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"{name} needs n = {n} finite values; got {x[bad[0]]} at index {bad[0]}")
     return x

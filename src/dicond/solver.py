@@ -13,7 +13,8 @@ after max_iters steps.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -79,12 +80,13 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one solve: best ratio, iterate, partition, and the
-    strictly decreasing ratio trace."""
+    strictly decreasing ratio trace. labels are the graph's vertex
+    labels; best_set_labels sorts best_set's once, on first read."""
 
     best_r: float
     best_x: np.ndarray
     best_set: np.ndarray
-    best_set_labels: tuple[str, ...]
+    labels: tuple[str, ...] = field(repr=False, compare=False)
     r_trace: tuple[float, ...]
     iterations: int
     certificate: str
@@ -93,6 +95,10 @@ class SolveReport:
     notes: tuple[str, ...] = ()
     init_kind: str = ""
     restart_index: int = -1
+
+    @cached_property
+    def best_set_labels(self) -> tuple[str, ...]:
+        return _sorted_labels(self.labels, self.best_set)
 
     def to_dict(self, with_timings: bool = True) -> dict:
         return {
@@ -112,8 +118,8 @@ class SolveReport:
         }
 
 
-def _sorted_labels(g: DirectedGraph, mask: np.ndarray) -> tuple[str, ...]:
-    labs = [g.labels[i] for i in np.flatnonzero(mask)]
+def _sorted_labels(labels: tuple[str, ...], mask: np.ndarray) -> tuple[str, ...]:
+    labs = [labels[i] for i in np.flatnonzero(mask)]
     return tuple(sorted(labs, key=lambda s: (0, int(s)) if s.isdecimal() else (1, s)))
 
 
@@ -215,7 +221,7 @@ def _precheck_report(g, mask, t0, note) -> SolveReport:
         best_r=phi,
         best_x=np.where(mask, 1.0, -1.0),
         best_set=mask,
-        best_set_labels=_sorted_labels(g, mask),
+        labels=g.labels,
         r_trace=(phi,),
         iterations=0,
         certificate=CERT_PRECHECK,
@@ -266,7 +272,7 @@ def _self_check_finish(g, x_star, best_set, best_phi) -> None:
         raise AssertionError("binary finish differs from sweep_cut and conductance_set")
 
 
-def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig, *, labels: bool = True) -> SolveReport:
+def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     """One solver run from the initial vector x1.
 
     The bare iteration, with no precheck, runs until a stop certificate
@@ -304,9 +310,7 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig, *, labels: bool
     other fields iterate_state's; each binary step, general_step; and
     the binary finish, sweep_cut and conductance_set, bit for bit. A
     start vector that is not n finite values raises ValueError, as in
-    dsi_solve. best_set's labels are sorted into best_set_labels unless
-    labels is False, which leaves them empty for dsi_solve: it labels
-    only the set it returns.
+    dsi_solve.
     """
     t0 = time.perf_counter()
     x = check_vector("initial vector", x1, g.n)
@@ -381,7 +385,7 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig, *, labels: bool
         best_r=best_phi,
         best_x=best.x,
         best_set=best_set,
-        best_set_labels=_sorted_labels(g, best_set) if labels else (),
+        labels=g.labels,
         r_trace=tuple(trace),
         iterations=iterations,
         certificate=certificate,
@@ -459,9 +463,11 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
 
     Restarts cover the centered spectral embedding, the +/-1 indicator
     of the sweep-cut baseline's best set (which pins best_r at or below
-    the baseline value), and seeded random sign vectors. The spectral
-    vector here is the symmetrized-Laplacian embedding, a stand-in
-    initialization; the first report note names the kinds that ran, and
+    the baseline value), the +/-1 indicator of the sweep cut by
+    d_out - d_in (the imbalance seed), and seeded random sign vectors.
+    The spectral vector here is the symmetrized-Laplacian embedding, a
+    stand-in initialization; the first report note names the kinds that
+    ran (a mixed schedule's note leaves out the imbalance seed), and
     best_r is conductance_set(g, best_set)[0].
     """
     cfg = cfg or SolverConfig()
@@ -487,10 +493,10 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
 
     reports = []
     for idx, (kind, x1) in enumerate(inits):
-        rep = dsi_run(sub, x1, cfg, labels=False)
+        rep = dsi_run(sub, x1, cfg)
         reports.append(replace(rep, init_kind=kind, restart_index=idx))
     best = min(reports, key=lambda rep: (rep.best_r, rep.iterations, rep.restart_index))
     mask = lift_core(g, best.best_set, False)
     return replace(best, best_r=conductance_set(g, mask)[0], best_x=lift_core(g, best.best_x, -1.0),
-                   best_set=mask, best_set_labels=_sorted_labels(g, mask),
+                   best_set=mask, labels=g.labels,
                    wall_time=time.perf_counter() - t0, notes=notes)

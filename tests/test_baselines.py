@@ -166,13 +166,15 @@ def test_sweep_constant_raises(c3):
         sweep_cut(c3, np.ones(3))
 
 
-@pytest.mark.parametrize("v", [[1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [[1.0], [-1.0], [1.0]],
-                               [1.0, np.nan, -1.0], [1.0, np.inf, -1.0], [-np.inf, 0.0, 1.0]],
-                         ids=["short", "long", "column", "nan", "inf", "minus-inf"])
-def test_sweep_rejects_a_vector_of_the_wrong_shape_or_not_finite(c3, v):
+@pytest.mark.parametrize(("v", "got"), [
+    ([1.0, -1.0], r"got shape \(2,\)"), ([1.0, -1.0, 1.0, -1.0], r"got shape \(4,\)"),
+    ([[1.0], [-1.0], [1.0]], r"got shape \(3, 1\)"), ([1.0, np.nan, -1.0], "got nan at index 1"),
+    ([1.0, np.inf, -1.0], "got inf at index 1"), ([-np.inf, 0.0, 1.0], "got -inf at index 0")],
+    ids=["short", "long", "column", "nan", "inf", "minus-inf"])
+def test_sweep_rejects_a_vector_of_the_wrong_shape_or_not_finite(c3, v, got):
     # a wrong shape once failed inside np.lexsort, and a NaN or infinite
     # vector read as a constant one
-    with pytest.raises(ValueError, match="n = 3 finite values") as err:
+    with pytest.raises(ValueError, match="n = 3 finite values; " + got) as err:
         sweep_cut(c3, np.array(v))
     assert not isinstance(err.value, ConstantVectorError)
 

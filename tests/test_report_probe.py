@@ -11,13 +11,17 @@ from conftest import TOOLS, report_probe
 
 
 def _by_name(lines):
-    return {json.loads(line)["name"]: line for line in lines}
+    return {doc["name"]: doc for doc in map(json.loads, lines)}
 
 
 def test_probe_reports_match_the_committed_output():
     want = _by_name((TOOLS / "probe.jsonl").read_text().splitlines())
     got = _by_name(report_probe().probe_lines())
-    moved = [name for name in want if name in got and got[name] != want[name]]
+    # the fields that moved, per case: a moved digest alone is a change
+    # in the last bits of best_x or r_trace (see the probe's docstring)
+    moved = {name: sorted(k for k in want[name].keys() | got[name].keys()
+                          if want[name].get(k) != got[name].get(k))
+             for name in want if name in got and got[name] != want[name]}
     assert not moved, f"{len(moved)} probe cases moved: {moved}"
     assert list(got) == list(want), "the probe's case list changed"
 
@@ -41,7 +45,7 @@ def test_no_probe_solve_is_below_the_oracle():
     assert len(checked) == sum(doc["n"] <= 12 for doc in lines) > 0
     below = []
     for doc in checked:
-        g = probe.random_case(int(doc["name"].removeprefix("random-")))
+        g = probe.case_graph(doc["name"])
         slack = 0.0 if g.exact_sums else 1e-12 * doc["best_r"]
         if not doc["oracle_phi"] <= doc["best_r"] + slack:
             below.append(doc["name"])
