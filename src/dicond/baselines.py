@@ -4,7 +4,8 @@ The embedding is the second eigenvector of the normalized Laplacian of
 the symmetrized weights, computed by ARPACK's implicitly restarted
 Lanczos method (scipy's eigsh) on a shifted, deflated operator whose
 product is one pass over the graph's pair CSR; the sweep cut scores
-every prefix of a vertex ordering from one cumulative cut profile.
+every level set of a vector, the prefixes of its descending order that
+end between two distinct values, from one cumulative cut profile.
 Together they serve as the comparison baseline and as solver
 initialization. The sweep cut is also the package's only
 threshold scan: the solver rounds its iterates to a set with it. Note
@@ -124,7 +125,8 @@ def graph_embedding(g: DirectedGraph) -> EmbeddingResult:
 
 def spectral_sweep(g: DirectedGraph) -> tuple[np.ndarray, float]:
     """Sweep cut of the spectral embedding, tolerant of weakly
-    disconnected input.
+    disconnected input. Like every sweep in the package, it cuts only
+    between distinct values of the vector (sweep_cut).
 
     The baseline is blind to direction, so it checks only weak
     components: with two or more that carry volume, one of them is
@@ -141,35 +143,35 @@ def spectral_sweep(g: DirectedGraph) -> tuple[np.ndarray, float]:
     return mask, conductance_set(g, mask)[0]
 
 
-def sweep_cut(g: DirectedGraph, v, distinct_only: bool = False) -> np.ndarray:
-    """Best-conductance prefix of vertices sorted by v descending.
+def sweep_cut(g: DirectedGraph, v) -> np.ndarray:
+    """Best-conductance level set {i : v_i >= t} of v.
 
-    Scores every prefix from one prefix_cut_profile pass (O(m + n log n));
-    prefixes with a zero-volume side are skipped, and ties keep the
-    smallest prefix. Equal values of v are split by vertex id, unless
-    distinct_only is set: then only prefixes that end between two
-    distinct values count, so a +/-1 vector reproduces its own sign
-    partition. Returns its mask: the scan's cumulative scores can differ
+    Sorts the vertices by v descending and scores, from one
+    prefix_cut_profile pass (O(m + n log n)), every prefix that ends
+    between two distinct values: a block of equal values is never
+    split, so a +/-1 vector reproduces its own sign partition. Prefixes
+    with a zero-volume side are skipped, and ties keep the smallest
+    prefix. Returns its mask: the scan's cumulative scores can differ
     from conductance_set(g, mask)[0] in the last bits. A v that is not
-    n finite values raises ValueError.
+    n finite values raises ValueError, a constant one
+    ConstantVectorError, and one with no level set of positive volume
+    on both sides DegenerateSubsetError.
     """
     v = check_vector("sweep vector", v, g.n)
     if not is_nonconstant(v):
         raise ConstantVectorError("sweep vector must be nonconstant")
-    order = np.lexsort((np.arange(g.n), -v))
+    order = np.argsort(-v, kind="stable")
     cp, cm, vol = prefix_cut_profile(g, order)
     mv = np.minimum(vol, g.degree_profile.vol_total - vol)[:-1]
-    ok = mv > 0
-    if distinct_only:
-        vs = v[order]
-        ok &= vs[:-1] > vs[1:]
+    vs = v[order]
+    ok = (mv > 0) & (vs[:-1] > vs[1:])
     # cancellation in the cut sums can leave an exact zero cut a few
     # ulps below 0
     cut = np.maximum(np.minimum(cp, cm)[:-1], 0.0)
     phi = np.divide(cut, mv, out=np.full(g.n - 1, np.inf), where=ok)
     k = int(np.argmin(phi))
     if not ok[k]:
-        raise DegenerateSubsetError("no prefix with positive volume on both sides")
+        raise DegenerateSubsetError("no level set with positive volume on both sides")
     mask = np.zeros(g.n, dtype=bool)
     mask[order[: k + 1]] = True
     return mask

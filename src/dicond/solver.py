@@ -158,9 +158,9 @@ def subproblem_argmin(s: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def extract_partition(g: DirectedGraph, x: np.ndarray) -> np.ndarray:
-    """Same as ``sweep_cut(g, x, distinct_only=True)``; the solver no
-    longer calls it. Kept only because perfbench traces this name."""
-    return sweep_cut(g, x, distinct_only=True)
+    """Same as ``sweep_cut(g, x)``, the best level set of x; the solver
+    no longer calls it. Kept only because perfbench traces this name."""
+    return sweep_cut(g, x)
 
 
 def verify_local_opt(g: DirectedGraph, s: np.ndarray) -> bool:
@@ -263,10 +263,9 @@ def _self_check(g, state, v_b, sel) -> None:
 
 
 def _self_check_finish(g, x_star, best_set, best_phi) -> None:
-    """cfg.self_check on a run's shortcut finish: best_set is the
-    distinct-value sweep cut of x_star and best_phi its conductance_set,
-    bit for bit."""
-    ref = sweep_cut(g, x_star, distinct_only=True)
+    """cfg.self_check on a run's shortcut finish: best_set is the sweep
+    cut of x_star and best_phi its conductance_set, bit for bit."""
+    ref = sweep_cut(g, x_star)
     if not (np.array_equal(ref, best_set)
             and np.float64(conductance_set(g, ref)[0]).tobytes() == np.float64(best_phi).tobytes()):
         raise AssertionError("binary finish differs from sweep_cut and conductance_set")
@@ -286,11 +285,12 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     evaluation covers the move and one rule accepts it, a ratio below
     the best by more than eps_dec. A rounding stays the current iterate
     either way; any other move that does not descend or is constant
-    stops the run with no descent. The best iterate is rounded by the
-    distinct-value sweep cut, best_r is conductance_set of that set, and
-    is_flip_local_opt is the O(m + n) single-flip test of
-    flip_conductances, the predicate that verify_local_opt checks with
-    one conductance_set per vertex.
+    stops the run with no descent. The rounding and the finish are
+    sweep cuts, which cut only between distinct values: the best
+    iterate is rounded to its best level set, best_r is conductance_set
+    of that set, and is_flip_local_opt is the O(m + n) single-flip test
+    of flip_conductances, the predicate that verify_local_opt checks
+    with one conductance_set per vertex.
 
     When g.exact_sums holds, the run keeps one CutState, and each move
     names its form: a flip or a rounding sets a side with c = 1, a
@@ -345,7 +345,7 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
             if cut is not None and np.count_nonzero(x_next) == g.n:  # k = n: sign(s) / n
                 side, c = sel.s >= 0, 1.0 / g.n
         elif rounding:
-            side = sweep_cut(g, state.x, distinct_only=True)
+            side = sweep_cut(g, state.x)
             x_next = np.where(side, 1.0, -1.0)
         else:
             side = state.x > 0
@@ -371,7 +371,7 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
         state = nxt
 
     if best.cut is None:
-        best_set = sweep_cut(g, best.x, distinct_only=True)
+        best_set = sweep_cut(g, best.x)
         best_phi = conductance_set(g, best_set)[0]
     else:  # binary: r is phi of the positive side, conductance_set's bits
         best_set, best_phi = best.x > 0, best.r
@@ -406,9 +406,13 @@ def _initial_vectors(g, cfg, start) -> list[tuple[str, np.ndarray]]:
     spectral, sweep-seeded and degree-imbalance-seeded vectors by
     cfg.init; seeded random sign vectors fill the remaining restarts.
 
-    The imbalance seed sweeps vertices by d_out - d_in; it is what makes
-    purely directional cuts (invisible to any symmetrized spectrum)
-    reliable starting points.
+    The sweep seed is the best level set of the embedding and the
+    imbalance seed the best level set of d_out - d_in; the imbalance
+    seed is what makes purely directional cuts (invisible to any
+    symmetrized spectrum) reliable starting points. Both sweeps cut only
+    between distinct values, so a block of vertices with equal
+    d_out - d_in stays on one side, and reversing every arc, which
+    negates d_out - d_in, turns the imbalance seed into its complement.
     """
     inits: list[tuple[str, np.ndarray]] = []
     fixed: list[str] = []

@@ -24,13 +24,13 @@ them in turn.
 Binary fast path. Nearly every iterate takes exactly the two values
 +/-c, and consecutive ones usually differ in one sign. On such an
 iterate the chain depends only on the cut: the classes are the two
-sides, the pair terms are p_i = sigma_i * own_i and q_i = cut_i, where
+sides, the pair terms are p_i = -chi_i * own_i and q_i = cut_i, where
 cut_i is the symmetric weight from i across the cut and own_i = d_i -
 cut_i the weight to its own side, the zero pairs are the cut pairs, and
 the median and A, B follow from the two side volumes. A CutState keeps
-the cut sums, cut+ + cut- and cut+ - cut-, and the sign arrays chi and
-sigma = -chi: a single flip moves them in O(deg), other moves recount
-in O(m). It is used only on graphs whose sums are all exact
+the cut sums, cut+ + cut- and cut+ - cut-, and the sign array chi: a
+single flip moves them in O(deg), other moves recount in O(m). It is
+used only on graphs whose sums are all exact
 (DirectedGraph.exact_sums: weights that are multiples of one 2^-k with
 a bounded total), where the updated sums, d - cut and every sum over
 the cut pairs equal the general code's bit for bit. There dsi_run
@@ -113,18 +113,17 @@ class CutState:
     in O(deg).
 
     side is the mask of the positive side S, chi the sign array of the
-    DSI steps (-1 on S, +1 off it) and sigma = -chi, cut[i] the
-    symmetric weight from i across the cut, is_cut flags the cut pairs
-    of g.pairs, cut_total = cut+ + cut-, imbalance = d_delta summed
-    over S = cut+ - cut-, and vol_neg the volume of the negative side.
-    The weight from i to its own side is d[i] - cut[i], because d =
-    d_out + d_in sums the pair weights at each vertex. A move that
-    flips one vertex negates its entry of chi and sigma and updates its
-    pairs in O(deg); any other move recounts in O(m). g.exact_sums must
-    hold: then every update, and d - cut, equals a full recount. ends
-    holds the two ends (u, v) of each pair as one (P, 2) array, and a
-    flip slices its pair weights out of g.pair_adjacency instead of
-    gathering them.
+    DSI steps (-1 on S, +1 off it), cut[i] the symmetric weight from i
+    across the cut, is_cut flags the cut pairs of g.pairs, cut_total =
+    cut+ + cut-, imbalance = d_delta summed over S = cut+ - cut-, and
+    vol_neg the volume of the negative side. The weight from i to its
+    own side is d[i] - cut[i], because d = d_out + d_in sums the pair
+    weights at each vertex. A move that flips one vertex negates its
+    entry of chi and updates its pairs in O(deg); any other move
+    recounts in O(m). g.exact_sums must hold: then every update, and
+    d - cut, equals a full recount. ends holds the two ends (u, v) of
+    each pair as one (P, 2) array, and a flip slices its pair weights
+    out of g.pair_adjacency instead of gathering them.
     """
 
     def __init__(self, g: DirectedGraph):
@@ -161,14 +160,12 @@ class CutState:
         self.vol_neg += float(-d[v] if side[v] else d[v])
         self.side[v] = side[v]
         self.chi[v] = -self.chi[v]
-        self.sigma[v] = -self.sigma[v]
 
     def _recount(self, side: np.ndarray) -> None:
         g = self.g
         pu, pv, w_sym = g.pairs
         self.side = side.copy()
         self.chi = np.where(side, -1.0, 1.0)
-        self.sigma = -self.chi
         self.is_cut = side[pu] != side[pv]
         w_cut = w_sym * self.is_cut
         self.cut = np.bincount(pu, weights=w_cut, minlength=g.n)
@@ -183,7 +180,7 @@ class CutState:
         fresh = CutState(self.g)
         fresh._recount(self.side)
         return (all(getattr(self, name).tobytes() == getattr(fresh, name).tobytes()
-                    for name in ("chi", "sigma", "is_cut", "cut"))
+                    for name in ("chi", "is_cut", "cut"))
                 and (self.cut_total, self.imbalance, self.vol_neg)
                 == (fresh.cut_total, fresh.imbalance, fresh.vol_neg))
 
@@ -524,7 +521,7 @@ def binary_step(g: DirectedGraph, state: IterateState) -> tuple[np.ndarray, Sele
     classes are the sides (no vertex is interior), chi is the state's
     sign array (-1 on the positive side, +1 on the other), the median
     tie set is the side that holds alpha, A and B are side volumes, the
-    pair terms are p = sigma * own with own = d - cut and q = cut, and
+    pair terms are p = -chi * own = chi * (cut - d) and q = cut, and
     the zero pairs are the cut pairs, signed per vertex with bincount
     instead of np.add.at (the same bits, as every such sum is exact).
     b, V_b and the assembly of v, y and s are the general chain's shared
@@ -534,7 +531,7 @@ def binary_step(g: DirectedGraph, state: IterateState) -> tuple[np.ndarray, Sele
     degrees = g.degree_profile
     d = degrees.d
     side, chi = cut.side, cut.chi
-    p = cut.sigma * (d - cut.cut)
+    p = chi * (cut.cut - d)
     p += 0.0  # the general code gives +0.0, not -0.0, where own is 0
 
     # median term: off the tie set a_sel = d * Sign(x - alpha); on a tie

@@ -55,8 +55,10 @@ def test_a_checkout_whose_reports_differ_fails(tmp_path):
     run = _ab_time(old, ROOT)
     assert run.returncode == 1, run.stderr
     lines = run.stdout.splitlines()
-    assert lines[-1].startswith("DIGESTS DIFFER on 4 of 4 instances")
-    assert lines[-2] == "best_r on new: 0 lower, 4 equal, 0 higher"
+    assert lines[-1].startswith("RESULTS DIFFER on 4 of 4 instances")
+    # only the report changed: each result is counted apart
+    assert lines[-2] == "instances that differ: report digest 4, sweep value 0, oracle value 0"
+    assert lines[-3] == "best_r on new: 0 lower, 4 equal, 0 higher"
 
 
 def test_a_checkout_with_a_higher_best_r_is_counted(tmp_path):
@@ -75,5 +77,5 @@ def test_a_checkout_with_a_higher_best_r_is_counted(tmp_path):
         run = _ab_time(*args)
         assert run.returncode == 1, run.stderr
         lines = run.stdout.splitlines()
-        assert lines[-2] == f"best_r on new: {counts}"
-        assert lines[-1].startswith("DIGESTS DIFFER on 4 of 4 instances")
+        assert lines[-3] == f"best_r on new: {counts}"
+        assert lines[-1].startswith("RESULTS DIFFER on 4 of 4 instances")

@@ -11,7 +11,7 @@ import dicond.graph
 from dicond import (ConstantVectorError, DsbmParams, SolverConfig, build_graph, conductance_set,
                     dsbm, dsi_solve, largest_strong_component, spectral_embedding, sweep_cut)
 from dicond.baselines import spectral_sweep
-from dicond.errors import DicondError, EmptyGraphError
+from dicond.errors import DegenerateSubsetError, DicondError, EmptyGraphError
 from dicond.graph import positive_core, prefix_cut_profile
 
 from conftest import random_digraph, report_probe
@@ -142,6 +142,19 @@ def test_sweep_examples(p3, c3):
     # all prefixes of C3 tie at 1/2 under any injective ordering
     for v in ([3.0, 2.0, 1.0], [1.0, 3.0, 2.0], [2.0, 1.0, 3.0]):
         assert conductance_set(c3, sweep_cut(c3, np.array(v)))[0] == 0.5
+
+
+def test_sweep_cut_never_splits_a_tied_block(p3):
+    # {0} also has conductance 0, but it splits the block {0, 1}, where
+    # x ties at 1: only level sets are candidates
+    mask = sweep_cut(p3, np.array([1.0, 1.0, -1.0]))
+    assert mask.tolist() == [True, True, False] and conductance_set(p3, mask)[0] == 0.0
+
+    # the one level set, {0}, holds only the isolated vertex 0 and has
+    # zero volume, and the tied block {1, 2} is not split
+    g = build_graph(3, [1, 2], [2, 1])
+    with pytest.raises(DegenerateSubsetError, match="no level set"):
+        sweep_cut(g, np.array([1.0, 0.0, 0.0]))
 
 
 def test_sweep_indicator_upper_bound():

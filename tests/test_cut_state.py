@@ -147,7 +147,7 @@ def _fused_x(side, uniform):
 @given(seed=st.integers(0, 2**32 - 1), kind=exact_kinds, uniform=st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_fused_state_and_signs_match_iterate_state_and_a_fresh_where(seed, kind, uniform):
-    # along single flips (chi and sigma move in O(1)) and larger moves
+    # along single flips (chi moves in O(1)) and larger moves
     # (they are recounted), at c = 1 and at the c = 1/n of a k = n step
     g, rng = _graph(seed, kind)
     fused_cut, ref_cut = CutState(g), CutState(g)
@@ -170,7 +170,6 @@ def test_fused_state_and_signs_match_iterate_state_and_a_fresh_where(seed, kind,
                 assert _same_bits(getattr(fused, name), getattr(general, name)), name
         assert fused_cut.matches_recount()
         assert _same_bits(fused_cut.chi, np.where(side, -1.0, 1.0))
-        assert _same_bits(fused_cut.sigma, np.where(side, 1.0, -1.0))
 
 
 def _check_binary_step(g, x, cut):
@@ -471,7 +470,7 @@ def test_self_check_catches_a_sign_that_drifts(monkeypatch):
 
     def drift(self, side):
         move_to(self, side)
-        self.sigma[0] = -self.sigma[0]
+        self.chi[0] = -self.chi[0]
 
     monkeypatch.setattr(CutState, "move_to", drift)
     cut = CutState(g)
@@ -563,12 +562,12 @@ def test_a_binary_best_skips_the_sweep_and_its_conductance(monkeypatch):
                             lambda *a, real=real, name=name, **kw: (calls.append(name), real(*a, **kw))[1])
     rep = dsi_run(g, x, SolverConfig())
     assert calls == [] and rep.certificate == dicond.solver.CERT_BOUNDARY
-    assert _same_bits(rep.best_set, sweep_cut(g, rep.best_x, distinct_only=True))
+    assert _same_bits(rep.best_set, sweep_cut(g, rep.best_x))
     assert _same_bits(rep.best_r, conductance_set(g, rep.best_set)[0])
     assert rep.is_flip_local_opt == bool(flip_conductances(g, rep.best_set).min() >= rep.best_r - 1e-12)
     assert rep.to_dict(with_timings=False) == ref.to_dict(with_timings=False)
 
     # under self_check the finish is compared with sweep_cut and conductance_set
-    monkeypatch.setattr(dicond.solver, "sweep_cut", lambda g, v, distinct_only=False: v < 0)
+    monkeypatch.setattr(dicond.solver, "sweep_cut", lambda g, v: v < 0)
     with pytest.raises(AssertionError, match="binary finish differs"):
         dsi_run(g, x, SolverConfig(self_check=True))

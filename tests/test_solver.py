@@ -273,8 +273,8 @@ def test_dsi_run_rejects_a_start_vector_of_the_wrong_shape_or_not_finite(c3, x1,
     assert not isinstance(err.value, ConstantVectorError)
 
 
-def test_sweep_cut_distinct_only_examples(p3):
-    mask = sweep_cut(p3, np.array([-1 / 3, -1 / 3, 1 / 3]), distinct_only=True)
+def test_sweep_cut_level_set_examples(p3):
+    mask = sweep_cut(p3, np.array([-1 / 3, -1 / 3, 1 / 3]))
     assert mask.tolist() == [False, False, True]
     assert conductance_set(p3, mask)[0] == 0.0
 
@@ -289,20 +289,13 @@ def test_sweep_cut_distinct_only_examples(p3):
             phi_direct = conductance_set(g, x > 0)[0]
         except Exception:
             continue
-        mask = sweep_cut(g, x, distinct_only=True)
+        mask = sweep_cut(g, x)
         assert mask.tolist() == (x > 0).tolist()
         assert conductance_set(g, mask)[0] == pytest.approx(phi_direct, abs=1e-12)
 
-    mask = sweep_cut(p3, np.array([0.9, 0.5, 0.1]), distinct_only=True)
+    mask = sweep_cut(p3, np.array([0.9, 0.5, 0.1]))
     assert conductance_set(p3, mask)[0] == 0.0
     assert mask.tolist() == [True, False, False]  # both prefixes tie at 0; smaller wins
-
-    # tied values: the default splits them by id, distinct_only keeps them together
-    x = np.array([1.0, 1.0, -1.0])
-    mask = sweep_cut(p3, x)
-    assert mask.tolist() == [True, False, False] and conductance_set(p3, mask)[0] == 0.0
-    mask = sweep_cut(p3, x, distinct_only=True)
-    assert mask.tolist() == [True, True, False] and conductance_set(p3, mask)[0] == 0.0
 
 
 def test_verify_local_opt_examples(c3, p3, p2):

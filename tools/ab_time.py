@@ -22,9 +22,11 @@ rounds and in how many rounds NEW was faster (a ratio above 1; a tie
 counts for neither side). The checkout named second (NEW) reads about
 3% slower even when the two checkouts are identical, so read any ratio
 beside a control run of the parent against a copy of itself. It exits
-with status 1 when any instance's no-timings report digest or sweep
-value differs between the two; it then first prints how many instances
-have a lower, equal or higher best_r on NEW.
+with status 1 when any instance's no-timings report digest, sweep value
+or oracle value differs between the two; it then prints how many
+instances have a lower, equal or higher best_r on NEW, how many differ
+in each of the three results, and the names of those that differ in
+any.
 """
 
 import os
@@ -56,9 +58,13 @@ def load_checkout(root: Path, name: str):
     return pkg
 
 
+RESULTS = ("report digest", "sweep value", "oracle value")
+
+
 def process(pkg, inst, with_oracle: bool, digest):
-    """(total seconds, {"solve": seconds, "sweep": seconds}, result key,
-    best_r) of one instance."""
+    """(total seconds, {"solve": seconds, "sweep": seconds}, results,
+    best_r) of one instance; results holds one string per RESULTS
+    entry."""
     g = pkg.load_edge_list(inst.path)
     t0 = time.perf_counter()
     rep = pkg.dsi_solve(g, pkg.SolverConfig(seed=inst.solver_seed))
@@ -105,7 +111,7 @@ def main(argv=None) -> int:
         pool = workload.make(args.seed, args.count, Path(work))
         for pkg in sides.values():  # warm up: first calls, lazy imports
             process(pkg, pool[0], workload.with_oracle, report_digest)
-        mismatched = set()
+        mismatched = {result: set() for result in RESULTS}
         best_r = {}  # instance -> (OLD, NEW); solves are deterministic
         total_ratios = []
         p50_ratios = {"solve": [], "sweep": []}
@@ -122,8 +128,9 @@ def main(argv=None) -> int:
                     for part, t in t_parts.items():
                         parts[part][side].append(t)
                 best_r[inst.path.name] = (r["old"], r["new"])
-                if keys["old"] != keys["new"]:
-                    mismatched.add(inst.path.name)
+                for result, old, new in zip(RESULTS, keys["old"], keys["new"]):
+                    if old != new:
+                        mismatched[result].add(inst.path.name)
             total_ratios.append(total["old"] / total["new"])
             line = (f"round {rnd + 1}: total {total['old']:.3f} s -> {total['new']:.3f} s, "
                     f"speed {total_ratios[-1]:.3f}x")
@@ -135,11 +142,14 @@ def main(argv=None) -> int:
 
     print(f"median speed {summary(total_ratios)}; "
           + "; ".join(f"{part} p50 {summary(ratios)}" for part, ratios in p50_ratios.items()))
-    if mismatched:
+    differ = set().union(*mismatched.values())
+    if differ:
         lower = sum(new < old for old, new in best_r.values())
         higher = sum(new > old for old, new in best_r.values())
         print(f"best_r on new: {lower} lower, {len(best_r) - lower - higher} equal, {higher} higher")
-        print(f"DIGESTS DIFFER on {len(mismatched)} of {len(pool)} instances: {sorted(mismatched)}")
+        print("instances that differ: "
+              + ", ".join(f"{result} {len(names)}" for result, names in mismatched.items()))
+        print(f"RESULTS DIFFER on {len(differ)} of {len(pool)} instances: {sorted(differ)}")
         return 1
     print(f"digests: all {len(pool)} instances identical")
     return 0

@@ -145,17 +145,22 @@ def cases():
         yield name, 0
 
 
+def digest(rep) -> str:
+    """sha256 of a report's no-timings JSON, keys sorted."""
+    doc = json.dumps(rep.to_dict(with_timings=False), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
 def probe_lines():
     """The probe's output lines, one per case, in case order."""
     for name, seed in cases():
         g = case_graph(name)
         rep = dsi_solve(g, SolverConfig(seed=seed))
-        doc = json.dumps(rep.to_dict(with_timings=False), sort_keys=True)
         line = {"name": name, "n": g.n, "best_r": rep.best_r, "sweep_phi": spectral_sweep(g)[1]}
         if g.n <= 12:
             line["oracle_phi"] = brute_conductance(g).phi_d_min
         line.update(certificate=rep.certificate, init_kind=rep.init_kind, iterations=rep.iterations,
-                    digest=hashlib.sha256(doc.encode()).hexdigest())
+                    digest=digest(rep))
         yield json.dumps(line)
 
 
