@@ -121,16 +121,23 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _report_isolated(count: int) -> None:
+    if count:
+        print(f"the edge list leaves out {count} isolated vertex(es): it holds only vertices with arcs",
+              file=sys.stderr)
+
+
 def cmd_gen_dsbm(args) -> int:
     settings = {k: getattr(args, k) for k in ("n", "p", "q", "eta", "seed")}
     side = Path(str(args.out) + ".labels")
     write_manifest = _claim_files(args, [], [args.out, side], {"params": settings})
     g, planted = dsbm(DsbmParams(**settings))
-    write_edge_list(g, args.out)
+    isolated = write_edge_list(g, args.out)
     with open(side, "w") as fh:
         for lab, block in zip(g.labels, planted):
             fh.write(f"{lab} {block}\n")
     write_manifest()
+    _report_isolated(isolated)
     return EXIT_OK
 
 
@@ -143,10 +150,11 @@ def cmd_fetch(args) -> int:
 def cmd_convert(args) -> int:
     write_manifest = _claim_files(args, [args.input], [args.output], {})
     g = load_edge_list(args.input)
-    write_edge_list(g, args.output)
+    isolated = write_edge_list(g, args.output)
     write_manifest()
     if g.self_loops_dropped:
         print(f"dropped {g.self_loops_dropped} self-loop(s)", file=sys.stderr)
+    _report_isolated(isolated)
     return EXIT_OK
 
 

@@ -301,17 +301,22 @@ def load_edge_list(source) -> DirectedGraph:
     return build_graph(len(index), tails, heads, weights, index)
 
 
-def write_edge_list(g: DirectedGraph, path) -> None:
+def write_edge_list(g: DirectedGraph, path) -> int:
     """Write the canonical edge list (original labels, sorted arcs). A
     path ending in .gz is gzip-compressed with a zero header time, so a
     rewrite gives the same bytes.
+
+    An edge list holds only vertices with an arc, so the file leaves out
+    the isolated vertices and reads back with that many fewer; their
+    count is returned.
 
     Raises ValueError, before the file is created, on a line that would
     not read back: a written label that is empty, holds whitespace or
     starts with a byte-order mark, or an arc tail label that starts a
     comment.
     """
-    for v in np.unique(np.concatenate((g.tails, g.heads))):
+    written = np.unique(np.concatenate((g.tails, g.heads)))
+    for v in written:
         label = str(g.labels[v])
         if label.split() != [label] or label.startswith("\ufeff"):
             raise ValueError(f"label {label!r} is empty, holds whitespace or starts with a byte-order mark")
@@ -325,6 +330,7 @@ def write_edge_list(g: DirectedGraph, path) -> None:
     with fh:
         for t, h, w in zip(g.tails, g.heads, g.weights):
             fh.write(f"{g.labels[t]} {g.labels[h]} {float(w)!r}\n")
+    return g.n - written.size
 
 
 def cut_values(g: DirectedGraph, s) -> tuple[float, float, float, float]:

@@ -31,22 +31,20 @@ CERT_PRECHECK = "stop-by-precheck"
 INIT_MODES = ("mixed", "spectral", "sweep", "imbalance", "random")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SolverConfig:
     """Settings of a solve; everything about a run is determined by
     (config, graph).
 
-    init is a restart schedule from INIT_MODES or a start vector of
-    length n, which is the first restart (kind "user") ahead of random
-    ones. A start vector is kept as a read-only float copy (dsi_solve
-    checks its length), and configs compare and hash by value.
-    max_iters and restarts are integers >= 1 and seed an integer >= 0
-    (numpy integers too); other values raise ValueError.
+    init is a restart schedule from INIT_MODES; a run from a given start
+    vector is dsi_run(g, x, cfg). max_iters and restarts are integers
+    >= 1 and seed an integer >= 0 (numpy integers too); other values
+    raise ValueError.
     """
 
     max_iters: int = 1000
     restarts: int = 8
-    init: str | np.ndarray = "mixed"
+    init: str = "mixed"
     seed: int = 0
     self_check: bool = False
 
@@ -54,27 +52,9 @@ class SolverConfig:
         check_int("max_iters", self.max_iters, 1)
         check_int("restarts", self.restarts, 1)
         check_int("seed", self.seed, 0)
-        if isinstance(self.init, str):
-            if self.init not in INIT_MODES:
-                raise ValueError(f"unknown init strategy {self.init!r}; expected one of {INIT_MODES}")
-        else:
-            init = np.array(self.init, dtype=float)
-            init.flags.writeable = False
-            object.__setattr__(self, "init", init)
-
-    def _key(self) -> tuple:
-        init = self.init
-        if not isinstance(init, str):
-            init = (init.shape, (init + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
-        return (self.max_iters, self.restarts, init, self.seed, self.self_check)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        if not (isinstance(self.init, str) and self.init in INIT_MODES):
+            raise ValueError(f"unknown init strategy {self.init!r}; expected one of {INIT_MODES} "
+                             "(a start vector goes to dsi_run)")
 
 
 @dataclass(frozen=True)
@@ -309,8 +289,8 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
     that its cut sums equal a recount, its r conductance_set and its
     other fields iterate_state's; each binary step, general_step; and
     the binary finish, sweep_cut and conductance_set, bit for bit. A
-    start vector that is not n finite values raises ValueError, as in
-    dsi_solve.
+    start vector that is not n finite values raises ValueError and a
+    constant one ConstantVectorError.
     """
     t0 = time.perf_counter()
     x = check_vector("initial vector", x1, g.n)
@@ -401,10 +381,13 @@ def _random_sign_vector(n: int, rng: np.random.Generator) -> np.ndarray:
             return x
 
 
-def _initial_vectors(g, cfg, start) -> list[tuple[str, np.ndarray]]:
-    """Restart schedule: the start vector when one is given, else
-    spectral, sweep-seeded and degree-imbalance-seeded vectors by
-    cfg.init; seeded random sign vectors fill the remaining restarts.
+_FIXED_INITS = {"mixed": ("spectral", "sweep", "imbalance"), "random": ()}
+
+
+def _initial_vectors(g, cfg) -> list[tuple[str, np.ndarray]]:
+    """Restart schedule: spectral, sweep-seeded and
+    degree-imbalance-seeded vectors by cfg.init; seeded random sign
+    vectors fill the remaining restarts.
 
     The sweep seed is the best level set of the embedding and the
     imbalance seed the best level set of d_out - d_in; the imbalance
@@ -415,15 +398,7 @@ def _initial_vectors(g, cfg, start) -> list[tuple[str, np.ndarray]]:
     negates d_out - d_in, turns the imbalance seed into its complement.
     """
     inits: list[tuple[str, np.ndarray]] = []
-    fixed: list[str] = []
-    if start is not None:
-        inits.append(("user", start))
-    elif cfg.init == "mixed":
-        fixed = ["spectral", "sweep", "imbalance"]
-    elif cfg.init != "random":
-        fixed = [cfg.init]
-
-    for kind in fixed[:cfg.restarts]:
+    for kind in _FIXED_INITS.get(cfg.init, (cfg.init,))[:cfg.restarts]:
         if kind == "spectral":
             v = graph_embedding(g).vector
             v = v - v.mean()
@@ -442,8 +417,8 @@ def _initial_vectors(g, cfg, start) -> list[tuple[str, np.ndarray]]:
     return inits
 
 
-_INIT_NOTES = {"user": "start vector", "spectral": "symmetrized spectral embedding",
-               "sweep": "sweep seed", "imbalance": "imbalance seed", "random": "random restarts"}
+_INIT_NOTES = {"spectral": "symmetrized spectral embedding", "sweep": "sweep seed",
+               "imbalance": "imbalance seed", "random": "random restarts"}
 
 
 def _init_note(kinds, mixed: bool) -> str:
@@ -478,20 +453,14 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
     if g.n < 2 or g.m < 1:
         raise EmptyGraphError("solver needs at least 2 vertices and 1 arc")
     t0 = time.perf_counter()
-    start = None if isinstance(cfg.init, str) else check_vector("init vector", cfg.init, g.n)
 
     pre = zero_cut(g)
     if pre is not None:
         return _precheck_report(g, pre, t0, "not strongly connected: a source component cut is optimal")
 
-    sub, core = positive_core(g)
-    if start is not None:
-        start = start[core]
-        if not is_nonconstant(start):
-            raise ConstantVectorError("init vector is constant on the positive-degree vertices "
-                                      "(isolated vertices are ignored)")
-    inits = _initial_vectors(sub, cfg, start)
-    notes = (_init_note([kind for kind, _ in inits], mixed=start is None and cfg.init == "mixed"),)
+    sub, _ = positive_core(g)
+    inits = _initial_vectors(sub, cfg)
+    notes = (_init_note([kind for kind, _ in inits], mixed=cfg.init == "mixed"),)
     if sub is not g:
         notes += ("isolated vertices assigned to the complement side",)
 

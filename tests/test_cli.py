@@ -8,6 +8,7 @@ import pytest
 
 import dicond.datasets
 from dicond.cli import build_parser, main, parse_grid
+from dicond.graph import load_edge_list
 from dicond.solver import SolverConfig
 
 
@@ -93,6 +94,26 @@ def test_gen_dsbm_and_solve_roundtrip(tmp_path, capsys):
     assert main(["solve", str(out), "--no-timings"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["best_r"] >= 0.0
+
+
+def test_isolated_vertices_left_out_of_an_edge_list_are_reported(tmp_path, capsys):
+    # an edge list cannot hold a vertex with no arcs, so both commands say
+    # how many they leave out. This DSBM graph has one isolated vertex
+    out = tmp_path / "g.el"
+    assert main(["gen-dsbm", "--n", "200", "--p", "0.02", "--q", "0.02", "--eta", "0.1",
+                 "--seed", "4", "--out", str(out)]) == 0
+    assert "leaves out 1 isolated vertex" in capsys.readouterr().err
+    assert len((tmp_path / "g.el.labels").read_text().splitlines()) == 400
+    assert load_edge_list(out).n == 399
+    # a vertex whose only arc is a self-loop has no arcs once it is dropped
+    src = tmp_path / "in.el"
+    src.write_text("a b\nc c\n")
+    assert main(["convert", str(src), str(tmp_path / "out.el")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "dropped 1 self-loop(s)", "the edge list leaves out 1 isolated vertex(es): it holds only vertices with arcs"]
+    assert (tmp_path / "out.el").read_text() == "a b 1.0\n"
+    assert main(["convert", str(tmp_path / "out.el"), str(tmp_path / "again.el")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_convert_gzip_roundtrip(tmp_path, capsys):

@@ -21,7 +21,8 @@ from dicond import (
 )
 import dicond.solver
 from dicond.baselines import spectral_sweep
-from dicond.solver import CERT_BOUNDARY, CERT_MAX_ITERS, CERT_NO_DESCENT, CERT_PRECHECK, flip_conductances
+from dicond.solver import (CERT_BOUNDARY, CERT_MAX_ITERS, CERT_NO_DESCENT, CERT_PRECHECK, INIT_MODES,
+                           flip_conductances)
 from dicond.subgrad import general_step, iterate_state
 
 from conftest import random_digraph, report_probe
@@ -369,7 +370,6 @@ def test_dsi_solve_isolated_vertices_lift():
 def test_the_init_note_names_the_restart_kinds_that_ran():
     g = _strongly_connected_digraph(50)
     assert g.degree_profile.d_delta.min() < g.degree_profile.d_delta.max()  # imbalance seeds
-    start = np.arange(g.n, dtype=float)
     for cfg, note in [
         (SolverConfig(), "symmetrized spectral embedding, sweep seed, and random restarts"),
         (SolverConfig(restarts=2), "symmetrized spectral embedding and sweep seed"),
@@ -377,7 +377,6 @@ def test_the_init_note_names_the_restart_kinds_that_ran():
         (SolverConfig(init="spectral"), "symmetrized spectral embedding and random restarts"),
         (SolverConfig(init="sweep", restarts=1), "sweep seed"),
         (SolverConfig(init="imbalance"), "imbalance seed and random restarts"),
-        (SolverConfig(init=start, restarts=3), "start vector and random restarts"),
     ]:
         assert dsi_solve(g, cfg).notes == ("initialized from " + note,)
 
@@ -490,23 +489,6 @@ def test_flip_conductances_matches_direct():
             assert phis[i] == pytest.approx(direct, abs=1e-12)
 
 
-def test_user_init_vector(c3):
-    cfg = SolverConfig(init=np.array([1.0, -1.0, 1.0]), restarts=1)
-    rep = dsi_solve(c3, cfg)
-    assert rep.init_kind == "user"
-    assert rep.best_r == 0.5
-
-
-def test_user_init_vector_with_isolated_vertices():
-    # the core solve once got the full-length vector and raised IndexError
-    g = build_graph(4, [0, 1, 2], [1, 2, 0])  # C3 plus isolated vertex 3
-    cfg = SolverConfig(init=np.array([1.0, -1.0, 1.0, -1.0]), restarts=1)
-    rep = dsi_solve(g, cfg)
-    assert rep.init_kind == "user"
-    assert not rep.best_set[3]
-    assert rep.best_r == 0.5
-
-
 def test_termination_certificates_small_family():
     # small instances always stop on a certificate, not the cap
     rng = np.random.default_rng(36)
@@ -514,24 +496,6 @@ def test_termination_certificates_small_family():
         g = random_digraph(rng, int(rng.integers(3, 7)))
         rep = dsi_solve(g, SolverConfig(seed=trial))
         assert rep.certificate != CERT_MAX_ITERS
-
-
-def test_init_vector_is_validated():
-    # C3 plus isolated vertex 3, so n = 4 and the core has 3 vertices
-    g = build_graph(4, [0, 1, 2], [1, 2, 0])
-    bad = [
-        np.array([1.0, -1.0, 1.0]),
-        np.array([1.0, -1.0, 1.0, -1.0, 1.0]),
-        np.array([[1.0], [-1.0], [1.0], [-1.0]]),
-        np.array([1.0, np.nan, 1.0, -1.0]),
-        np.array([1.0, -1.0, 1.0, -1.0, -1.0]),  # once sliced to the core and accepted
-    ]
-    for x in bad:
-        with pytest.raises(ValueError, match="n = 4"):
-            dsi_solve(g, SolverConfig(init=x, restarts=1))
-    # varies on the whole graph, but only the core entries [1, 1, 1] are used
-    with pytest.raises(ConstantVectorError, match="constant on the positive-degree vertices"):
-        dsi_solve(g, SolverConfig(init=np.array([1.0, 1.0, 1.0, -1.0]), restarts=1))
 
 
 def test_config_validation():
@@ -542,21 +506,14 @@ def test_config_validation():
                 {"restarts": 3.0}, {"max_iters": False}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    # a start vector is dsi_run's argument, not a setting
+    with pytest.raises(ValueError, match="a start vector goes to dsi_run") as info:
+        SolverConfig(init=np.array([1.0, -1.0]))
+    assert str(INIT_MODES) in str(info.value)
+    assert SolverConfig() == SolverConfig(init="mixed") and hash(SolverConfig()) == hash(SolverConfig(init="mixed"))
+    assert len({SolverConfig(), SolverConfig(init="mixed")}) == 1
     cfg = SolverConfig(max_iters=np.int32(50), restarts=np.int64(2), seed=np.uint8(3))
     same = SolverConfig(max_iters=50, restarts=2, seed=3)
+    assert cfg == same and hash(cfg) == hash(same)
     assert (dsi_solve(canonical("c3"), cfg).to_dict(with_timings=False)
             == dsi_solve(canonical("c3"), same).to_dict(with_timings=False))
-
-
-def test_configs_with_a_start_vector_compare_and_hash_by_value():
-    x = np.array([1.0, -1.0, 0.0])
-    cfg = SolverConfig(init=x)
-    assert cfg == SolverConfig(init=x.copy()) == SolverConfig(init=[1, -1, 0])
-    assert cfg == SolverConfig(init=np.array([1.0, -1.0, -0.0]))
-    assert len({cfg, SolverConfig(init=x.copy()), SolverConfig(init=np.array([1.0, -1.0, -0.0]))}) == 1
-    assert cfg != SolverConfig(init=np.array([1.0, 0.0, -1.0]))
-    assert cfg != SolverConfig(init=x.reshape(3, 1))
-    assert cfg != SolverConfig(init=x, seed=1) and cfg != SolverConfig()
-    assert SolverConfig() == SolverConfig(init="mixed") and hash(SolverConfig()) == hash(SolverConfig())
-    x[0] = 5.0  # the config keeps its own copy
-    assert cfg.init.tolist() == [1.0, -1.0, 0.0] and not cfg.init.flags.writeable

@@ -45,7 +45,9 @@ records the file again:
 Each line holds the case name, n, best_r, the spectral sweep baseline's
 phi, on graphs with n <= 12 the exhaustive oracle's phi_d_min
 (oracle_phi), the certificate, the winning restart's init kind, the
-iteration count and the digest.
+iteration count and the digest: perfbench.bench.report_digest, the
+sha256 of the report's no-timings JSON, which tools/ab_time.py compares
+too.
 
 The digest covers best_x and r_trace, which come from dot products and
 norms whose last bits can differ with the BLAS build or the CPU's SIMD
@@ -57,8 +59,9 @@ before the code.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -73,6 +76,9 @@ from dicond import (
     largest_strong_component,
 )
 from dicond.baselines import spectral_sweep
+
+sys.path.append(str(Path(__file__).resolve().parent.parent))  # the repository root, for perfbench
+from perfbench.bench import report_digest  # noqa: E402
 
 
 def _cycle_plus_arcs(rng, n: int, extra: int):
@@ -145,12 +151,6 @@ def cases():
         yield name, 0
 
 
-def digest(rep) -> str:
-    """sha256 of a report's no-timings JSON, keys sorted."""
-    doc = json.dumps(rep.to_dict(with_timings=False), sort_keys=True)
-    return hashlib.sha256(doc.encode()).hexdigest()
-
-
 def probe_lines():
     """The probe's output lines, one per case, in case order."""
     for name, seed in cases():
@@ -160,7 +160,7 @@ def probe_lines():
         if g.n <= 12:
             line["oracle_phi"] = brute_conductance(g).phi_d_min
         line.update(certificate=rep.certificate, init_kind=rep.init_kind, iterations=rep.iterations,
-                    digest=digest(rep))
+                    digest=report_digest(rep))
         yield json.dumps(line)
 
 
