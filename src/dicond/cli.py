@@ -30,7 +30,7 @@ from .errors import DicondError, GraphTooLargeError
 from .generators import DsbmParams, dsbm
 from .graph import load_edge_list, write_edge_list
 from .oracle import brute_conductance
-from .solver import INIT_MODES, SolverConfig, _sorted_labels, dsi_solve
+from .solver import SolverConfig, _sorted_labels, dsi_solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,7 +77,7 @@ def _emit(doc: dict, out_path, write_manifest) -> None:
 
 
 def cmd_solve(args) -> int:
-    settings = {k: getattr(args, k) for k in ("restarts", "max_iters", "seed", "init")}
+    settings = {k: getattr(args, k) for k in ("restarts", "max_iters", "seed")}
     write_manifest = _claim_files(args, [args.graph], [args.out, args.trace_csv], {"solver": settings})
     g = load_edge_list(args.graph)
     rep = dsi_solve(g, SolverConfig(**settings))
@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     add_iteration_flags(p)
     p.add_argument("--seed", type=int, default=SolverConfig.seed)
-    p.add_argument("--init", default=SolverConfig.init, choices=INIT_MODES)
     p.add_argument("--out", default=None)
     p.add_argument("--trace-csv", default=None)
     p.add_argument("--no-timings", action="store_true")

@@ -33,14 +33,18 @@ def cache_dir() -> Path:
 
 def load_registry(path=None) -> dict:
     """The registry at path (default: the packaged one); DicondError
-    unless every entry has a string url and, if any, a sha256 of 64 hex
-    digits."""
+    unless every name is a plain file name (not empty, "." or "..", no
+    "/" or "\\"), since fetch caches the file under it, and every entry
+    has a string url and, if any, a sha256 of 64 hex digits."""
     reg_path = Path(path) if path else DEFAULT_REGISTRY
     with open(reg_path) as fh:
         reg = json.load(fh)
     if not isinstance(reg, dict):
         raise DicondError("registry must be a JSON object of name -> entry")
     for name, entry in reg.items():
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise DicondError(f"registry entry {name!r} needs a name that is not empty, '.' or '..' "
+                              "and holds no '/' or '\\'")
         sha = entry.get("sha256", "0" * 64) if isinstance(entry, dict) else None
         if not (isinstance(sha, str) and re.fullmatch(r"[0-9a-fA-F]{64}", sha)
                 and isinstance(entry.get("url"), str)):

@@ -28,7 +28,6 @@ CERT_BOUNDARY = "stop-by-V_b-empty"
 CERT_NO_DESCENT = "stop-by-no-descent"
 CERT_MAX_ITERS = "stop-by-T"
 CERT_PRECHECK = "stop-by-precheck"
-INIT_MODES = ("mixed", "spectral", "sweep", "imbalance", "random")
 
 
 @dataclass(frozen=True)
@@ -36,15 +35,15 @@ class SolverConfig:
     """Settings of a solve; everything about a run is determined by
     (config, graph).
 
-    init is a restart schedule from INIT_MODES; a run from a given start
-    vector is dsi_run(g, x, cfg). max_iters and restarts are integers
-    >= 1 and seed an integer >= 0 (numpy integers too); other values
-    raise ValueError.
+    restarts is the length of dsi_solve's one restart schedule (see
+    _initial_vectors); a run from a given start vector is
+    dsi_run(g, x, cfg). max_iters and restarts are integers >= 1 and
+    seed an integer >= 0 (numpy integers too); other values raise
+    ValueError.
     """
 
     max_iters: int = 1000
     restarts: int = 8
-    init: str = "mixed"
     seed: int = 0
     self_check: bool = False
 
@@ -52,9 +51,6 @@ class SolverConfig:
         check_int("max_iters", self.max_iters, 1)
         check_int("restarts", self.restarts, 1)
         check_int("seed", self.seed, 0)
-        if not (isinstance(self.init, str) and self.init in INIT_MODES):
-            raise ValueError(f"unknown init strategy {self.init!r}; expected one of {INIT_MODES} "
-                             "(a start vector goes to dsi_run)")
 
 
 @dataclass(frozen=True)
@@ -381,13 +377,10 @@ def _random_sign_vector(n: int, rng: np.random.Generator) -> np.ndarray:
             return x
 
 
-_FIXED_INITS = {"mixed": ("spectral", "sweep", "imbalance"), "random": ()}
-
-
 def _initial_vectors(g, cfg) -> list[tuple[str, np.ndarray]]:
-    """Restart schedule: spectral, sweep-seeded and
-    degree-imbalance-seeded vectors by cfg.init; seeded random sign
-    vectors fill the remaining restarts.
+    """The restart schedule: the spectral, sweep and imbalance seeds in
+    that order, the first cfg.restarts of them, less any whose vector is
+    constant; seeded random sign vectors fill the remaining restarts.
 
     The sweep seed is the best level set of the embedding and the
     imbalance seed the best level set of d_out - d_in; the imbalance
@@ -398,7 +391,7 @@ def _initial_vectors(g, cfg) -> list[tuple[str, np.ndarray]]:
     negates d_out - d_in, turns the imbalance seed into its complement.
     """
     inits: list[tuple[str, np.ndarray]] = []
-    for kind in _FIXED_INITS.get(cfg.init, (cfg.init,))[:cfg.restarts]:
+    for kind in ("spectral", "sweep", "imbalance")[:cfg.restarts]:
         if kind == "spectral":
             v = graph_embedding(g).vector
             v = v - v.mean()
@@ -406,7 +399,7 @@ def _initial_vectors(g, cfg) -> list[tuple[str, np.ndarray]]:
                 inits.append(("spectral", v))
         elif kind == "sweep":
             inits.append(("sweep", np.where(sweep_cut(g, graph_embedding(g).vector), 1.0, -1.0)))
-        elif kind == "imbalance":
+        else:
             d_delta = g.degree_profile.d_delta
             if is_nonconstant(d_delta):
                 inits.append(("imbalance", np.where(sweep_cut(g, d_delta), 1.0, -1.0)))
@@ -417,16 +410,16 @@ def _initial_vectors(g, cfg) -> list[tuple[str, np.ndarray]]:
     return inits
 
 
-_INIT_NOTES = {"spectral": "symmetrized spectral embedding", "sweep": "sweep seed",
-               "imbalance": "imbalance seed", "random": "random restarts"}
+_INIT_NOTES = {"spectral": "symmetrized spectral embedding", "sweep": "sweep seed", "random": "random restarts"}
 
 
-def _init_note(kinds, mixed: bool) -> str:
+def _init_note(kinds) -> str:
     """The report note naming the restart kinds that ran, in schedule
-    order. A mixed schedule's note leaves out its imbalance seed, as
-    every mixed report recorded so far reads."""
+    order, less the imbalance seed: every report recorded so far
+    (tools/probe.jsonl) reads so, and the text stays until the change
+    that names the seed re-records those digests."""
     words = [_INIT_NOTES[k] for k in dict.fromkeys(kind.split("-")[0] for kind in kinds)
-             if not (mixed and k == "imbalance")]
+             if k != "imbalance"]
     if len(words) > 2:
         words = [", ".join(words[:-1]) + ",", words[-1]]
     return "initialized from " + " and ".join(words)
@@ -440,14 +433,16 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
     precheck certificate. Otherwise they form one strong component: the
     restarts run on it, and isolated vertices join the complement side.
 
-    Restarts cover the centered spectral embedding, the +/-1 indicator
-    of the sweep-cut baseline's best set (which pins best_r at or below
-    the baseline value), the +/-1 indicator of the sweep cut by
-    d_out - d_in (the imbalance seed), and seeded random sign vectors.
-    The spectral vector here is the symmetrized-Laplacian embedding, a
+    The restarts run the one schedule of _initial_vectors: the centered
+    spectral embedding, the +/-1 indicator of the sweep-cut baseline's
+    best set (which, from restarts=2 on, pins best_r at or below the
+    baseline value), the +/-1 indicator of the sweep cut by
+    d_out - d_in (the imbalance seed), then seeded random sign vectors,
+    cfg.restarts in all. The
+    spectral vector here is the symmetrized-Laplacian embedding, a
     stand-in initialization; the first report note names the kinds that
-    ran (a mixed schedule's note leaves out the imbalance seed), and
-    best_r is conductance_set(g, best_set)[0].
+    ran except the imbalance seed, and best_r is
+    conductance_set(g, best_set)[0].
     """
     cfg = cfg or SolverConfig()
     if g.n < 2 or g.m < 1:
@@ -460,7 +455,7 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
 
     sub, _ = positive_core(g)
     inits = _initial_vectors(sub, cfg)
-    notes = (_init_note([kind for kind, _ in inits], mixed=cfg.init == "mixed"),)
+    notes = (_init_note([kind for kind, _ in inits]),)
     if sub is not g:
         notes += ("isolated vertices assigned to the complement side",)
 

@@ -168,14 +168,19 @@ def test_fetch_local_registry(tmp_path, capsys, monkeypatch):
     {"url": "file:///tiny.el", "sha256": 0},  # a sha256 that is not a string
     {"url": "file:///tiny.el", "sha256": ""},  # an empty sha256
     {"url": "file:///tiny.el", "sha256": "xyz"},  # a sha256 that is not 64 hex digits
+    {"url": "tiny.el"},  # well formed: only a bad name makes it malformed
 ])
 def test_fetch_refuses_a_malformed_registry_entry(tmp_path, capsys, monkeypatch, entry):
-    reg = tmp_path / "registry.json"
-    reg.write_text(json.dumps({"tiny": entry}))
+    monkeypatch.chdir(tmp_path)
+    Path("tiny.el").write_text("1 2\n2 1\n")
     monkeypatch.setenv("DICOND_CACHE_DIR", str(tmp_path / "cache"))
-    assert main(["fetch", "tiny", "--registry", str(reg)]) == 3
-    assert "registry entry 'tiny'" in capsys.readouterr().err
-    assert not (tmp_path / "cache").exists()
+    # the cache file is named after the entry, so a name must not be a path
+    bad_names = ["", ".", "..", "../escaped", "a\\b"]
+    for name in bad_names if entry == {"url": "tiny.el"} else ["tiny", *bad_names]:
+        Path("registry.json").write_text(json.dumps({name: entry}))
+        assert main(["fetch", name, "--registry", "registry.json"]) == 3
+        assert f"registry entry {name!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.json", "tiny.el"]  # nothing written
 
 
 def test_fetch_deletes_the_part_file_when_the_copy_fails(tmp_path, monkeypatch):
@@ -248,9 +253,7 @@ def test_superscript_digit_labels_sort_as_text(tmp_path, capsys):
 def test_flag_defaults_are_the_solver_config_defaults():
     cfg = SolverConfig()
     solve = build_parser().parse_args(["solve", "g.el"])
-    assert (solve.restarts, solve.max_iters, solve.seed, solve.init) == (
-        cfg.restarts, cfg.max_iters, cfg.seed, cfg.init,
-    )
+    assert (solve.restarts, solve.max_iters, solve.seed) == (cfg.restarts, cfg.max_iters, cfg.seed)
     bench = build_parser().parse_args(["bench", "--suite", "dsbm"])
     assert (bench.restarts, bench.max_iters) == (cfg.restarts, cfg.max_iters)
 
@@ -319,6 +322,9 @@ def test_byte_identical_outputs(tmp_path, c3_file):
     man1["command"] = man2["command"] = []
     assert man1 == man2
     assert man1["inputs"][0]["sha256"] == hashlib.sha256(c3_file.read_bytes()).hexdigest()
+    # exactly the settings that reproduce the run
+    cfg = SolverConfig(seed=7)
+    assert man1["config"] == {"solver": {"restarts": cfg.restarts, "max_iters": cfg.max_iters, "seed": cfg.seed}}
 
 
 def test_manifest_command_is_the_argv(tmp_path, c3_file):

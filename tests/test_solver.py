@@ -21,8 +21,7 @@ from dicond import (
 )
 import dicond.solver
 from dicond.baselines import spectral_sweep
-from dicond.solver import (CERT_BOUNDARY, CERT_MAX_ITERS, CERT_NO_DESCENT, CERT_PRECHECK, INIT_MODES,
-                           flip_conductances)
+from dicond.solver import CERT_BOUNDARY, CERT_MAX_ITERS, CERT_NO_DESCENT, CERT_PRECHECK, flip_conductances
 from dicond.subgrad import general_step, iterate_state
 
 from conftest import random_digraph, report_probe
@@ -370,15 +369,16 @@ def test_dsi_solve_isolated_vertices_lift():
 def test_the_init_note_names_the_restart_kinds_that_ran():
     g = _strongly_connected_digraph(50)
     assert g.degree_profile.d_delta.min() < g.degree_profile.d_delta.max()  # imbalance seeds
-    for cfg, note in [
-        (SolverConfig(), "symmetrized spectral embedding, sweep seed, and random restarts"),
-        (SolverConfig(restarts=2), "symmetrized spectral embedding and sweep seed"),
-        (SolverConfig(init="random"), "random restarts"),
-        (SolverConfig(init="spectral"), "symmetrized spectral embedding and random restarts"),
-        (SolverConfig(init="sweep", restarts=1), "sweep seed"),
-        (SolverConfig(init="imbalance"), "imbalance seed and random restarts"),
+    c3 = canonical("c3")
+    assert not c3.degree_profile.d_delta.any()  # no imbalance seed, so restart 3 is random
+    for graph, restarts, note in [
+        (g, 8, "symmetrized spectral embedding, sweep seed, and random restarts"),
+        (g, 1, "symmetrized spectral embedding"),
+        (g, 2, "symmetrized spectral embedding and sweep seed"),
+        (g, 3, "symmetrized spectral embedding and sweep seed"),
+        (c3, 3, "symmetrized spectral embedding, sweep seed, and random restarts"),
     ]:
-        assert dsi_solve(g, cfg).notes == ("initialized from " + note,)
+        assert dsi_solve(graph, SolverConfig(restarts=restarts)).notes == ("initialized from " + note,)
 
 
 def test_dsi_solve_exact_zero_cut_is_not_negative():
@@ -501,17 +501,11 @@ def test_termination_certificates_small_family():
 def test_config_validation():
     # the non-integer counts and the seeds failed only inside range(), a
     # slice or SeedSequence, and not at all on input the precheck settles
-    for bad in ({"init": "weird"}, {"init": "user"}, {"max_iters": 0}, {"restarts": 0},
+    for bad in ({"max_iters": 0}, {"restarts": 0},
                 {"max_iters": 2.5}, {"restarts": 2.5}, {"seed": 1.5}, {"seed": -1},
                 {"restarts": 3.0}, {"max_iters": False}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
-    # a start vector is dsi_run's argument, not a setting
-    with pytest.raises(ValueError, match="a start vector goes to dsi_run") as info:
-        SolverConfig(init=np.array([1.0, -1.0]))
-    assert str(INIT_MODES) in str(info.value)
-    assert SolverConfig() == SolverConfig(init="mixed") and hash(SolverConfig()) == hash(SolverConfig(init="mixed"))
-    assert len({SolverConfig(), SolverConfig(init="mixed")}) == 1
     cfg = SolverConfig(max_iters=np.int32(50), restarts=np.int64(2), seed=np.uint8(3))
     same = SolverConfig(max_iters=50, restarts=2, seed=3)
     assert cfg == same and hash(cfg) == hash(same)
