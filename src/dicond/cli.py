@@ -29,7 +29,7 @@ from .datasets import _sha256, fetch
 from .errors import DicondError, GraphTooLargeError
 from .generators import DsbmParams, dsbm
 from .graph import load_edge_list, write_edge_list
-from .oracle import brute_conductance
+from .oracle import LIMIT, brute_conductance
 from .solver import SolverConfig, _sorted_labels, dsi_solve
 
 EXIT_OK = 0
@@ -99,11 +99,7 @@ def cmd_oracle(args) -> int:
     res = brute_conductance(g, limit=args.limit)
     doc = {
         "phi_d_min": res.phi_d_min,
-        "phi_plus_min": res.phi_plus_min,
-        "phi_minus_min": res.phi_minus_min,
         "argmin_d": _sorted_labels(g.labels, res.argmin_d),
-        "argmin_plus": _sorted_labels(g.labels, res.argmin_plus),
-        "argmin_minus": _sorted_labels(g.labels, res.argmin_minus),
         "subsets_enumerated": res.subsets_enumerated,
         "n": g.n,
         "m": g.m,
@@ -291,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_iteration_flags(p):
-        p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
+        p.add_argument("--restarts", type=int, default=SolverConfig.restarts,
+                       help="restart count (default %(default)s); best_r <= the sweep's phi "
+                       "holds only from 2 on, as 1 runs the spectral seed alone")
         p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
 
     p = sub.add_parser("solve", help="minimize conductance on an edge-list graph")
@@ -305,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive minimum for small graphs")
     p.add_argument("graph")
-    p.add_argument("--limit", type=int, default=24)
+    p.add_argument("--limit", type=int, default=LIMIT)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
 

@@ -1,11 +1,13 @@
 """Exhaustive ground truth for small digraphs.
 
 Enumerates one representative per complementary subset pair (vertex 0 is
-pinned to the complement side) in vectorized chunks. As cut+ of a
-complement is cut- of the set, the exact minima of phi_d, phi_plus and
-phi_minus share one value and differ only in their argmins. Tie rule:
-each argmin is the smallest (value, key) pair, where a set's key is its
-membership vector as a binary number, vertex 0 most significant.
+pinned to the complement side) in vectorized chunks and returns the
+exact minimum of phi_d with one argmin. As cut+ of a complement is cut-
+of the set, the minima of phi_plus and phi_minus over all subsets are
+that same value, so the oracle reports it once. Tie rule: the argmin is
+the smallest (value, key) pair, where a set's key is its membership
+vector as a binary number, vertex 0 most significant; so the argmin
+never holds vertex 0.
 """
 
 from __future__ import annotations
@@ -18,16 +20,17 @@ from .errors import DegenerateSubsetError, GraphTooLargeError
 from .graph import DirectedGraph
 
 CHUNK = 1 << 15
+LIMIT = 24
 
 
 @dataclass(frozen=True)
 class OracleResult:
+    """The exact graph conductance phi_d_min, the set argmin_d that
+    attains it by the tie rule, and the number of complementary subset
+    pairs enumerated, 2^(n-1) - 1."""
+
     phi_d_min: float
-    phi_plus_min: float
-    phi_minus_min: float
     argmin_d: np.ndarray
-    argmin_plus: np.ndarray
-    argmin_minus: np.ndarray
     subsets_enumerated: int
 
 
@@ -66,32 +69,25 @@ def _subsets(n: int, limit: int):
         yield np.hstack([np.zeros((reps.size, 1), dtype=bool), cols])
 
 
-def brute_conductance(g: DirectedGraph, limit: int = 24) -> OracleResult:
-    """Exact minima of phi_d, phi_plus, phi_minus over all nonempty
-    proper subsets, skipping zero-volume sides: one value, and three
-    argmins by the tie rule (argmin_d never holds vertex 0)."""
+def brute_conductance(g: DirectedGraph, limit: int = LIMIT) -> OracleResult:
+    """Exact minimum of phi_d over all nonempty proper subsets, skipping
+    zero-volume sides, and its argmin by the tie rule."""
     d = g.degree_profile.d
     vol_total = g.degree_profile.vol_total
     w = g.weights
-    full = (1 << g.n) - 1
 
-    best_d = best_p = best_m = None
+    best = None
     for member in _subsets(g.n, limit):
         t_in = member[:, g.tails]
         h_in = member[:, g.heads]
         vol_s = member @ d
         mv = np.minimum(vol_s, vol_total - vol_s)
         valid = mv > 0
-        keys = _keys(member[valid])
-        phi_p = ((t_in & ~h_in) @ w)[valid] / mv[valid]
-        phi_m = ((~t_in & h_in) @ w)[valid] / mv[valid]
-        best_d = _smallest(best_d, np.minimum(phi_p, phi_m), keys)
-        # a complement's phi_plus is its representative's phi_minus
-        best_p = _smallest(_smallest(best_p, phi_p, keys), phi_m, full - keys)
-        best_m = _smallest(_smallest(best_m, phi_m, keys), phi_p, full - keys)
+        # division by one positive mv is monotone under rounding, so this
+        # is the smaller of the two one-sided quotients bit for bit
+        cut = np.minimum((t_in & ~h_in) @ w, (~t_in & h_in) @ w)
+        best = _smallest(best, cut[valid] / mv[valid], _keys(member[valid]))
 
-    if best_d is None:
+    if best is None:
         raise DegenerateSubsetError("every subset has a zero-volume side")
-    value = best_d[0]  # best_p and best_m hold the same value
-    masks = [_mask(key, g.n) for _, key in (best_d, best_p, best_m)]
-    return OracleResult(value, value, value, *masks, subsets_enumerated=(1 << (g.n - 1)) - 1)
+    return OracleResult(best[0], _mask(best[1], g.n), subsets_enumerated=(1 << (g.n - 1)) - 1)

@@ -3,15 +3,17 @@ oracles.
 
 The Lovasz-extension framework (set functions on small ground sets and
 their extensions), the arc sum I, the one-sided ratio, the exhaustive
-minimum of the ratio objective over sign vectors and the largest weak
-component are not part of a DSI solve, the CLI or the benchmark. They
-live here so that the package exports only what runs, while the tests
-still check the package against the paper's identities: the ratio's
-minimum equals the exhaustive conductance, the one-sided ratios match
-the one-sided conductances, and the numerators dominate the Lovasz
-extension of the cut. brute_binary_r_min shares the oracle's subset
-enumerator and its tie rule (dicond.oracle._smallest over _keys), so
-both exhaustive minima walk the same subsets and break ties alike. The
+minimum of the ratio objective over sign vectors, the per-subset scan of
+the three conductances and the largest weak component are not part of a
+DSI solve, the CLI or the benchmark. They live here so that the package
+exports only what runs, while the tests still check the package against
+the paper's identities: the ratio's minimum equals the exhaustive
+conductance, the one-sided ratios match the one-sided conductances, the
+one-sided minima over all subsets equal the two-sided one, and the
+numerators dominate the Lovasz extension of the cut. brute_binary_r_min
+shares the oracle's subset enumerator and its tie rule
+(dicond.oracle._smallest over _keys), so both exhaustive minima walk the
+same subsets and break ties alike; scan_minima shares neither. The
 component labelling from a COO-built arc matrix is the construction
 that the graph's cached arc CSR replaced, and the two-bincount
 embedding operator is the product that the embedding's pair CSR
@@ -31,8 +33,8 @@ from scipy.sparse.linalg import LinearOperator
 from dicond.baselines import EmbeddingResult, _EmbeddingOperator, _top_eigenvector
 from dicond.errors import ConstantVectorError, DegenerateSubsetError, GraphTooLargeError
 from dicond.functionals import i_plus, j_terms, linf, n_med
-from dicond.graph import DegreeProfile, DirectedGraph, induced_subgraph, weak_components
-from dicond.oracle import _keys, _mask, _smallest, _subsets
+from dicond.graph import DegreeProfile, DirectedGraph, conductance_set, induced_subgraph, weak_components
+from dicond.oracle import LIMIT, _keys, _mask, _smallest, _subsets
 
 
 def i_diff(g: DirectedGraph, x: np.ndarray) -> float:
@@ -153,7 +155,7 @@ def lovasz_extension(f: SetFunctionHandle, x: np.ndarray, mode: str = "sum") -> 
 
 
 def brute_binary_r_min(
-    g: DirectedGraph, degrees: DegreeProfile, limit: int = 24
+    g: DirectedGraph, degrees: DegreeProfile, limit: int = LIMIT
 ) -> tuple[float, np.ndarray]:
     """Exact minimum of the ratio objective over nonconstant +/-1
     vectors (evaluated through the continuous formula, not the cut
@@ -173,6 +175,25 @@ def brute_binary_r_min(
     if best is None:
         raise DegenerateSubsetError("every sign vector has zero median deviation")
     return best[0], _mask(best[1], g.n)
+
+
+def scan_minima(g: DirectedGraph) -> tuple[list[float], list[np.ndarray]]:
+    """(values, masks) of phi_d, phi_plus and phi_minus by one
+    conductance_set call per nonempty proper subset, complements
+    included. The subsets run in lexicographic order of their membership
+    vectors, vertex 0 first, so the first set to attain a minimum is the
+    lexicographically smallest."""
+    values, masks = [np.inf] * 3, [None] * 3
+    for key in range(1, (1 << g.n) - 1):
+        mask = np.array([(key >> (g.n - 1 - i)) & 1 for i in range(g.n)], dtype=bool)
+        try:
+            phis = conductance_set(g, mask)
+        except DegenerateSubsetError:
+            continue
+        for k, phi in enumerate(phis):
+            if phi < values[k]:
+                values[k], masks[k] = phi, mask
+    return values, masks
 
 
 def largest_weak_component(g: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]:

@@ -9,6 +9,7 @@ import pytest
 import dicond.datasets
 from dicond.cli import build_parser, main, parse_grid
 from dicond.graph import load_edge_list
+from dicond.oracle import LIMIT
 from dicond.solver import SolverConfig
 
 
@@ -39,6 +40,7 @@ def test_solve_json(c3_file, capsys):
 def test_oracle_json(p3_file, capsys):
     assert main(["oracle", str(p3_file)]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"phi_d_min", "argmin_d", "subsets_enumerated", "n", "m"}
     assert doc["phi_d_min"] == 0.0
     assert doc["subsets_enumerated"] == 3
 
@@ -256,6 +258,7 @@ def test_flag_defaults_are_the_solver_config_defaults():
     assert (solve.restarts, solve.max_iters, solve.seed) == (cfg.restarts, cfg.max_iters, cfg.seed)
     bench = build_parser().parse_args(["bench", "--suite", "dsbm"])
     assert (bench.restarts, bench.max_iters) == (cfg.restarts, cfg.max_iters)
+    assert build_parser().parse_args(["oracle", "g.el"]).limit == LIMIT
 
 
 def test_bench_dsbm_csv(tmp_path):

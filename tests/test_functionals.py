@@ -239,4 +239,4 @@ def test_single_directed_minimum_matches_oracle():
             for x in sign_vectors(g.n)
             if n_med(deg, x).n_value > 0
         )
-        assert best == pytest.approx(res.phi_minus_min, abs=1e-10)
+        assert best == pytest.approx(res.phi_d_min, abs=1e-10)

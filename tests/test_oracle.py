@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dicond import (
-    DegenerateSubsetError,
     GraphTooLargeError,
     brute_conductance,
     build_graph,
@@ -12,7 +11,7 @@ from dicond import (
 )
 
 from conftest import random_digraph
-from reference import brute_binary_r_min
+from reference import brute_binary_r_min, scan_minima
 
 
 def test_c3_all_bipartitions_tie(c3):
@@ -29,8 +28,6 @@ def test_p2_oracle(p2):
     # both sides attain 0; lexicographically smallest membership wins
     assert res.argmin_d.tolist() == [False, True]
     assert conductance_set(p2, res.argmin_d)[0] == 0.0
-    assert res.phi_plus_min == 0.0
-    assert res.argmin_plus.tolist() == [False, True]
 
 
 def test_two_components_zero(c3):
@@ -40,14 +37,14 @@ def test_two_components_zero(c3):
 
 
 def test_min_formula_identity():
-    # graph-level conductance equals the min of the one-sided minima
+    # graph-level conductance equals the min of the one-sided minima, and
+    # as cut+ of a complement is cut- of the set, both one-sided minima
+    # equal it: checked against the scan, which scores every subset and
+    # its complement apart
     rng = np.random.default_rng(41)
     for _ in range(40):
         g = random_digraph(rng, int(rng.integers(2, 10)), weighted=bool(rng.integers(2)))
-        res = brute_conductance(g)
-        assert res.phi_d_min == min(res.phi_plus_min, res.phi_minus_min)
-        # cut+ of a complement is cut- of the set, so the minima coincide
-        assert res.phi_d_min == res.phi_plus_min == res.phi_minus_min
+        assert_matches_scan(g)
 
 
 def test_size_limit():
@@ -91,10 +88,7 @@ def test_argmin_is_attaining_subset():
     for _ in range(30):
         g = random_digraph(rng, int(rng.integers(3, 9)), weighted=True)
         res = brute_conductance(g)
-        phi, phi_p, phi_m = conductance_set(g, res.argmin_d)
-        assert phi == res.phi_d_min
-        assert conductance_set(g, res.argmin_plus)[1] == res.phi_plus_min
-        assert conductance_set(g, res.argmin_minus)[2] == res.phi_minus_min
+        assert conductance_set(g, res.argmin_d)[0] == res.phi_d_min
 
 
 def test_chunked_enumeration_consistency(monkeypatch):
@@ -113,48 +107,30 @@ def test_chunked_enumeration_consistency(monkeypatch):
     monkeypatch.setattr(oracle_mod, "CHUNK", 17)
     for g, (big, (r_big, arg_big)) in zip(graphs, default_runs):
         small, (r_small, arg_small) = run(g)
-        for field in ("phi_d_min", "phi_plus_min", "phi_minus_min", "subsets_enumerated"):
-            assert getattr(big, field) == getattr(small, field)
-        for field in ("argmin_d", "argmin_plus", "argmin_minus"):
-            assert getattr(big, field).tolist() == getattr(small, field).tolist()
+        assert big.phi_d_min == small.phi_d_min
+        assert big.subsets_enumerated == small.subsets_enumerated
+        assert big.argmin_d.tolist() == small.argmin_d.tolist()
         assert r_big == r_small
         assert arg_big.tolist() == arg_small.tolist()
-
-
-def scan_minima(g):
-    """(values, masks) of phi_d, phi_plus and phi_minus by one
-    conductance_set call per nonempty proper subset. The subsets run in
-    lexicographic order of their membership vectors, vertex 0 first, so
-    the first set to attain a minimum is the lexicographically smallest."""
-    values, masks = [np.inf] * 3, [None] * 3
-    for key in range(1, (1 << g.n) - 1):
-        mask = np.array([(key >> (g.n - 1 - i)) & 1 for i in range(g.n)], dtype=bool)
-        try:
-            phis = conductance_set(g, mask)
-        except DegenerateSubsetError:
-            continue
-        for k, phi in enumerate(phis):
-            if phi < values[k]:
-                values[k], masks[k] = phi, mask
-    return values, masks
 
 
 def assert_matches_scan(g):
     res = brute_conductance(g)
     values, masks = scan_minima(g)
-    assert [res.phi_d_min, res.phi_plus_min, res.phi_minus_min] == values
-    assert [res.argmin_d.tolist(), res.argmin_plus.tolist(), res.argmin_minus.tolist()] == [
-        m.tolist() for m in masks
-    ]
+    assert values == [res.phi_d_min] * 3
+    assert res.argmin_d.tolist() == masks[0].tolist()
 
 
 def test_oracle_matches_a_per_subset_scan():
     # exact weights, so the oracle's matmul sums and conductance_set's
     # masked sums agree bit for bit; the last graphs have isolated
-    # vertices, whose zero-volume sides both skip
+    # vertices, whose zero-volume sides both skip. The reversed p2 (1 -> 0)
+    # has its phi_plus minimum only at {0}, the complement of the one
+    # representative {1}
     rng = np.random.default_rng(46)
     graphs = [random_digraph(rng, int(rng.integers(2, 9)), weighted=bool(rng.integers(2))) for _ in range(60)]
     graphs += [build_graph(4, [0, 1], [1, 0]), build_graph(5, [1, 2, 3], [2, 3, 1], [0.5, 2.0, 1.5])]
+    graphs.append(build_graph(2, [1], [0]))
     for g in graphs:
         assert_matches_scan(g)
 
@@ -170,12 +146,14 @@ def test_tie_rule_across_chunks(monkeypatch):
 
 def test_phi_plus_argmin_may_hold_vertex_0():
     # the reversed p2 (1 -> 0): {0} has no out-arc, so its phi_plus is 0,
-    # while {1} has phi_plus 1; the argmin is a complement of a
-    # representative
+    # while {1} has phi_plus 1; the phi_plus argmin is a complement of a
+    # representative, which the oracle never returns, yet its value is
+    # the oracle's minimum
     g = build_graph(2, [1], [0])
     res = brute_conductance(g)
-    assert res.phi_plus_min == 0.0
-    assert res.argmin_plus.tolist() == [True, False]
-    assert res.argmin_minus.tolist() == [False, True]
+    values, masks = scan_minima(g)
+    assert values[1] == res.phi_d_min == 0.0
+    assert masks[1].tolist() == [True, False]
+    assert masks[2].tolist() == [False, True]
     assert res.argmin_d.tolist() == [False, True]
     assert_matches_scan(g)

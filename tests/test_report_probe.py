@@ -48,7 +48,8 @@ def test_no_probe_solve_is_below_the_oracle():
     # the probe records the exhaustive minimum on graphs with n <= 12.
     # On exact-sums graphs the oracle's matmul sums and conductance_set's
     # masked sums are both exact, so the bound holds exactly; elsewhere
-    # the two round differently, by a few ulps
+    # the two round differently, by a few ulps, and conductance_set
+    # itself can score a set and its complement a few ulps apart
     probe = report_probe()
     lines = [json.loads(line) for line in (TOOLS / "probe.jsonl").read_text().splitlines()]
     checked = [doc for doc in lines if "oracle_phi" in doc]
