@@ -1,9 +1,15 @@
 """Symmetrized spectral embedding and the sweep-cut baseline.
 
 The embedding is the second eigenvector of the normalized Laplacian of
-the symmetrized weights, computed by ARPACK's implicitly restarted
-Lanczos method (scipy's eigsh) on a shifted, deflated operator whose
-product is one pass over the graph's pair CSR; the sweep cut scores
+the symmetrized weights, the top eigenvector of a shifted, deflated
+operator. Up to DENSE_MAX_N vertices it is np.linalg.eigh's, on the
+operator as a dense matrix; above, ARPACK's implicitly restarted
+Lanczos method (scipy's eigsh) runs on the operator, whose product is
+one pass over the graph's pair CSR. DENSE_MAX_N sits below the measured
+crossover: on random strongly connected graphs, on a shared 2-vCPU
+host with one BLAS thread, the dense solve took 0.12 against 0.6 ms at
+n = 12 and 1.3 against 2.3 ms at n = 96, and the two met near
+n = 130-140. The sweep cut scores
 every level set of a vector, the prefixes of its descending order that
 end between two distinct values, from one cumulative cut profile.
 Together they serve as the comparison baseline and as solver
@@ -27,12 +33,16 @@ from .functionals import is_nonconstant
 from .graph import (DirectedGraph, conductance_set, lift_core, positive_core, prefix_cut_profile,
                     zero_cut)
 
+DENSE_MAX_N = 96
+
 
 @dataclass(frozen=True)
 class EmbeddingResult:
     """Unit 2-norm vector orthogonal to the degree-weighted trivial
-    eigenvector, with its operator residual and the number of operator
-    products spent (the eigensolver's plus one for the residual)."""
+    eigenvector, with its operator residual |A x - <x, A x> x| and the
+    number of operator products spent: ARPACK's plus one for the
+    residual, or 1 on the dense path, where eigh forms no products and
+    the residual is that of the dense matrix A."""
 
     vector: np.ndarray
     residual: float
@@ -86,12 +96,16 @@ class _EmbeddingOperator(LinearOperator):
 def spectral_embedding(g: DirectedGraph) -> EmbeddingResult:
     """Second eigenvector of the symmetrized normalized Laplacian: the
     top eigenvector of the shifted operator with the known leading
-    eigenvector projected out, by ARPACK (scipy's eigsh) from a fixed
-    start vector. The sign puts the largest-magnitude entry positive."""
+    eigenvector projected out, by np.linalg.eigh on graphs with at most
+    DENSE_MAX_N vertices and by ARPACK (scipy's eigsh) from a fixed
+    start vector above. The sign puts the largest-magnitude entry
+    positive."""
     if g.n < 2:
         raise DicondError("embedding needs at least 2 vertices")
     if g.strong_labels[0] != 1 and g.weak_labels[0] != 1:
         raise DicondError("embedding needs a connected graph")
+    if g.n <= DENSE_MAX_N:
+        return _dense_top_eigenvector(g)
     return _top_eigenvector(_EmbeddingOperator(g))
 
 
@@ -103,12 +117,39 @@ def _top_eigenvector(op: _EmbeddingOperator) -> EmbeddingResult:
     start -= np.dot(op.v0, start) * op.v0
     _, vecs = eigsh(op, k=1, which="LA", v0=start, tol=1e-10)
     x = vecs[:, 0]
-    y = op.matvec(x)
+    return _signed(x, op.matvec(x), op.products)
+
+
+def _dense_top_eigenvector(g: DirectedGraph) -> EmbeddingResult:
+    """np.linalg.eigh's top eigenvector of the dense operator
+    1.5 I + D^{-1/2} W_sym D^{-1/2} - 2.5 v0 v0^T, which equals
+    _EmbeddingOperator's on every vector (v0 is an eigenvector of the
+    undeflated operator with eigenvalue 2.5) and moves v0 to 0. W_sym is
+    built from g.pairs. The one product behind the residual is the only
+    one counted."""
+    pu, pv, w = g.pairs
+    d = g.degree_profile.d
+    inv_sqrt = 1.0 / np.sqrt(d)
+    v0 = np.sqrt(d)
+    v0 /= np.linalg.norm(v0)
+    a = np.zeros((g.n, g.n))
+    a[pu, pv] = w * inv_sqrt[pu] * inv_sqrt[pv]
+    a = a + a.T - 2.5 * np.outer(v0, v0)
+    a.flat[:: g.n + 1] += 1.5
+    _, vecs = np.linalg.eigh(a)
+    x = vecs[:, -1]
+    return _signed(x, a @ x, 1)
+
+
+def _signed(x: np.ndarray, y: np.ndarray, products: int) -> EmbeddingResult:
+    """The EmbeddingResult of a unit eigenvector estimate x whose
+    operator product is y: the residual |y - <x, y> x|, and the sign that
+    puts the largest-magnitude entry of x positive."""
     residual = float(np.linalg.norm(y - np.dot(x, y) * x))
     pivot = int(np.argmax(np.abs(x)))
     if x[pivot] < 0:
         x = -x
-    return EmbeddingResult(vector=x, residual=residual, iterations=op.products)
+    return EmbeddingResult(vector=x, residual=residual, iterations=products)
 
 
 def graph_embedding(g: DirectedGraph) -> EmbeddingResult:

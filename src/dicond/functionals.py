@@ -20,12 +20,12 @@ NONCONSTANT_RTOL = 1e-12
 
 
 def linf(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x))) if x.size else 0.0
+    return float(np.abs(x).max()) if x.size else 0.0
 
 
 def is_nonconstant(x: np.ndarray) -> bool:
     """max - min > NONCONSTANT_RTOL * max(1, ||x||_inf)."""
-    return float(np.max(x) - np.min(x)) > NONCONSTANT_RTOL * max(1.0, linf(x))
+    return float(x.max() - x.min()) > NONCONSTANT_RTOL * max(1.0, linf(x))
 
 
 def i_plus(g: DirectedGraph, x: np.ndarray) -> float:

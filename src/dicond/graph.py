@@ -135,7 +135,7 @@ class DirectedGraph:
         mant, exp = np.frexp(w)
         ints = (mant * 2.0**53).astype(np.int64)  # w = ints * 2^(exp - 53)
         _, low = np.frexp((ints & -ints).astype(float))  # lowest set bit is 2^(low - 1)
-        k = max(0, int(np.max(54 - exp - low)))  # w is a multiple of 2^-k
+        k = max(0, 54 - int((exp + low).min()))  # w is a multiple of 2^-k
         return k <= 52 and 2.0 * float(w.sum()) < 2.0 ** (53 - k)
 
     @cached_property

@@ -314,7 +314,8 @@ def dsi_run(g: DirectedGraph, x1: np.ndarray, cfg: SolverConfig) -> SolveReport:
         v_b, sel = (general_step if state.cut is None else binary_step)(g, state)
         if cfg.self_check:
             _self_check(g, state, v_b, sel)
-        rounding = sel is None and bool(state.classes.s_less.any())
+        # a binary iterate has no interior vertex, so only a general one rounds
+        rounding = sel is None and state.cut is None and bool(state.classes.s_less.any())
         side, c = None, 1.0  # the side and c of a binary move
         if sel is not None:
             x_next, _ = subproblem_argmin(sel.s)
@@ -459,12 +460,10 @@ def dsi_solve(g: DirectedGraph, cfg: SolverConfig | None = None) -> SolveReport:
     if sub is not g:
         notes += ("isolated vertices assigned to the complement side",)
 
-    reports = []
-    for idx, (kind, x1) in enumerate(inits):
-        rep = dsi_run(sub, x1, cfg)
-        reports.append(replace(rep, init_kind=kind, restart_index=idx))
-    best = min(reports, key=lambda rep: (rep.best_r, rep.iterations, rep.restart_index))
+    reports = [dsi_run(sub, x1, cfg) for _, x1 in inits]
+    idx = min(range(len(reports)), key=lambda i: (reports[i].best_r, reports[i].iterations, i))
+    best = reports[idx]
     mask = lift_core(g, best.best_set, False)
     return replace(best, best_r=conductance_set(g, mask)[0], best_x=lift_core(g, best.best_x, -1.0),
-                   best_set=mask, labels=g.labels,
-                   wall_time=time.perf_counter() - t0, notes=notes)
+                   best_set=mask, labels=g.labels, wall_time=time.perf_counter() - t0, notes=notes,
+                   init_kind=inits[idx][0], restart_index=idx)

@@ -393,7 +393,7 @@ def boundary_indicator(
         pick_high = in_a & classes.s_minus
         a_sel[pick_high] = bnds.a_high[pick_high]
         free = in_a & classes.s_less
-        if np.any(free):
+        if free.any():
             lo, hi, bf = bnds.a_low[free], bnds.a_high[free], base[free]
             take_low = np.abs(bf + 2.0 * r * lo) >= np.abs(bf + 2.0 * r * hi)
             a_sel[free] = np.where(take_low, lo, hi)

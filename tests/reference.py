@@ -12,8 +12,11 @@ conductance, the one-sided ratios match the one-sided conductances, the
 one-sided minima over all subsets equal the two-sided one, and the
 numerators dominate the Lovasz extension of the cut. brute_binary_r_min
 shares the oracle's subset enumerator and its tie rule
-(dicond.oracle._smallest over _keys), so both exhaustive minima walk the
-same subsets and break ties alike; scan_minima shares neither. The
+(dicond.oracle._smallest), so both exhaustive minima walk the same
+subsets and break ties alike; scan_minima shares neither.
+brute_minimum is the oracle's loop with the cut sums of a chunk taken
+from either of its two forms, so that each form can be compared with
+the other on any graph. The
 component labelling from a COO-built arc matrix is the construction
 that the graph's cached arc CSR replaced, and the two-bincount
 embedding operator is the product that the embedding's pair CSR
@@ -34,7 +37,7 @@ from dicond.baselines import EmbeddingResult, _EmbeddingOperator, _top_eigenvect
 from dicond.errors import ConstantVectorError, DegenerateSubsetError, GraphTooLargeError
 from dicond.functionals import i_plus, j_terms, linf, n_med
 from dicond.graph import DegreeProfile, DirectedGraph, conductance_set, induced_subgraph, weak_components
-from dicond.oracle import LIMIT, _keys, _mask, _smallest, _subsets
+from dicond.oracle import LIMIT, _mask, _smallest, _subsets
 
 
 def i_diff(g: DirectedGraph, x: np.ndarray) -> float:
@@ -168,12 +171,25 @@ def brute_binary_r_min(
         j = 2.0 * np.abs(member @ degrees.d_delta)
         vol_s = member @ degrees.d
         n_val = 2.0 * np.minimum(vol_s, vol_total - vol_s)
-        valid = n_val > 0
-        r = (vol_total - i_plus[valid] - j[valid]) / (2.0 * n_val[valid])
-        best = _smallest(best, r, _keys(member[valid]))
+        r = np.divide(vol_total - i_plus - j, 2.0 * n_val, out=np.full(n_val.size, np.inf), where=n_val > 0)
+        best = _smallest(best, r, member)
 
     if best is None:
         raise DegenerateSubsetError("every sign vector has zero median deviation")
+    return best[0], _mask(best[1], g.n)
+
+
+def brute_minimum(g: DirectedGraph, cuts, limit: int = LIMIT) -> tuple[float, np.ndarray]:
+    """brute_conductance's minimum and argmin with the cut sums of each
+    chunk taken from cuts(g, member), dicond.oracle._masked_cuts or
+    _quadratic_cuts, whatever g.exact_sums says."""
+    d, vol_total = g.degree_profile.d, g.degree_profile.vol_total
+    best = None
+    for member in _subsets(g.n, limit):
+        vol_s = member @ d
+        mv = np.minimum(vol_s, vol_total - vol_s)
+        phi = np.divide(np.minimum(*cuts(g, member)), mv, out=np.full(mv.size, np.inf), where=mv > 0)
+        best = _smallest(best, phi, member)
     return best[0], _mask(best[1], g.n)
 
 

@@ -10,7 +10,8 @@ import dicond.baselines
 import dicond.graph
 from dicond import (ConstantVectorError, DsbmParams, SolverConfig, build_graph, conductance_set,
                     dsbm, dsi_solve, largest_strong_component, spectral_embedding, sweep_cut)
-from dicond.baselines import spectral_sweep
+from dicond.baselines import (DENSE_MAX_N, _dense_top_eigenvector, _EmbeddingOperator, _top_eigenvector,
+                              spectral_sweep)
 from dicond.errors import DegenerateSubsetError, DicondError, EmptyGraphError
 from dicond.graph import positive_core, prefix_cut_profile
 
@@ -120,12 +121,49 @@ def _bincount_reference_graphs(c3):
 
 def test_spectral_embedding_matches_the_bincount_operator_bit_for_bit(c3):
     # the pair CSR sums each vertex's pairs in np.bincount's order, so
-    # every product, and so eigsh's whole run, repeats exactly
+    # every product, and so eigsh's whole run, repeats exactly. The
+    # ARPACK routine is called itself, as spectral_embedding takes the
+    # dense solver on the smaller graphs
     for name, g in _bincount_reference_graphs(c3):
-        emb, ref = spectral_embedding(g), bincount_embedding(g)
+        emb, ref = _top_eigenvector(_EmbeddingOperator(g)), bincount_embedding(g)
         assert emb.vector.tobytes() == ref.vector.tobytes(), name
         assert repr(emb.residual) == repr(ref.residual), name
         assert emb.iterations == ref.iterations, name
+
+
+def test_the_size_switch_keeps_each_embedding_an_eigenvector():
+    # the dense solver up to DENSE_MAX_N vertices, ARPACK above; each
+    # result is a signed unit eigenvector orthogonal to sqrt(d), and the
+    # other solver finds it too where lambda_2 is simple
+    rng = np.random.default_rng(56)
+    compared = 0
+    for n, dense_path in ((DENSE_MAX_N, True), (DENSE_MAX_N + 1, False)):
+        for weighted in (False, True):
+            g = _strongly_connected(rng, n, weighted)
+            op = _EmbeddingOperator(g)
+            emb = spectral_embedding(g)
+            dense, arpack = _dense_top_eigenvector(g), _top_eigenvector(op)
+            assert emb.vector.tobytes() == (dense if dense_path else arpack).vector.tobytes()
+            x = emb.vector
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+            assert abs(float(x @ op.v0)) <= 1e-10
+            assert emb.residual <= 1e-10
+            assert x[np.argmax(np.abs(x))] > 0
+            assert emb.iterations >= 1
+            # the gap below the top eigenvalue of the operator, whose
+            # matrix is its product with each unit vector
+            vals = np.linalg.eigvalsh(np.column_stack([op.matvec(e) for e in np.eye(n)]))
+            if vals[-1] - vals[-2] > 1e-6:
+                assert abs(float(dense.vector @ arpack.vector)) >= 1 - 1e-10
+                compared += 1
+    assert compared == 4
+
+
+def _strongly_connected(rng, n, weighted):
+    perm = rng.permutation(n)
+    tails = np.concatenate([rng.integers(0, n, 2 * n), perm])
+    heads = np.concatenate([rng.integers(0, n, 2 * n), np.roll(perm, -1)])
+    return build_graph(n, tails, heads, rng.uniform(0.1, 1.0, 3 * n) if weighted else None)
 
 
 def test_spectral_rejects_disconnected():
@@ -238,13 +276,16 @@ def test_spectral_sweep_needs_an_arc():
 
 @pytest.mark.parametrize("isolated", [0, 2])
 def test_a_solve_and_a_sweep_of_one_graph_share_one_embedding(monkeypatch, isolated):
-    # every embedding runs one eigsh, whichever module calls it
+    # every embedding runs one solver, dense or ARPACK, whichever module
+    # calls it
     calls = []
-    eigsh = dicond.baselines.eigsh
-    monkeypatch.setattr(dicond.baselines, "eigsh",
-                        lambda op, **kw: calls.append(op.shape[0]) or eigsh(op, **kw))
+    dense, arpack = dicond.baselines._dense_top_eigenvector, dicond.baselines._top_eigenvector
+    monkeypatch.setattr(dicond.baselines, "_dense_top_eigenvector",
+                        lambda g: calls.append(g.n) or dense(g))
+    monkeypatch.setattr(dicond.baselines, "_top_eigenvector",
+                        lambda op: calls.append(op.shape[0]) or arpack(op))
     rng = np.random.default_rng(55)
-    for n in (5, 12, 40):
+    for n in (5, 12, 40, DENSE_MAX_N + 1):
         perm = rng.permutation(n)
         tails = np.concatenate([rng.integers(0, n, 2 * n), perm])
         heads = np.concatenate([rng.integers(0, n, 2 * n), np.roll(perm, -1)])

@@ -10,8 +10,10 @@ from dicond import (
     r_obj,
 )
 
-from conftest import random_digraph
-from reference import brute_binary_r_min, scan_minima
+from dicond.oracle import LIMIT, _masked_cuts, _quadratic_cuts, _subsets
+
+from conftest import random_digraph, report_probe
+from reference import brute_binary_r_min, brute_minimum, scan_minima
 
 
 def test_c3_all_bipartitions_tie(c3):
@@ -157,3 +159,44 @@ def test_phi_plus_argmin_may_hold_vertex_0():
     assert masks[2].tolist() == [False, True]
     assert res.argmin_d.tolist() == [False, True]
     assert_matches_scan(g)
+
+
+def test_the_quadratic_form_equals_the_masked_sums_on_exact_sums_graphs(monkeypatch):
+    # weights that are multiples of one power of two make every partial
+    # sum exact, so the dense quadratic form and the masked sums agree
+    # bit for bit, chunk by chunk and in the minimum, also when 17-row
+    # chunks split the subsets
+    import dicond.oracle as oracle_mod
+
+    rng = np.random.default_rng(47)
+    graphs = []
+    for _ in range(40):
+        g = random_digraph(rng, int(rng.integers(2, 13)))
+        weights = rng.integers(1, 1 << 10, g.m) * 2.0 ** rng.integers(-20, 20, g.m)
+        graphs.append(build_graph(g.n, g.tails, g.heads, weights))
+        assert graphs[-1].exact_sums
+    for chunk in (oracle_mod.CHUNK, 17):
+        monkeypatch.setattr(oracle_mod, "CHUNK", chunk)
+        for g in graphs:
+            for member in _subsets(g.n, LIMIT):
+                for quadratic, masked in zip(_quadratic_cuts(g, member), _masked_cuts(g, member)):
+                    assert quadratic.tobytes() == masked.tobytes()
+            res = brute_conductance(g)
+            phi, arg = brute_minimum(g, _masked_cuts)
+            assert repr(res.phi_d_min) == repr(phi)
+            assert res.argmin_d.tolist() == arg.tolist()
+
+
+def test_float_weights_keep_the_masked_sums():
+    # on probe case random-318 (n = 8, weights over six decades) the
+    # quadratic form subtracts sums that nearly cancel and misses the
+    # minimum by ~1e-10 relative, so without exact sums the oracle takes
+    # the masked sums
+    g = report_probe().random_case(318)
+    assert g.n == 8 and not g.exact_sums
+    masked, arg = brute_minimum(g, _masked_cuts)
+    quadratic, _ = brute_minimum(g, _quadratic_cuts)
+    assert abs(quadratic - masked) > 1e-12 * masked
+    res = brute_conductance(g)
+    assert repr(res.phi_d_min) == repr(masked)
+    assert res.argmin_d.tolist() == arg.tolist()

@@ -13,11 +13,12 @@ sweep and, on workloads that run it, the oracle. The order of the two
 checkouts alternates from instance to instance and from round to round,
 so neither side always runs first. Per round the script prints the
 speed ratio OLD/NEW of the summed instance time (what graphs_per_s
-reads), of the median solve time (what solve_s_p50 reads) and of the
-median spectral sweep time, each median beside its ratio; a ratio above
-1 means NEW is faster. The sweep is timed apart because on a workload
-whose solves stop at the precheck, its embedding is most of an
-instance. The summary line gives each ratio's median and range over the
+reads), of the median solve time (what solve_s_p50 reads), of the
+median spectral sweep time and, on workloads that run it, of the median
+oracle time, each median beside its ratio; a ratio above 1 means NEW is
+faster. The sweep is timed apart because on a workload whose solves
+stop at the precheck, its embedding is most of an instance, and the
+oracle so that a gain on the oracle workload is read layer by layer. The summary line gives each ratio's median and range over the
 rounds and in how many rounds NEW was faster (a ratio above 1; a tie
 counts for neither side). The checkout named second (NEW) reads about
 3% slower even when the two checkouts are identical, so read any ratio
@@ -62,9 +63,9 @@ RESULTS = ("report digest", "sweep value", "oracle value")
 
 
 def process(pkg, inst, with_oracle: bool, digest):
-    """(total seconds, {"solve": seconds, "sweep": seconds}, results,
-    best_r) of one instance; results holds one string per RESULTS
-    entry."""
+    """(total seconds, {"solve": seconds, "sweep": seconds[, "oracle":
+    seconds]}, results, best_r) of one instance; results holds one
+    string per RESULTS entry, and the oracle is timed when it runs."""
     g = pkg.load_edge_list(inst.path)
     t0 = time.perf_counter()
     rep = pkg.dsi_solve(g, pkg.SolverConfig(seed=inst.solver_seed))
@@ -73,8 +74,8 @@ def process(pkg, inst, with_oracle: bool, digest):
     t2 = time.perf_counter()
     oracle_phi = pkg.brute_conductance(g).phi_d_min if with_oracle else None
     t3 = time.perf_counter()
-    return (t3 - t0, {"solve": t1 - t0, "sweep": t2 - t1}, (digest(rep), repr(sweep_phi), repr(oracle_phi)),
-            rep.best_r)
+    parts = {"solve": t1 - t0, "sweep": t2 - t1, **({"oracle": t3 - t2} if with_oracle else {})}
+    return t3 - t0, parts, (digest(rep), repr(sweep_phi), repr(oracle_phi)), rep.best_r
 
 
 def summary(ratios) -> str:
@@ -114,7 +115,7 @@ def main(argv=None) -> int:
         mismatched = {result: set() for result in RESULTS}
         best_r = {}  # instance -> (OLD, NEW); solves are deterministic
         total_ratios = []
-        p50_ratios = {"solve": [], "sweep": []}
+        p50_ratios = {part: [] for part in ("solve", "sweep") + (("oracle",) if workload.with_oracle else ())}
         for rnd in range(args.rounds):
             total = {"old": 0.0, "new": 0.0}
             parts = {part: {"old": [], "new": []} for part in p50_ratios}
