@@ -18,8 +18,9 @@ median spectral sweep time and, on workloads that run it, of the median
 oracle time, each median beside its ratio; a ratio above 1 means NEW is
 faster. The sweep is timed apart because on a workload whose solves
 stop at the precheck, its embedding is most of an instance, and the
-oracle so that a gain on the oracle workload is read layer by layer. The summary line gives each ratio's median and range over the
-rounds and in how many rounds NEW was faster (a ratio above 1; a tie
+oracle so that a gain on the oracle workload is read layer by layer.
+The summary line gives each ratio's median and range over the rounds
+and in how many rounds NEW was faster (a ratio above 1; a tie
 counts for neither side). The checkout named second (NEW) reads about
 3% slower even when the two checkouts are identical, so read any ratio
 beside a control run of the parent against a copy of itself. It exits
